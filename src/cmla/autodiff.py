@@ -1,10 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Everything here is sized for sentence-scale models: tensors are plain
-row-major numpy arrays, there are no views or strides, and the only
-broadcasting is scalar * tensor. The graph is rebuilt for every loss;
-creation order doubles as a topological order, so backward() just sweeps
-reachable tensors in reverse creation order.
+The graph is built per sentence, not per token: a primitive takes whole
+(n, ...) blocks, so a forward pass is a few dozen nodes whatever the
+sentence length. Tensors are plain row-major numpy arrays with no views
+or strides, and there is no implicit broadcasting; every binary op wants
+equal shapes. The graph is rebuilt for every loss; creation order doubles
+as a topological order, so backward() just sweeps reachable tensors in
+reverse creation order.
 """
 
 from __future__ import annotations
@@ -40,37 +42,9 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def sum(self) -> "Tensor":
-        return tensor_sum(self)
-
-    def backward(self):
-        return backward(self)
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        if isinstance(other, Tensor) and other.data.shape == ():
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def constant(data) -> Tensor:
@@ -96,8 +70,12 @@ def init_uniform(shape, lo: float, hi: float, rng) -> Tensor:
     return Tensor(gen.uniform(lo, hi, size=dims), requires_grad=True)
 
 
-def _node(data, parents, backprop) -> Tensor:
-    """Wrap an op result; constants in, constant out (graph pruning)."""
+def node(data, parents, backprop) -> Tensor:
+    """Wrap an op result; constants in, constant out (graph pruning).
+
+    `backprop` maps the output gradient to one gradient per parent; it may
+    return None for a parent that needs no gradient.
+    """
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -113,39 +91,25 @@ def _node(data, parents, backprop) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    return _node(a.data + b.data, (a, b), lambda g: (g, g))
+    return node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
     ad, bd = a.data, b.data
-    return _node(ad * bd, (a, b), lambda g: (g * bd, g * ad))
+    return node(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
-def scale(t: Tensor, c) -> Tensor:
-    """t * c where c is a python number or a 0-d Tensor."""
-    if isinstance(c, Tensor):
-        if c.data.shape != ():
-            raise ValueError(f"scale factor must be scalar, got shape {c.data.shape}")
-        td, cd = t.data, float(c.data)
-        return _node(
-            td * cd, (t, c), lambda g: (g * cd, np.asarray((g * td).sum()))
-        )
+def scale(t: Tensor, c: float) -> Tensor:
+    """t * c for a python number c."""
     cf = float(c)
-    return _node(t.data * cf, (t,), lambda g: (g * cf,))
+    return node(t.data * cf, (t,), lambda g: (g * cf,))
 
 
 def tanh(t: Tensor) -> Tensor:
     y = np.tanh(t.data)
-    return _node(y, (t,), lambda g: (g * (1.0 - y * y),))
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    x = t.data
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-    return _node(y, (t,), lambda g: (g * y * (1.0 - y),))
+    return node(y, (t,), lambda g: (g * (1.0 - y * y),))
 
 
 # ---------------------------------------------------------------------------
@@ -153,40 +117,51 @@ def sigmoid(t: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b for 2-d x 2-d, 2-d x 1-d and 1-d x 2-d operands.
+
+    The forward product is an unoptimised einsum rather than BLAS: each
+    output row is then summed the same way however many rows there are,
+    so appending a token never changes an earlier token's bits.
+    """
     ad, bd = a.data, b.data
     if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
-        return _node(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
-    if ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
-        return _node(ad @ bd, (a, b), lambda g: (np.outer(g, bd), ad.T @ g))
-    if ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
-        return _node(ad @ bd, (a, b), lambda g: (bd @ g, np.outer(ad, g)))
-    raise ValueError(f"matmul supports 2dx2d, 2dx1d, 1dx2d; got {ad.ndim}d x {bd.ndim}d")
+        spec, backprop = "ij,jk->ik", lambda g: (g @ bd.T, ad.T @ g)
+    elif ad.ndim == 2 and bd.ndim == 1:
+        spec, backprop = "ij,j->i", lambda g: (np.outer(g, bd), ad.T @ g)
+    elif ad.ndim == 1 and bd.ndim == 2:
+        spec, backprop = "j,jk->k", lambda g: (bd @ g, np.outer(ad, g))
+    else:
+        raise ValueError(f"matmul supports 2dx2d, 2dx1d, 1dx2d; got {ad.ndim}d x {bd.ndim}d")
+    if ad.shape[-1] != bd.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
+    return node(np.einsum(spec, ad, bd), (a, b), backprop)
+
+
+def transpose(t: Tensor) -> Tensor:
+    if t.data.ndim != 2:
+        raise ValueError(f"transpose expects a matrix, got shape {t.data.shape}")
+    return node(np.ascontiguousarray(t.data.T), (t,), lambda g: (g.T,))
 
 
 def bilinear(h: Tensor, maps: Tensor, u: Tensor) -> Tensor:
-    """Channel-wise bilinear form: out[k] = h . maps[k] . u.
+    """Channel-wise bilinear forms of every row: out[n, k] = h[n] . maps[k] . u.
 
-    `maps` is a (channels, len(h), len(u)) stack of bilinear maps.
+    `h` is (rows, d), `maps` a (channels, d, len(u)) stack of bilinear
+    maps. maps . u is formed once, so the cost is one (rows, d) x (d,
+    channels) product on top of it.
     """
     hd, md, ud = h.data, maps.data, u.data
-    if hd.ndim != 1 or ud.ndim != 1 or md.ndim != 3:
-        raise ValueError("bilinear expects vector, 3-d map stack, vector")
-    if md.shape[1] != hd.shape[0] or md.shape[2] != ud.shape[0]:
+    if hd.ndim != 2 or ud.ndim != 1 or md.ndim != 3:
+        raise ValueError("bilinear expects a (rows, d) matrix, 3-d map stack, vector")
+    if md.shape[1] != hd.shape[1] or md.shape[2] != ud.shape[0]:
         raise ValueError(f"bilinear shape mismatch: {hd.shape}, {md.shape}, {ud.shape}")
+    mu = md @ ud
 
     def backprop(g):
-        dh = np.einsum("k,kij,j->i", g, md, ud)
-        dm = np.einsum("k,i,j->kij", g, hd, ud)
-        du = np.einsum("k,kij,i->j", g, md, hd)
-        return dh, dm, du
+        gh = g.T @ hd
+        return g @ mu, gh[:, :, None] * ud, np.tensordot(gh, md, axes=2)
 
-    return _node(np.einsum("i,kij,j->k", hd, md, ud), (h, maps, u), backprop)
+    return node(np.einsum("ni,ki->nk", hd, mu), (h, maps, u), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -195,71 +170,46 @@ def bilinear(h: Tensor, maps: Tensor, u: Tensor) -> Tensor:
 
 def tensor_sum(t: Tensor) -> Tensor:
     shape = t.data.shape
-    return _node(np.asarray(t.data.sum()), (t,), lambda g: (np.full(shape, float(g)),))
+    return node(np.asarray(t.data.sum()), (t,), lambda g: (np.full(shape, float(g)),))
 
 
 def reduce_max(t: Tensor) -> Tensor:
-    """Max over all entries; the gradient routes to the first maximum."""
-    idx = np.unravel_index(int(np.argmax(t.data)), t.data.shape)
+    """Max over the last axis; each gradient routes to the first maximum."""
+    x = t.data
+    idx = np.argmax(x, axis=-1)[..., None]
+
+    def backprop(g):
+        out = np.zeros(x.shape)
+        np.put_along_axis(out, idx, np.asarray(g)[..., None], axis=-1)
+        return (out,)
+
+    return node(np.take_along_axis(x, idx, axis=-1)[..., 0], (t,), backprop)
+
+
+def slice_last(t: Tensor, start: int, stop: int) -> Tensor:
+    """Entries [start, stop) of the last axis."""
     shape = t.data.shape
+    n = shape[-1] if shape else 0
+    if not (0 <= start < stop <= n):
+        raise ValueError(f"slice [{start}, {stop}) out of range for last axis of {shape}")
 
     def backprop(g):
         out = np.zeros(shape)
-        out[idx] = float(g)
+        out[..., start:stop] = g
         return (out,)
 
-    return _node(np.asarray(t.data.max()), (t,), backprop)
+    return node(t.data[..., start:stop], (t,), backprop)
 
 
-def slice1d(t: Tensor, start: int, stop: int) -> Tensor:
-    if t.data.ndim != 1:
-        raise ValueError("slice1d expects a vector")
-    n = t.data.shape[0]
-    if not (0 <= start < stop <= n):
-        raise ValueError(f"slice [{start}, {stop}) out of range for length {n}")
-
-    def backprop(g):
-        out = np.zeros(n)
-        out[start:stop] = g
-        return (out,)
-
-    return _node(t.data[start:stop].copy(), (t,), backprop)
-
-
-def index1d(t: Tensor, i: int) -> Tensor:
-    if t.data.ndim != 1:
-        raise ValueError("index1d expects a vector")
-    n = t.data.shape[0]
-    if not 0 <= i < n:
-        raise ValueError(f"index {i} out of range for length {n}")
-
-    def backprop(g):
-        out = np.zeros(n)
-        out[i] = float(g)
-        return (out,)
-
-    return _node(np.asarray(t.data[i]), (t,), backprop)
-
-
-def concat1d(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise ValueError("concat1d expects vectors")
-    p = a.data.shape[0]
-    return _node(
-        np.concatenate([a.data, b.data]), (a, b), lambda g: (g[:p], g[p:])
+def concat(a: Tensor, b: Tensor) -> Tensor:
+    """Join along the last axis; the other axes must agree."""
+    ad, bd = a.data, b.data
+    if ad.ndim == 0 or ad.ndim != bd.ndim or ad.shape[:-1] != bd.shape[:-1]:
+        raise ValueError(f"concat shape mismatch: {ad.shape} vs {bd.shape}")
+    p = ad.shape[-1]
+    return node(
+        np.concatenate([ad, bd], axis=-1), (a, b), lambda g: (g[..., :p], g[..., p:])
     )
-
-
-def stack1d(scalars) -> Tensor:
-    """Stack 0-d tensors into a vector."""
-    ts = list(scalars)
-    if not ts:
-        raise ValueError("stack1d needs at least one scalar")
-    for t in ts:
-        if t.data.shape != ():
-            raise ValueError(f"stack1d expects scalars, got shape {t.data.shape}")
-    data = np.array([float(t.data) for t in ts])
-    return _node(data, ts, lambda g: tuple(np.asarray(g[i]) for i in range(len(ts))))
 
 
 def softmax(t: Tensor, axis: int) -> Tensor:
@@ -267,7 +217,7 @@ def softmax(t: Tensor, axis: int) -> Tensor:
     m = x.max(axis=axis, keepdims=True)
     e = np.exp(x - m)
     s = e / e.sum(axis=axis, keepdims=True)
-    return _node(s, (t,), lambda g: ((g - (g * s).sum(axis=axis, keepdims=True)) * s,))
+    return node(s, (t,), lambda g: ((g - (g * s).sum(axis=axis, keepdims=True)) * s,))
 
 
 def log_softmax(t: Tensor, axis: int) -> Tensor:
@@ -275,7 +225,7 @@ def log_softmax(t: Tensor, axis: int) -> Tensor:
     m = x.max(axis=axis, keepdims=True)
     shifted = x - m
     ls = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    return _node(ls, (t,), lambda g: (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),))
+    return node(ls, (t,), lambda g: (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),))
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def _load_corpus(cfg):
     for line in result.diagnostics:
         print(line, file=sys.stderr)
     if result.skipped:
-        print(f"skipped {result.skipped} malformed sentence(s)", file=sys.stderr)
+        print(f"skipped {result.skipped} sentence(s), see above", file=sys.stderr)
     sentences = result.sentences
     if cfg["exclude_source"]:
         before = len(sentences)
@@ -210,6 +210,16 @@ def _cmd_synth(cfg) -> int:
 
 
 def _cmd_train(cfg) -> int:
+    for key, ok, need in (
+        ("lr", cfg["lr"] > 0, "positive"),
+        ("epochs", cfg["epochs"] >= 0, "nonnegative"),
+        ("clip", cfg["clip"] > 0, "positive"),
+        ("channels", cfg["channels"] > 0, "positive"),
+        ("layers", cfg["layers"] >= 1, "at least 1"),
+        ("init_scale", cfg["init_scale"] > 0, "positive"),
+    ):
+        if not ok:
+            raise UsageError(f"--{key.replace('_', '-')} must be {need}, got {cfg[key]!r}")
     table = load_embeddings(cfg["embeddings"], oov=_oov_policy(cfg))
     sentences = _load_corpus(cfg)
     params = CmlaParams.init(

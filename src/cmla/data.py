@@ -80,8 +80,8 @@ def parse_semeval_xml(path) -> ParseResult:
     Expected layout: Reviews/Review/sentences/sentence, each sentence
     carrying a <text> child and an <Opinions> list whose Opinion elements
     have target/category/polarity/from/to attributes. target="NULL" marks
-    an implicit aspect and produces no span. Sentences with offsets that
-    point outside their text are skipped and counted.
+    an implicit aspect and produces no span. Sentences without tokens or
+    with offsets that point outside their text are skipped and counted.
     """
     try:
         tree = ET.parse(path)
@@ -98,6 +98,11 @@ def parse_semeval_xml(path) -> ParseResult:
             result.skipped += 1
             continue
         text = text_elem.text
+        tokens = tokenize(text)
+        if not tokens:
+            result.diagnostics.append(f"sentence {sid!r}: no tokens, skipped")
+            result.skipped += 1
+            continue
 
         char_spans = []
         bad_offset = False
@@ -127,7 +132,6 @@ def parse_semeval_xml(path) -> ParseResult:
             result.skipped += 1
             continue
 
-        tokens = tokenize(text)
         spans, problems = align_spans(sorted(set(char_spans)), tokens, ASPECT)
         result.diagnostics.extend(f"sentence {sid!r}: {p}" for p in problems)
         result.sentences.append(

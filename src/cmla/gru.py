@@ -8,6 +8,9 @@ blended by interpolation
     c = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * c
 
+A run over a whole sequence is one graph node: the recurrence is stepped
+in numpy and its backward is hand-written backpropagation through time.
+
 Used twice in the tagger: once to fold sentence context into the word
 embeddings and once to smooth per-token composition vectors into
 attention features.
@@ -19,9 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, constant, init_uniform, matmul, sigmoid, tanh, zeros
+from .autodiff import Tensor, node, init_uniform, zeros
 
 GRU_FIELDS = ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h")
+
+
+def sigmoid(x):
+    """Logistic function without overflow: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -85,29 +94,45 @@ class GruParams:
                 raise ValueError(f"GRU param {name} has shape {got}, expected {shape}")
 
 
-def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
-    """One recurrence step; returns the next hidden state."""
-    if x.data.shape != (p.input_dim,):
-        raise ValueError(f"input has shape {x.data.shape}, expected ({p.input_dim},)")
-    if h_prev.data.shape != (p.hidden_dim,):
-        raise ValueError(
-            f"hidden state has shape {h_prev.data.shape}, expected ({p.hidden_dim},)"
-        )
-    z = sigmoid(matmul(p.W_z, x) + matmul(p.U_z, h_prev) + p.b_z)
-    r = sigmoid(matmul(p.W_r, x) + matmul(p.U_r, h_prev) + p.b_r)
-    cand = tanh(matmul(p.W_h, x) + matmul(p.U_h, r * h_prev) + p.b_h)
-    ones = constant(np.ones(p.hidden_dim))
-    return (ones - z) * h_prev + z * cand
+def gru_run(xs: Tensor, p: GruParams) -> Tensor:
+    """Run the cell from a zero state over the rows of an (n, input) Tensor.
 
-
-def gru_run(xs, p: GruParams, h0: Tensor | None = None) -> list:
-    """Run the cell over a sequence; output t depends only on inputs <= t."""
-    xs = list(xs)
-    if not xs:
+    Returns the (n, hidden) state sequence as one node. Every step is
+    computed from its own row and the previous state only, so row t
+    depends only on inputs <= t, bit for bit.
+    """
+    x = xs.data
+    if x.shape[0] == 0:
         raise ValueError("gru_run needs a nonempty sequence")
-    h = h0 if h0 is not None else constant(np.zeros(p.hidden_dim))
-    out = []
-    for x in xs:
-        h = gru_step(x, h, p)
-        out.append(h)
-    return out
+    if x.ndim != 2 or x.shape[1] != p.input_dim:
+        raise ValueError(f"input has shape {x.shape}, expected (n, {p.input_dim})")
+    n, k = x.shape[0], p.hidden_dim
+    w = np.concatenate([p.W_z.data, p.W_r.data, p.W_h.data])
+    u_zr, u_h = np.concatenate([p.U_z.data, p.U_r.data]), p.U_h.data
+    b = np.concatenate([p.b_z.data, p.b_r.data, p.b_h.data])
+
+    states = np.zeros((n + 1, k))   # states[t] is the state before step t
+    zr, cand = np.empty((n, 2 * k)), np.empty((n, k))
+    for t in range(n):
+        h, wx = states[t], w @ x[t]
+        zr[t] = sigmoid(wx[: 2 * k] + u_zr @ h + b[: 2 * k])
+        cand[t] = np.tanh(wx[2 * k :] + u_h @ (zr[t, k:] * h) + b[2 * k :])
+        states[t + 1] = (1.0 - zr[t, :k]) * h + zr[t, :k] * cand[t]
+
+    def backprop(g):
+        prev, z, r = states[:-1], zr[:, :k], zr[:, k:]
+        pre = np.empty((n, 3 * k))   # gradients of the gate pre-activations, rows as in w
+        dh = np.zeros(k)
+        for t in range(n - 1, -1, -1):
+            dh = dh + g[t]
+            pre[t, 2 * k :] = dh * z[t] * (1.0 - cand[t] * cand[t])
+            d_rh = pre[t, 2 * k :] @ u_h
+            pre[t, :k] = dh * (cand[t] - prev[t]) * z[t] * (1.0 - z[t])
+            pre[t, k : 2 * k] = d_rh * prev[t] * r[t] * (1.0 - r[t])
+            dh = dh * (1.0 - z[t]) + d_rh * r[t] + pre[t, : 2 * k] @ u_zr
+        dx = pre @ w if xs.requires_grad else None
+        du_h = pre[:, 2 * k :].T @ (r * prev)
+        return (dx, *np.split(pre.T @ x, 3), *np.split(pre[:, : 2 * k].T @ prev, 2), du_h,
+                *np.split(pre.sum(axis=0), 3))
+
+    return node(states[1:], (xs, *p.tensors().values()), backprop)

@@ -13,27 +13,29 @@ with sharper templates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bio
 from .autodiff import (
     Tensor,
+    add,
     backward,
     bilinear,
-    concat1d,
+    concat,
     constant,
-    index1d,
     init_uniform,
     log_softmax,
     matmul,
+    mul,
     reduce_max,
     scale,
-    slice1d,
+    slice_last,
     softmax,
-    stack1d,
     tanh,
+    tensor_sum,
+    transpose,
 )
 from .bio import ASPECT, OPINION, LabelSeq, labels_to_spans, merge_heads
 from .data import DataFormatError
@@ -142,69 +144,61 @@ class CmlaParams:
                 raise ValueError(f"{name} attention GRU must map 2*{k} -> {k}")
 
 
-def compose(h: Tensor, u_self: Tensor, u_other: Tensor, comp: Tensor, cross: Tensor) -> Tensor:
-    """Per-token composition vector in (-1, 1)^{2*channels}.
+def compose(h_seq: Tensor, u_self: Tensor, u_other: Tensor, comp: Tensor, cross: Tensor) -> Tensor:
+    """Composition vectors of a sentence, (n, 2*channels) in (-1, 1).
 
-    First half: tanh of the bilinear form of the hidden state against this
-    head's own prototype, one entry per channel. Second half: the same
-    against the other head's prototype, which is what couples the heads.
+    First half of each row: tanh of the bilinear form of the hidden state
+    against this head's own prototype, one entry per channel. Second half:
+    the same against the other head's prototype, which is what couples the
+    heads.
     """
-    own = tanh(bilinear(h, comp, u_self))
-    coupled = tanh(bilinear(h, cross, u_other))
-    return concat1d(own, coupled)
+    own = tanh(bilinear(h_seq, comp, u_self))
+    coupled = tanh(bilinear(h_seq, cross, u_other))
+    return concat(own, coupled)
 
 
 @dataclass
 class HeadOutput:
-    features: list      # per-token attention features, each (channels,)
-    logits: list        # per-token (3,) class scores in CLASS_ORDER
+    features: Tensor    # (n, channels) attention features
+    logits: Tensor      # (n, 3) class scores in CLASS_ORDER
     raw_scores: Tensor  # (n,) max of the B/I logits per token
     norm_scores: Tensor # (n,) softmax of raw_scores across the sentence
 
 
-def attention_layer(h_seq, head: HeadParams, u_self: Tensor, u_other: Tensor) -> HeadOutput:
-    betas = [compose(h, u_self, u_other, head.comp, head.cross) for h in h_seq]
-    features = gru_run(betas, head.att_gru)
-    logits = [matmul(head.classifier, r) for r in features]
-    raw = stack1d([reduce_max(slice1d(l, 0, 2)) for l in logits])
-    return HeadOutput(
-        features=features,
-        logits=logits,
-        raw_scores=raw,
-        norm_scores=softmax(raw, axis=0),
-    )
+def attention_layer(h_seq: Tensor, head: HeadParams, u_self: Tensor, u_other: Tensor) -> HeadOutput:
+    features = gru_run(compose(h_seq, u_self, u_other, head.comp, head.cross), head.att_gru)
+    logits = matmul(features, transpose(head.classifier))
+    raw = reduce_max(slice_last(logits, 0, 2))
+    return HeadOutput(features, logits, raw, softmax(raw, axis=0))
 
 
-def update_prototype(u: Tensor, norm_scores: Tensor, h_seq, proto_map: Tensor) -> Tensor:
-    """Attention-weighted feedback: u' = u + sum_i w_i * (proto_map h_i)."""
-    if norm_scores.data.shape != (len(h_seq),):
-        raise ValueError(
-            f"{len(h_seq)} hidden states but scores of shape {norm_scores.data.shape}"
-        )
+def update_prototype(u: Tensor, norm_scores: Tensor, h_seq: Tensor, proto_map: Tensor) -> Tensor:
+    """Attention-weighted feedback: u' = u + proto_map (w^T H)."""
+    n = h_seq.data.shape[0]
+    if norm_scores.data.shape != (n,):
+        raise ValueError(f"{n} hidden states but scores of shape {norm_scores.data.shape}")
     total = float(norm_scores.data.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weight-sum violation beyond 1e-9: weights sum to {total!r}")
-    out = u
-    for i, h in enumerate(h_seq):
-        out = out + scale(matmul(proto_map, h), index1d(norm_scores, i))
-    return out
+    return add(u, matmul(proto_map, matmul(norm_scores, h_seq)))
 
 
 @dataclass
 class ForwardResult:
     aspect: HeadOutput
     opinion: HeadOutput
-    hidden: list
+    hidden: Tensor      # (n, dim) context GRU states
 
 
 def forward(embeddings, params: CmlaParams) -> ForwardResult:
     """Run the full stack over one sentence of embedding vectors.
 
-    Prototypes are refreshed between layers only; the final layer's
-    attention output is the model's answer, so a trailing update would be
-    unobservable.
+    The vectors (arrays or Tensors) enter as one constant (n, dim) block,
+    so no gradient flows back into them. Prototypes are refreshed between
+    layers only; the final layer's attention output is the model's answer,
+    so a trailing update would be unobservable.
     """
-    xs = [x if isinstance(x, Tensor) else constant(x) for x in embeddings]
+    xs = constant(np.array([x.data if isinstance(x, Tensor) else x for x in embeddings]))
     h_seq = gru_run(xs, params.ctx_gru)
     u_a, u_p = params.aspect.prototype, params.opinion.prototype
     out_a = out_p = None
@@ -217,25 +211,22 @@ def forward(embeddings, params: CmlaParams) -> ForwardResult:
     return ForwardResult(aspect=out_a, opinion=out_p, hidden=h_seq)
 
 
-def loss(logits_a, logits_p, gold_a: LabelSeq, gold_p: LabelSeq) -> Tensor:
+def loss(logits_a: Tensor, logits_p: Tensor, gold_a: LabelSeq, gold_p: LabelSeq) -> Tensor:
     """Mean per-token cross-entropy of each head, summed over the heads."""
     terms = []
     for logits, gold in ((logits_a, gold_a), (logits_p, gold_p)):
-        if len(logits) != len(gold):
-            raise ValueError(f"{len(logits)} logit vectors for {len(gold)} gold labels")
-        nll = [
-            -index1d(log_softmax(vec, axis=0), CLASS_INDEX[label])
-            for vec, label in zip(logits, gold.labels)
-        ]
-        total = nll[0]
-        for term in nll[1:]:
-            total = total + term
-        terms.append(scale(total, 1.0 / len(gold)))
-    return terms[0] + terms[1]
+        n = len(gold)
+        if logits.data.shape != (n, len(CLASS_ORDER)):
+            raise ValueError(f"logits of shape {logits.data.shape} for {n} gold labels")
+        gold_mask = np.zeros((n, len(CLASS_ORDER)))
+        gold_mask[np.arange(n), [CLASS_INDEX[label] for label in gold.labels]] = 1.0
+        picked = tensor_sum(mul(constant(gold_mask), log_softmax(logits, axis=1)))
+        terms.append(scale(picked, -1.0 / n))
+    return add(terms[0], terms[1])
 
 
 def embed_sentence(sentence, table) -> list:
-    return [constant(table.lookup(tok.surface)) for tok in sentence.tokens]
+    return [table.lookup(tok.surface) for tok in sentence.tokens]
 
 
 def sentence_loss(sentence, table, params: CmlaParams) -> Tensor:
@@ -333,8 +324,20 @@ class TokenScores:
 class Prediction:
     aspect_spans: list
     opinion_spans: list
-    merged: list          # five-category tag per token
-    token_scores: list = field(default_factory=list)
+    merged: list                  # five-category tag per token
+    aspect_logits: np.ndarray     # (n, 3) final-layer logits in CLASS_ORDER
+    opinion_logits: np.ndarray
+    aspect_attention: np.ndarray  # (n,) final-layer attention weights
+    opinion_attention: np.ndarray
+
+    @property
+    def token_scores(self) -> list:
+        """One TokenScores row per token, built from the per-head arrays."""
+        return [
+            TokenScores(i, self.aspect_logits[i].copy(), self.opinion_logits[i].copy(),
+                        float(self.aspect_attention[i]), float(self.opinion_attention[i]))
+            for i in range(len(self.merged))
+        ]
 
 
 def predict(sentence, table, params: CmlaParams) -> Prediction:
@@ -343,32 +346,21 @@ def predict(sentence, table, params: CmlaParams) -> Prediction:
     seqs = {}
     confidences = {}
     for head, out in ((ASPECT, fwd.aspect), (OPINION, fwd.opinion)):
-        labels = []
-        conf = []
-        for vec in out.logits:
-            probs = np.exp(vec.data - vec.data.max())
-            probs /= probs.sum()
-            pick = int(np.argmax(probs))
-            labels.append(CLASS_ORDER[pick])
-            conf.append(float(probs[pick]))
-        seqs[head] = LabelSeq(labels, head)
-        confidences[head] = conf
+        logits = out.logits.data
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        picks = probs.argmax(axis=1)
+        seqs[head] = LabelSeq([CLASS_ORDER[i] for i in picks], head)
+        confidences[head] = probs[np.arange(len(picks)), picks].tolist()
 
-    scores = [
-        TokenScores(
-            token_index=i,
-            aspect_logits=fwd.aspect.logits[i].data.copy(),
-            opinion_logits=fwd.opinion.logits[i].data.copy(),
-            aspect_attention=float(fwd.aspect.norm_scores.data[i]),
-            opinion_attention=float(fwd.opinion.norm_scores.data[i]),
-        )
-        for i in range(len(sentence.tokens))
-    ]
     return Prediction(
         aspect_spans=labels_to_spans(seqs[ASPECT]),
         opinion_spans=labels_to_spans(seqs[OPINION]),
         merged=merge_heads(seqs[ASPECT], seqs[OPINION], confidences[ASPECT], confidences[OPINION]),
-        token_scores=scores,
+        aspect_logits=fwd.aspect.logits.data,
+        opinion_logits=fwd.opinion.logits.data,
+        aspect_attention=fwd.aspect.norm_scores.data,
+        opinion_attention=fwd.opinion.norm_scores.data,
     )
 
 
@@ -386,21 +378,25 @@ def save_checkpoint(path, params: CmlaParams):
     Floats are serialized with repr, which round-trips every finite
     float64 bit for bit, and JSON carries no timestamps, so identical
     parameters always produce identical bytes (unlike zip containers).
+    The bytes are json.dumps(payload, sort_keys=True) of the whole
+    payload, encoded one tensor at a time so that neither the float lists
+    nor the text of all tensors are held in memory at once.
     """
-    payload = {
+    header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "dim": params.dim,
         "channels": params.channels,
         "layers": params.layers,
-        "tensors": {
-            name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
-            for name, t in params.named_tensors().items()
-        },
+        "tensors": {},
     }
+    head, tail = json.dumps(header, sort_keys=True).split('"tensors": {}')
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(head + '"tensors": {')
+        for i, (name, t) in enumerate(sorted(params.named_tensors().items())):
+            entry = {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
+            fh.write((", " if i else "") + json.dumps({name: entry}, sort_keys=True)[1:-1])
+        fh.write("}" + tail + "\n")
 
 
 def load_checkpoint(path) -> CmlaParams:
@@ -409,7 +405,7 @@ def load_checkpoint(path) -> CmlaParams:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: unsupported version {payload.get('version')!r}")
@@ -424,6 +420,8 @@ def load_checkpoint(path) -> CmlaParams:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint: {exc}") from None
 
+    if not isinstance(stored, dict):
+        raise DataFormatError(f"{path}: malformed checkpoint: tensors is not an object")
     expected = params.named_tensors()
     missing = sorted(set(expected) - set(stored))
     extra = sorted(set(stored) - set(expected))
@@ -431,14 +429,21 @@ def load_checkpoint(path) -> CmlaParams:
         raise DataFormatError(f"{path}: tensor names mismatch (missing {missing}, extra {extra})")
     for name, t in expected.items():
         entry = stored[name]
-        shape = tuple(entry["shape"])
-        if shape != t.data.shape:
+        if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
+            raise DataFormatError(f"{path}: tensor {name} is not an object with shape and values")
+        if entry["shape"] != list(t.data.shape):
             raise DataFormatError(
-                f"{path}: tensor {name} has shape {shape}, expected {t.data.shape}"
+                f"{path}: tensor {name} has shape {entry['shape']}, expected {list(t.data.shape)}"
             )
-        values = np.array(entry["values"], dtype=np.float64)
+        try:
+            values = np.array(entry["values"])
+            numeric = values.ndim == 1 and values.dtype.kind in "if" and np.isfinite(values).all()
+        except ValueError:   # ragged nesting
+            numeric = False
+        if not numeric:
+            raise DataFormatError(f"{path}: tensor {name} values are not a list of finite numbers")
         if values.size != t.data.size:
             raise DataFormatError(f"{path}: tensor {name} has {values.size} values")
-        t.data = values.reshape(shape)
+        t.data = values.astype(np.float64, copy=False).reshape(t.data.shape)
     params.check_shapes()
     return params

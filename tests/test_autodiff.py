@@ -8,24 +8,23 @@ from cmla.autodiff import (
     add,
     backward,
     bilinear,
-    concat1d,
+    concat,
     constant,
     grad_check,
-    index1d,
     init_uniform,
     log_softmax,
     matmul,
     mul,
     reduce_max,
     scale,
-    sigmoid,
-    slice1d,
+    slice_last,
     softmax,
-    stack1d,
     tanh,
     tensor_sum,
+    transpose,
     zeros,
 )
+from cmla.gru import sigmoid
 
 
 def randt(shape, seed=0, lo=-1.0, hi=1.0):
@@ -86,6 +85,23 @@ def test_matmul_vector_cases_gradcheck():
     assert grad_check(lambda: tensor_sum(tanh(matmul(w, m))), [w, m]) < 1e-6
 
 
+def test_matmul_matrix_case_gradcheck():
+    a = randt((4, 3), seed=30)
+    b = randt((3, 2), seed=31)
+    assert grad_check(lambda: tensor_sum(tanh(matmul(a, b))), [a, b]) < 1e-6
+
+
+def test_matmul_rows_unchanged_by_appended_row():
+    # forward products over token rows must not depend on the row count
+    gen = np.random.default_rng(32)
+    for _ in range(200):
+        n, d, k = (int(v) for v in gen.integers(1, 9, size=3))
+        a = gen.uniform(-1, 1, size=(n + 1, d))
+        b = constant(gen.uniform(-1, 1, size=(d, k)))
+        full = matmul(constant(a), b).data
+        assert np.array_equal(matmul(constant(a[:n]), b).data, full[:n])
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError):
         matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
@@ -96,16 +112,20 @@ def test_matmul_shape_mismatch():
 # --- elementwise ----------------------------------------------------------
 
 
+# sigmoid is the GRU's plain numpy gate function, tested here beside tanh
+
+
 def test_tanh_and_sigmoid_at_zero():
     z = zeros((4,))
     assert np.array_equal(tanh(z).data, np.zeros(4))
-    assert np.array_equal(sigmoid(z).data, np.full(4, 0.5))
+    assert np.array_equal(sigmoid(z.data), np.full(4, 0.5))
 
 
 def test_sigmoid_stable_at_extremes():
-    out = sigmoid(constant([-1000.0, 1000.0]))
-    assert np.all(np.isfinite(out.data))
-    assert out.data[0] == 0.0 and out.data[1] == 1.0
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out = sigmoid(np.array([-1000.0, 1000.0]))
+    assert np.all(np.isfinite(out))
+    assert out[0] == 0.0 and out[1] == 1.0
 
 
 def test_mul_gradcheck():
@@ -122,25 +142,10 @@ def test_add_mul_shape_mismatch():
         mul(a, b)
 
 
-def test_scale_by_number_and_by_scalar_tensor():
+def test_scale_by_number():
     t = randt((3,), seed=8)
-    assert np.allclose(scale(t, 2.5).data, 2.5 * t.data)
-    c = init_uniform((1,), 0.5, 1.5, 9)
-    c0 = index1d(c, 0)
-    assert grad_check(lambda: tensor_sum(scale(t, index1d(c, 0))), [t, c]) < 1e-6
-    with pytest.raises(ValueError):
-        scale(t, randt((2,), seed=10))
-    assert c0.data.shape == ()
-
-
-def test_operator_sugar():
-    a = randt((3,), seed=11)
-    b = randt((3,), seed=12)
-    assert np.allclose((a + b).data, a.data + b.data)
-    assert np.allclose((a - b).data, a.data - b.data)
-    assert np.allclose((-a).data, -a.data)
-    assert np.allclose((a * b).data, a.data * b.data)
-    assert np.allclose((2.0 * a).data, 2.0 * a.data)
+    assert np.array_equal(scale(t, 2.5).data, 2.5 * t.data)
+    assert grad_check(lambda: tensor_sum(mul(scale(t, -1.5), t)), [t]) < 1e-6
 
 
 # --- bilinear -------------------------------------------------------------
@@ -148,32 +153,36 @@ def test_operator_sugar():
 
 def test_bilinear_matches_triple_loop_oracle():
     gen = np.random.default_rng(13)
-    h = init_uniform((4,), -1, 1, gen)
+    h = init_uniform((2, 4), -1, 1, gen)
     maps = init_uniform((3, 4, 5), -1, 1, gen)
     u = init_uniform((5,), -1, 1, gen)
     out = bilinear(h, maps, u)
-    expected = np.zeros(3)
-    for k in range(3):
-        for i in range(4):
-            for j in range(5):
-                expected[k] += h.data[i] * maps.data[k, i, j] * u.data[j]
+    expected = np.zeros((2, 3))
+    for n in range(2):
+        for k in range(3):
+            for i in range(4):
+                for j in range(5):
+                    expected[n, k] += h.data[n, i] * maps.data[k, i, j] * u.data[j]
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
 def test_bilinear_gradcheck():
     gen = np.random.default_rng(14)
-    h = init_uniform((3,), -1, 1, gen)
-    maps = init_uniform((2, 3, 3), -1, 1, gen)
-    u = init_uniform((3,), -1, 1, gen)
-    f = lambda: tensor_sum(tanh(bilinear(h, maps, u)))
-    assert grad_check(f, [h, maps, u]) < 1e-6
+    for rows in (1, 4):
+        h = init_uniform((rows, 3), -1, 1, gen)
+        maps = init_uniform((2, 3, 3), -1, 1, gen)
+        u = init_uniform((3,), -1, 1, gen)
+        f = lambda: tensor_sum(tanh(bilinear(h, maps, u)))
+        assert grad_check(f, [h, maps, u]) < 1e-6
 
 
 def test_bilinear_shape_validation():
     with pytest.raises(ValueError):
-        bilinear(constant(np.ones((2, 2))), constant(np.ones((1, 2, 2))), constant(np.ones(2)))
+        bilinear(constant(np.ones(2)), constant(np.ones((1, 2, 2))), constant(np.ones(2)))
     with pytest.raises(ValueError):
-        bilinear(constant(np.ones(3)), constant(np.ones((1, 2, 2))), constant(np.ones(2)))
+        bilinear(constant(np.ones((1, 3))), constant(np.ones((1, 2, 2))), constant(np.ones(2)))
+    with pytest.raises(ValueError):
+        bilinear(constant(np.ones((1, 2))), constant(np.ones((1, 2, 2))), constant(np.ones(3)))
 
 
 # --- softmax / log_softmax ------------------------------------------------
@@ -210,8 +219,11 @@ def test_softmax_gradcheck():
 def test_log_softmax_consistent_and_gradcheck():
     t = randt((4,), seed=16)
     assert np.allclose(log_softmax(t, axis=0).data, np.log(softmax(t, axis=0).data))
-    f = lambda: -index1d(log_softmax(t, axis=0), 2)
+    f = lambda: tensor_sum(slice_last(log_softmax(t, axis=0), 2, 3))
     assert grad_check(f, [t]) < 1e-6
+    rows = randt((3, 4), seed=17)
+    w = constant(np.random.default_rng(18).uniform(-1, 1, size=(3, 4)))
+    assert grad_check(lambda: tensor_sum(mul(w, log_softmax(rows, axis=1))), [rows]) < 1e-6
 
 
 # --- reductions and reshaping ---------------------------------------------
@@ -229,38 +241,66 @@ def test_reduce_max_tie_routes_to_first():
     t = Tensor([2.0, 2.0], requires_grad=True)
     grads = backward(reduce_max(t))
     assert grads[t].tolist() == [1.0, 0.0]
+    rows = Tensor([[2.0, 2.0, 1.0], [0.0, 3.0, 3.0]], requires_grad=True)
+    grads = backward(tensor_sum(reduce_max(rows)))
+    assert grads[rows].tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
 
 
-def test_slice_index_concat_stack_roundtrip():
+def test_reduce_max_rows_value_and_gradcheck():
+    t = randt((4, 3), seed=40)
+    out = reduce_max(t)
+    assert np.array_equal(out.data, t.data.max(axis=1))
+    w = constant(np.array([0.5, -1.0, 2.0, 0.25]))
+    assert grad_check(lambda: tensor_sum(mul(w, reduce_max(t))), [t]) < 1e-6
+
+
+def test_transpose_value_and_gradcheck():
+    t = randt((2, 3), seed=41)
+    assert np.array_equal(transpose(t).data, t.data.T)
+    w = constant(np.random.default_rng(42).uniform(-1, 1, size=(3, 2)))
+    assert grad_check(lambda: tensor_sum(mul(w, transpose(t))), [t]) < 1e-6
+    with pytest.raises(ValueError):
+        transpose(constant(np.ones(3)))
+
+
+def test_slice_last_concat_roundtrip():
     t = randt((6,), seed=17)
-    left, right = slice1d(t, 0, 3), slice1d(t, 3, 6)
-    rebuilt = concat1d(left, right)
+    rebuilt = concat(slice_last(t, 0, 3), slice_last(t, 3, 6))
     assert np.array_equal(rebuilt.data, t.data)
     grads = backward(tensor_sum(rebuilt))
     assert np.array_equal(grads[t], np.ones(6))
 
-    parts = stack1d([index1d(t, i) for i in range(6)])
-    assert np.array_equal(parts.data, t.data)
+    rows = randt((3, 5), seed=43)
+    left, right = slice_last(rows, 0, 2), slice_last(rows, 2, 5)
+    assert left.data.shape == (3, 2) and right.data.shape == (3, 3)
+    assert np.array_equal(concat(left, right).data, rows.data)
 
-    def restacked_square():
-        p = stack1d([index1d(t, i) for i in range(6)])
-        return tensor_sum(mul(p, p))
+    w = constant(np.random.default_rng(44).uniform(-1, 1, size=(3, 5)))
 
-    assert grad_check(restacked_square, [t]) < 1e-6
+    def swapped_weighted():
+        return tensor_sum(mul(w, concat(slice_last(rows, 3, 5), slice_last(rows, 0, 3))))
+
+    assert grad_check(swapped_weighted, [rows]) < 1e-6
+    other = randt((3, 2), seed=45)
+    assert grad_check(lambda: tensor_sum(tanh(concat(rows, other))), [rows, other]) < 1e-6
 
 
-def test_slice_and_index_bounds():
+def test_slice_last_and_concat_bounds():
     t = constant(np.ones(4))
     with pytest.raises(ValueError):
-        slice1d(t, 2, 2)
+        slice_last(t, 2, 2)
     with pytest.raises(ValueError):
-        slice1d(t, -1, 2)
+        slice_last(t, -1, 2)
     with pytest.raises(ValueError):
-        slice1d(t, 0, 5)
+        slice_last(t, 0, 5)
     with pytest.raises(ValueError):
-        index1d(t, 4)
+        slice_last(constant(np.ones((2, 3))), 0, 4)
     with pytest.raises(ValueError):
-        stack1d([])
+        slice_last(constant(1.0), 0, 1)
+    with pytest.raises(ValueError):
+        concat(constant(np.ones((2, 3))), constant(np.ones((3, 3))))
+    with pytest.raises(ValueError):
+        concat(constant(np.ones((2, 3))), constant(np.ones(3)))
 
 
 # --- backward -------------------------------------------------------------
@@ -349,5 +389,5 @@ def test_determinism_two_identical_graphs():
 def test_tanh_sigmoid_ranges(values):
     t = constant(values)
     assert np.all(np.abs(tanh(t).data) <= 1.0)
-    s = sigmoid(t).data
+    s = sigmoid(t.data)
     assert np.all((s >= 0.0) & (s <= 1.0))

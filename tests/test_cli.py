@@ -92,6 +92,26 @@ def test_missing_input_file_exits_one(workspace, capsys, tmp_path):
     assert "not found" in stderr
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--lr", "-1"), ("--lr", "nan"), ("--epochs", "-1"), ("--clip", "0"),
+     ("--channels", "0"), ("--layers", "0"), ("--init-scale", "0")],
+)
+def test_invalid_training_hyperparameter_exits_one(workspace, capsys, tmp_path, flag, value):
+    data, _ = workspace
+    code, _, stderr = run(
+        capsys, "train",
+        "--data", str(data / "corpus.xml"),
+        "--embeddings", str(data / "embeddings.txt"),
+        "--lexicon", str(data / "lexicon.txt"),
+        "--out", str(tmp_path / "out"),
+        flag, value,
+    )
+    assert code == 1
+    assert f"{flag} must be" in stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_xml_exits_two(workspace, capsys, tmp_path):
     data, _ = workspace
     bad = tmp_path / "bad.xml"

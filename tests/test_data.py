@@ -171,6 +171,20 @@ def test_parse_skips_sentence_with_bad_offsets(tmp_path):
     assert any("s1" in d for d in result.diagnostics)
 
 
+def test_parse_skips_whitespace_only_sentence(tmp_path):
+    xml = """<Reviews><Review><sentences>
+      <sentence id="b1"><text>  \n\t </text></sentence>
+      <sentence id="s2"><text>fine text</text></sentence>
+    </sentences></Review></Reviews>"""
+    path = tmp_path / "blank.xml"
+    path.write_text(xml, encoding="utf-8")
+    result = parse_semeval_xml(path)
+    assert result.skipped == 1
+    assert [s.source_id for s in result.sentences] == ["s2"]
+    assert "sentence 'b1': no tokens, skipped" in result.diagnostics
+    assert all(s.tokens for s in result.sentences)
+
+
 def test_parse_drops_span_when_target_text_disagrees(tmp_path):
     xml = """<Reviews><Review><sentences>
       <sentence id="s1"><text>The food was fine</text>

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cmla.autodiff import Tensor, constant, grad_check, tensor_sum, zeros
-from cmla.gru import GRU_FIELDS, GruParams, gru_run, gru_step
+from cmla.autodiff import constant, grad_check, init_uniform, mul, tensor_sum, zeros
+from cmla.gru import GRU_FIELDS, GruParams, gru_run, sigmoid
 
 
 def zero_params(input_dim, hidden_dim):
@@ -10,6 +10,10 @@ def zero_params(input_dim, hidden_dim):
     for name in GRU_FIELDS:
         getattr(p, name).data[:] = 0.0
     return p
+
+
+def rows(gen, n, d, lo=-1.0, hi=1.0):
+    return constant(gen.uniform(lo, hi, size=(n, d)))
 
 
 def test_init_shapes_and_zero_biases():
@@ -21,26 +25,28 @@ def test_init_shapes_and_zero_biases():
 
 
 def test_zero_params_halve_hidden_state():
+    # all gates sit at 1/2, so one step from the zero state lands halfway
+    # to the candidate tanh(b_h)
     p = zero_params(2, 3)
-    v = np.array([0.4, -1.0, 2.0])
-    h1 = gru_step(constant(np.ones(2)), constant(v), p)
-    assert np.allclose(h1.data, v / 2, atol=1e-15)
+    p.b_h.data[:] = [0.4, -1.0, 2.0]
+    h1 = gru_run(constant(np.ones((1, 2))), p)
+    assert np.allclose(h1.data[0], np.tanh(p.b_h.data) / 2, atol=1e-15)
 
 
 def test_zero_params_zero_state_stays_zero():
     p = zero_params(2, 3)
-    out = gru_step(constant(np.ones(2)), constant(np.zeros(3)), p)
-    assert np.array_equal(out.data, np.zeros(3))
+    out = gru_run(constant(np.ones((4, 2))), p)
+    assert np.array_equal(out.data, np.zeros((4, 3)))
 
 
 def test_zero_params_run_halving_law():
+    # h_t = (h_{t-1} + tanh(b_h)) / 2 from h_0 = 0 gives (1 - 2^-t) tanh(b_h)
     p = zero_params(1, 3)
-    v = np.array([1.0, -2.0, 0.5])
-    xs = [constant(np.zeros(1)) for _ in range(3)]
-    out = gru_run(xs, p, h0=constant(v))
-    assert np.allclose(out[0].data, v / 2, atol=1e-15)
-    assert np.allclose(out[1].data, v / 4, atol=1e-15)
-    assert np.allclose(out[2].data, v / 8, atol=1e-15)
+    p.b_h.data[:] = [1.0, -2.0, 0.5]
+    out = gru_run(constant(np.zeros((3, 1))), p)
+    for t in range(3):
+        expected = (1.0 - 2.0 ** -(t + 1)) * np.tanh(p.b_h.data)
+        assert np.allclose(out.data[t], expected, atol=1e-15)
 
 
 def test_scalar_case_matches_hand_formula():
@@ -48,68 +54,91 @@ def test_scalar_case_matches_hand_formula():
     p = GruParams.init(1, 1, rng=gen)
     for name in ("b_z", "b_r", "b_h"):
         getattr(p, name).data[:] = gen.uniform(-0.2, 0.2, size=1)
-    x, h = 0.7, -0.3
-    out = gru_step(constant([x]), constant([h]), p)
+    xs = [0.7, -0.4]
+    out = gru_run(constant([[x] for x in xs]), p)
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
     w = {name: getattr(p, name).data.item() for name in GRU_FIELDS}
-    z = sig(w["W_z"] * x + w["U_z"] * h + w["b_z"])
-    r = sig(w["W_r"] * x + w["U_r"] * h + w["b_r"])
-    c = np.tanh(w["W_h"] * x + w["U_h"] * (r * h) + w["b_h"])
-    expected = (1 - z) * h + z * c
-    assert abs(out.item() - expected) < 1e-12
+    h = 0.0
+    for t, x in enumerate(xs):
+        z = sig(w["W_z"] * x + w["U_z"] * h + w["b_z"])
+        r = sig(w["W_r"] * x + w["U_r"] * h + w["b_r"])
+        c = np.tanh(w["W_h"] * x + w["U_h"] * (r * h) + w["b_h"])
+        h = (1 - z) * h + z * c
+        assert abs(out.data[t, 0] - h) < 1e-12
 
 
 def test_step_dimension_validation():
+    # every row is one step's input and must have the input dimension
     p = GruParams.init(2, 3, rng=3)
     with pytest.raises(ValueError):
-        gru_step(constant(np.ones(3)), constant(np.zeros(3)), p)
+        gru_run(constant(np.ones((2, 3))), p)
     with pytest.raises(ValueError):
-        gru_step(constant(np.ones(2)), constant(np.zeros(2)), p)
+        gru_run(constant(np.ones(2)), p)
 
 
 def test_run_rejects_empty_and_preserves_length():
     p = GruParams.init(2, 2, rng=4)
-    with pytest.raises(ValueError):
-        gru_run([], p)
-    xs = [constant(np.ones(2)) for _ in range(5)]
-    assert len(gru_run(xs, p)) == 5
+    with pytest.raises(ValueError, match="nonempty"):
+        gru_run(constant(np.zeros((0, 2))), p)
+    assert gru_run(constant(np.ones((5, 2))), p).data.shape == (5, 2)
 
 
 def test_run_single_element_equals_single_step():
+    # from h = 0 the reset gate drops out: h_1 = z * tanh(W_h x + b_h)
     p = GruParams.init(2, 3, rng=5)
-    x = constant(np.array([0.1, -0.6]))
-    run_out = gru_run([x], p)
-    step_out = gru_step(x, constant(np.zeros(3)), p)
-    assert np.array_equal(run_out[0].data, step_out.data)
+    p.b_z.data[:] = [0.1, -0.2, 0.3]
+    p.b_h.data[:] = [-0.1, 0.2, 0.05]
+    x = np.array([0.1, -0.6])
+    out = gru_run(constant([x]), p)
+    z = sigmoid(p.W_z.data @ x + p.b_z.data)
+    expected = z * np.tanh(p.W_h.data @ x + p.b_h.data)
+    assert np.allclose(out.data[0], expected, atol=1e-15)
 
 
 def test_causality_prefix_unchanged():
     p = GruParams.init(2, 3, rng=6)
     gen = np.random.default_rng(7)
-    xs = [constant(gen.uniform(-1, 1, size=2)) for _ in range(4)]
-    base = [h.data.copy() for h in gru_run(xs, p)]
-    xs_perturbed = xs[:3] + [constant(xs[3].data + 10.0)]
-    changed = gru_run(xs_perturbed, p)
+    xs = gen.uniform(-1, 1, size=(4, 2))
+    base = gru_run(constant(xs), p).data
+    perturbed = xs.copy()
+    perturbed[3] += 10.0
+    changed = gru_run(constant(perturbed), p).data
     for t in range(3):
-        assert np.array_equal(base[t], changed[t].data)
-    assert not np.array_equal(base[3], changed[3].data)
+        assert np.array_equal(base[t], changed[t])
+    assert not np.array_equal(base[3], changed[3])
+    prefix = gru_run(constant(xs[:2]), p).data
+    assert np.array_equal(prefix, base[:2])
 
 
 def test_five_step_run_gradcheck():
     gen = np.random.default_rng(8)
     p = GruParams.init(2, 3, rng=gen)
-    xs = [constant(gen.uniform(-1, 1, size=2)) for _ in range(5)]
+    xs = rows(gen, 5, 2)
 
     def f():
-        total = None
-        for h in gru_run(xs, p):
-            total = tensor_sum(h) if total is None else total + tensor_sum(h)
-        return total
+        return tensor_sum(gru_run(xs, p))
 
     assert grad_check(f, list(p.tensors().values())) < 1e-4
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_run_gradcheck_params_and_inputs(n):
+    # random output weights so every step's gradient reaches the earlier ones
+    # with a different mix; biases moved off zero so no term vanishes
+    gen = np.random.default_rng(9 + n)
+    p = GruParams.init(3, 2, rng=gen, scale=1.0)
+    for name in ("b_z", "b_r", "b_h"):
+        getattr(p, name).data[:] = gen.uniform(-0.5, 0.5, size=2)
+    xs = init_uniform((n, 3), -1.0, 1.0, gen)
+    w = constant(gen.uniform(-1, 1, size=(n, 2)))
+
+    def f():
+        return tensor_sum(mul(w, gru_run(xs, p)))
+
+    assert grad_check(f, [xs] + list(p.tensors().values())) < 1e-6
 
 
 def test_output_stays_in_convex_hull_of_tanh_band_and_h0():
@@ -117,9 +146,8 @@ def test_output_stays_in_convex_hull_of_tanh_band_and_h0():
     # tanh value, so a run started at zero can never leave (-1, 1)
     gen = np.random.default_rng(9)
     p = GruParams.init(3, 4, rng=gen, scale=2.0)
-    xs = [constant(gen.uniform(-5, 5, size=3)) for _ in range(20)]
-    for h in gru_run(xs, p):
-        assert np.all(np.abs(h.data) < 1.0)
+    out = gru_run(rows(gen, 20, 3, -5, 5), p)
+    assert np.all(np.abs(out.data) < 1.0)
 
 
 def test_check_shapes_catches_corruption():

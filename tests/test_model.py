@@ -37,6 +37,11 @@ def random_inputs(d, n, seed=0):
     return [constant(gen.uniform(-1, 1, size=d)) for _ in range(n)]
 
 
+def random_rows(d, n, seed=0):
+    """An (n, d) block of hidden states, as attention layers receive them."""
+    return constant(np.random.default_rng(seed).uniform(-1, 1, size=(n, d)))
+
+
 def random_gold(n, head, seed=0):
     gen = np.random.default_rng(seed)
     return LabelSeq([CLASS_ORDER[int(gen.integers(3))] for _ in range(n)], head)
@@ -76,41 +81,43 @@ def test_init_deterministic():
 
 
 def test_compose_zero_tensors_give_zero_vector():
-    h = constant(np.ones(3))
+    h = constant(np.ones((2, 3)))
     u = constant(np.ones(3))
     z = constant(np.zeros((2, 3, 3)))
     out = compose(h, u, u, z, z)
-    assert np.array_equal(out.data, np.zeros(4))
+    assert np.array_equal(out.data, np.zeros((2, 4)))
 
 
 def test_compose_scalar_case():
-    h = constant([0.5])
+    h = constant([[0.5]])
     u_self = constant([1.0])
     u_other = constant([0.0])
     g = constant([[[2.0]]])
     out = compose(h, u_self, u_other, g, g)
-    assert out.data.shape == (2,)
-    assert abs(out.data[0] - np.tanh(1.0)) < 1e-15
-    assert out.data[1] == 0.0
+    assert out.data.shape == (1, 2)
+    assert abs(out.data[0, 0] - np.tanh(1.0)) < 1e-15
+    assert out.data[0, 1] == 0.0
 
 
 def test_compose_matches_loop_oracle():
     gen = np.random.default_rng(5)
-    d, k = 4, 3
-    h = constant(gen.uniform(-1, 1, size=d))
+    d, k, n = 4, 3, 3
+    h = constant(gen.uniform(-1, 1, size=(n, d)))
     u_self = constant(gen.uniform(-1, 1, size=d))
     u_other = constant(gen.uniform(-1, 1, size=d))
     comp = constant(gen.uniform(-1, 1, size=(k, d, d)))
     cross = constant(gen.uniform(-1, 1, size=(k, d, d)))
     out = compose(h, u_self, u_other, comp, cross)
+    assert out.data.shape == (n, 2 * k)
     assert np.all(np.abs(out.data) < 1.0)
-    for c in range(k):
-        own = sum(h.data[i] * comp.data[c, i, j] * u_self.data[j]
-                  for i in range(d) for j in range(d))
-        coupled = sum(h.data[i] * cross.data[c, i, j] * u_other.data[j]
+    for t in range(n):
+        for c in range(k):
+            own = sum(h.data[t, i] * comp.data[c, i, j] * u_self.data[j]
                       for i in range(d) for j in range(d))
-        assert abs(out.data[c] - np.tanh(own)) < 1e-12
-        assert abs(out.data[k + c] - np.tanh(coupled)) < 1e-12
+            coupled = sum(h.data[t, i] * cross.data[c, i, j] * u_other.data[j]
+                          for i in range(d) for j in range(d))
+            assert abs(out.data[t, c] - np.tanh(own)) < 1e-12
+            assert abs(out.data[t, k + c] - np.tanh(coupled)) < 1e-12
 
 
 # --- attention layer --------------------------------------------------------
@@ -118,7 +125,7 @@ def test_compose_matches_loop_oracle():
 
 def test_attention_single_token_score_is_one():
     params = CmlaParams.init(dim=4, channels=2, rng=1)
-    h_seq = random_inputs(4, 1, seed=2)
+    h_seq = random_rows(4, 1, seed=2)
     out = attention_layer(h_seq, params.aspect, params.aspect.prototype, params.opinion.prototype)
     assert out.norm_scores.data.shape == (1,)
     assert abs(out.norm_scores.data[0] - 1.0) <= 1e-12
@@ -128,19 +135,19 @@ def test_attention_zero_params_uniform_scores():
     params = CmlaParams.init(dim=4, channels=2, rng=1)
     for t in params.all_tensors():
         t.data[:] = 0.0
-    h_seq = random_inputs(4, 5, seed=3)
+    h_seq = random_rows(4, 5, seed=3)
     out = attention_layer(h_seq, params.aspect, params.aspect.prototype, params.opinion.prototype)
     assert np.allclose(out.norm_scores.data, np.full(5, 0.2), atol=1e-15)
 
 
 def test_attention_outputs_per_token():
     params = CmlaParams.init(dim=4, channels=2, rng=4)
-    h_seq = random_inputs(4, 3, seed=5)
+    h_seq = random_rows(4, 3, seed=5)
     out = attention_layer(h_seq, params.aspect, params.aspect.prototype, params.opinion.prototype)
-    assert len(out.features) == 3 and len(out.logits) == 3
-    assert all(l.data.shape == (3,) for l in out.logits)
-    for i, l in enumerate(out.logits):
-        assert out.raw_scores.data[i] == max(l.data[0], l.data[1])
+    assert out.features.data.shape == (3, 2) and out.logits.data.shape == (3, 3)
+    for i, l in enumerate(out.logits.data):
+        assert out.raw_scores.data[i] == max(l[0], l[1])
+        assert np.allclose(l, params.aspect.classifier.data @ out.features.data[i], atol=1e-15)
 
 
 # --- update_prototype -------------------------------------------------------
@@ -149,16 +156,16 @@ def test_attention_outputs_per_token():
 def test_update_prototype_zero_map_is_identity():
     u = constant(np.array([1.0, -2.0, 0.5]))
     scores = constant(np.array([0.3, 0.7]))
-    h_seq = random_inputs(3, 2, seed=6)
+    h_seq = random_rows(3, 2, seed=6)
     out = update_prototype(u, scores, h_seq, constant(np.zeros((3, 3))))
     assert np.array_equal(out.data, u.data)
 
 
 def test_update_prototype_single_token_identity_map():
     u = constant(np.array([1.0, 2.0]))
-    h = constant(np.array([0.25, -0.5]))
-    out = update_prototype(u, constant(np.array([1.0])), [h], constant(np.eye(2)))
-    assert np.allclose(out.data, u.data + h.data, atol=1e-15)
+    h = constant(np.array([[0.25, -0.5]]))
+    out = update_prototype(u, constant(np.array([1.0])), h, constant(np.eye(2)))
+    assert np.allclose(out.data, u.data + h.data[0], atol=1e-15)
 
 
 def test_update_prototype_matches_weighted_sum_oracle():
@@ -167,16 +174,16 @@ def test_update_prototype_matches_weighted_sum_oracle():
     u = constant(gen.uniform(-1, 1, size=d))
     raw = gen.uniform(0.1, 1.0, size=n)
     w = raw / raw.sum()
-    h_seq = [constant(gen.uniform(-1, 1, size=d)) for _ in range(n)]
+    h_seq = constant(gen.uniform(-1, 1, size=(n, d)))
     v = constant(gen.uniform(-1, 1, size=(d, d)))
     out = update_prototype(u, constant(w), h_seq, v)
-    expected = u.data + sum(w[i] * (v.data @ h_seq[i].data) for i in range(n))
+    expected = u.data + sum(w[i] * (v.data @ h_seq.data[i]) for i in range(n))
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
 def test_update_prototype_rejects_unnormalized_weights():
     u = constant(np.zeros(2))
-    h_seq = random_inputs(2, 2, seed=8)
+    h_seq = random_rows(2, 2, seed=8)
     bad = constant(np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="weight-sum violation beyond 1e-9"):
         update_prototype(u, bad, h_seq, constant(np.eye(2)))
@@ -185,7 +192,7 @@ def test_update_prototype_rejects_unnormalized_weights():
 def test_update_prototype_rejects_length_mismatch():
     u = constant(np.zeros(2))
     with pytest.raises(ValueError):
-        update_prototype(u, constant(np.array([1.0])), random_inputs(2, 2), constant(np.eye(2)))
+        update_prototype(u, constant(np.array([1.0])), random_rows(2, 2), constant(np.eye(2)))
 
 
 # --- forward ----------------------------------------------------------------
@@ -195,7 +202,7 @@ def test_forward_single_token_distributions_sum_to_one():
     params = CmlaParams.init(dim=4, channels=2, rng=9)
     fwd = forward(random_inputs(4, 1, seed=10), params)
     for out in (fwd.aspect, fwd.opinion):
-        probs = np.exp(out.logits[0].data)
+        probs = np.exp(out.logits.data[0])
         probs /= probs.sum()
         assert abs(probs.sum() - 1.0) <= 1e-12
         assert abs(out.norm_scores.data.sum() - 1.0) <= 1e-12
@@ -219,7 +226,7 @@ def test_forward_single_layer_is_causal():
     for head in ("aspect", "opinion"):
         for t in range(4):
             assert np.array_equal(
-                getattr(base, head).logits[t].data, getattr(extended, head).logits[t].data
+                getattr(base, head).logits.data[t], getattr(extended, head).logits.data[t]
             )
 
 
@@ -227,8 +234,8 @@ def test_forward_layer_count_changes_output():
     xs = random_inputs(4, 3, seed=16)
     one = CmlaParams.init(dim=4, channels=2, rng=17, layers=1)
     two = CmlaParams.init(dim=4, channels=2, rng=17, layers=2)
-    a = forward(xs, one).aspect.logits[0].data
-    b = forward(xs, two).aspect.logits[0].data
+    a = forward(xs, one).aspect.logits.data[0]
+    b = forward(xs, two).aspect.logits.data[0]
     assert not np.array_equal(a, b)
 
 
@@ -251,7 +258,7 @@ def test_forward_full_gradcheck_small():
 
 def test_loss_uniform_logits_is_two_ln_three():
     n = 5
-    logits = [constant(np.zeros(3)) for _ in range(n)]
+    logits = constant(np.zeros((n, 3)))
     ga = LabelSeq([O] * n, ASPECT)
     gp = LabelSeq([O] * n, OPINION)
     val = loss(logits, logits, ga, gp)
@@ -260,12 +267,11 @@ def test_loss_uniform_logits_is_two_ln_three():
 
 def test_loss_perfect_logits_tends_to_zero():
     n = 3
-    strong = []
     gold = [B, I, O]
-    for lab in gold:
-        vec = np.full(3, -50.0)
-        vec[CLASS_INDEX[lab]] = 50.0
-        strong.append(constant(vec))
+    rows = np.full((n, 3), -50.0)
+    for t, lab in enumerate(gold):
+        rows[t, CLASS_INDEX[lab]] = 50.0
+    strong = constant(rows)
     val = loss(strong, strong, LabelSeq(gold, ASPECT), LabelSeq(gold, OPINION))
     assert val.item() < 1e-12
 
@@ -273,16 +279,16 @@ def test_loss_perfect_logits_tends_to_zero():
 def test_loss_matches_direct_oracle():
     gen = np.random.default_rng(22)
     n = 4
-    la = [constant(gen.normal(size=3)) for _ in range(n)]
-    lp = [constant(gen.normal(size=3)) for _ in range(n)]
+    la = constant(gen.normal(size=(n, 3)))
+    lp = constant(gen.normal(size=(n, 3)))
     ga = random_gold(n, ASPECT, seed=23)
     gp = random_gold(n, OPINION, seed=24)
     val = loss(la, lp, ga, gp)
 
     def head_nll(logits, gold):
         total = 0.0
-        for vec, lab in zip(logits, gold.labels):
-            p = np.exp(vec.data) / np.exp(vec.data).sum()
+        for vec, lab in zip(logits.data, gold.labels):
+            p = np.exp(vec) / np.exp(vec).sum()
             total -= np.log(p[CLASS_INDEX[lab]])
         return total / len(gold.labels)
 
@@ -292,9 +298,11 @@ def test_loss_matches_direct_oracle():
 
 
 def test_loss_length_mismatch():
-    logits = [constant(np.zeros(3))]
+    logits = constant(np.zeros((1, 3)))
     with pytest.raises(ValueError):
         loss(logits, logits, LabelSeq([O, O], ASPECT), LabelSeq([O], OPINION))
+    with pytest.raises(ValueError):
+        loss(constant(np.zeros(3)), logits, LabelSeq([O], ASPECT), LabelSeq([O], OPINION))
 
 
 # --- training ---------------------------------------------------------------
@@ -450,6 +458,18 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_checkpoint_bytes_are_sorted_json_of_whole_payload(tmp_path):
+    params = CmlaParams.init(dim=3, channels=2, rng=44, layers=3)
+    path = tmp_path / "model.json"
+    save_checkpoint(path, params)
+    payload = {
+        "format": "cmla-checkpoint", "version": 1, "dim": 3, "channels": 2, "layers": 3,
+        "tensors": {name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
+                    for name, t in params.named_tensors().items()},
+    }
+    assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True) + "\n"
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json at all", encoding="utf-8")
@@ -492,3 +512,80 @@ def test_checkpoint_rejects_missing_tensor_and_bad_shape(tmp_path):
     p2.write_text(json.dumps(mangled), encoding="utf-8")
     with pytest.raises(DataFormatError, match="shape"):
         load_checkpoint(p2)
+
+
+@pytest.mark.parametrize(
+    "name, entry, message",
+    [
+        ("aspect.comp", [1.0, 2.0], "aspect.comp is not an object"),
+        ("ctx_gru.b_z", {"shape": [2]}, "ctx_gru.b_z is not an object"),
+        ("aspect.prototype", {"shape": [2], "values": [0.5, float("nan")]}, "finite"),
+        ("aspect.prototype", {"shape": [2], "values": [0.5, float("inf")]}, "finite"),
+        ("opinion.prototype", {"shape": [2], "values": ["0.5", 0.1]}, "opinion.prototype"),
+        ("opinion.prototype", {"shape": [2], "values": [[0.5], [0.1]]}, "opinion.prototype"),
+        ("opinion.prototype", {"shape": [2], "values": [[0.5], 0.1]}, "opinion.prototype"),
+        ("opinion.prototype", {"shape": [2], "values": None}, "opinion.prototype"),
+        ("opinion.prototype", {"shape": [2], "values": [0.5]}, "1 values"),
+    ],
+)
+def test_checkpoint_rejects_bad_tensor_entries(tmp_path, name, entry, message):
+    params = CmlaParams.init(dim=2, channels=2, rng=38)
+    good = tmp_path / "good.json"
+    save_checkpoint(good, params)
+    payload = json.loads(good.read_text(encoding="utf-8"))
+    payload["tensors"][name] = entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=message):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_non_object_payloads(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="not a"):
+        load_checkpoint(path)
+    params = CmlaParams.init(dim=2, channels=2, rng=39)
+    save_checkpoint(path, params)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["tensors"] = list(payload["tensors"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataFormatError, match="tensors"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_loads_integer_values_as_floats(tmp_path):
+    params = CmlaParams.init(dim=2, channels=2, rng=40)
+    path = tmp_path / "ints.json"
+    save_checkpoint(path, params)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["tensors"]["aspect.prototype"]["values"] = [1, -2]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    loaded = load_checkpoint(path)
+    assert loaded.aspect.prototype.data.dtype == np.float64
+    assert loaded.aspect.prototype.data.tolist() == [1.0, -2.0]
+
+
+def test_forward_accepts_vectors_or_tensors_alike():
+    params = CmlaParams.init(dim=3, channels=2, rng=41)
+    xs = random_inputs(3, 4, seed=42)
+    a = forward(xs, params)
+    b = forward([x.data for x in xs], params)
+    assert np.array_equal(a.aspect.logits.data, b.aspect.logits.data)
+    assert a.hidden.data.shape == (4, 3)
+
+
+def test_predict_token_scores_rows_match_head_arrays(tiny_corpus):
+    sents, table = tiny_corpus
+    params = CmlaParams.init(dim=6, channels=2, rng=43)
+    pred = predict(sents[0], table, params)
+    fwd = forward(embed_sentence(sents[0], table), params)
+    rows = pred.token_scores
+    assert [ts.token_index for ts in rows] == list(range(len(sents[0].tokens)))
+    for i, ts in enumerate(rows):
+        assert np.array_equal(ts.aspect_logits, fwd.aspect.logits.data[i])
+        assert np.array_equal(ts.opinion_logits, fwd.opinion.logits.data[i])
+        assert ts.aspect_attention == fwd.aspect.norm_scores.data[i]
+        assert ts.opinion_attention == fwd.opinion.norm_scores.data[i]
+    rows[0].aspect_logits[:] = 0.0
+    assert np.array_equal(pred.token_scores[0].aspect_logits, fwd.aspect.logits.data[0])
