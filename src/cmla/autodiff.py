@@ -1,12 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The graph is built per sentence, not per token: a primitive takes whole
-(n, ...) blocks, so a forward pass is a few dozen nodes whatever the
-sentence length. Tensors are plain row-major numpy arrays with no views
-or strides, and there is no implicit broadcasting; every binary op wants
-equal shapes. The graph is rebuilt for every loss; creation order doubles
-as a topological order, so backward() just sweeps reachable tensors in
-reverse creation order.
+The engine is small on purpose: each layer of the model is one node that
+`node` wraps around a numpy forward result and a hand-written backward,
+so a two-layer forward pass and its loss are about two dozen nodes
+whatever the sentence length. Only `add` and the matrix-vector `matmul`
+of the prototype update are generic primitives. Tensors are plain
+row-major numpy arrays with no implicit broadcasting. The graph is
+rebuilt for every loss; creation order doubles as a topological order,
+so backward() just sweeps reachable tensors in reverse creation order.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def node(data, parents, backprop) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise primitives
+# primitives
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -94,138 +95,18 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-    ad, bd = a.data, b.data
-    return node(ad * bd, (a, b), lambda g: (g * bd, g * ad))
-
-
-def scale(t: Tensor, c: float) -> Tensor:
-    """t * c for a python number c."""
-    cf = float(c)
-    return node(t.data * cf, (t,), lambda g: (g * cf,))
-
-
-def tanh(t: Tensor) -> Tensor:
-    y = np.tanh(t.data)
-    return node(y, (t,), lambda g: (g * (1.0 - y * y),))
-
-
-# ---------------------------------------------------------------------------
-# linear algebra
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for 2-d x 2-d, 2-d x 1-d and 1-d x 2-d operands.
-
-    The forward product is an unoptimised einsum rather than BLAS: each
-    output row is then summed the same way however many rows there are,
-    so appending a token never changes an earlier token's bits.
-    """
+    """a @ b for a matrix and a vector, in either order."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        spec, backprop = "ij,jk->ik", lambda g: (g @ bd.T, ad.T @ g)
-    elif ad.ndim == 2 and bd.ndim == 1:
-        spec, backprop = "ij,j->i", lambda g: (np.outer(g, bd), ad.T @ g)
+    if ad.ndim == 2 and bd.ndim == 1:
+        backprop = lambda g: (np.outer(g, bd), ad.T @ g)
     elif ad.ndim == 1 and bd.ndim == 2:
-        spec, backprop = "j,jk->k", lambda g: (bd @ g, np.outer(ad, g))
+        backprop = lambda g: (bd @ g, np.outer(ad, g))
     else:
-        raise ValueError(f"matmul supports 2dx2d, 2dx1d, 1dx2d; got {ad.ndim}d x {bd.ndim}d")
+        raise ValueError(f"matmul supports 2d x 1d and 1d x 2d; got {ad.ndim}d x {bd.ndim}d")
     if ad.shape[-1] != bd.shape[0]:
         raise ValueError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
-    return node(np.einsum(spec, ad, bd), (a, b), backprop)
-
-
-def transpose(t: Tensor) -> Tensor:
-    if t.data.ndim != 2:
-        raise ValueError(f"transpose expects a matrix, got shape {t.data.shape}")
-    return node(np.ascontiguousarray(t.data.T), (t,), lambda g: (g.T,))
-
-
-def bilinear(h: Tensor, maps: Tensor, u: Tensor) -> Tensor:
-    """Channel-wise bilinear forms of every row: out[n, k] = h[n] . maps[k] . u.
-
-    `h` is (rows, d), `maps` a (channels, d, len(u)) stack of bilinear
-    maps. maps . u is formed once, so the cost is one (rows, d) x (d,
-    channels) product on top of it.
-    """
-    hd, md, ud = h.data, maps.data, u.data
-    if hd.ndim != 2 or ud.ndim != 1 or md.ndim != 3:
-        raise ValueError("bilinear expects a (rows, d) matrix, 3-d map stack, vector")
-    if md.shape[1] != hd.shape[1] or md.shape[2] != ud.shape[0]:
-        raise ValueError(f"bilinear shape mismatch: {hd.shape}, {md.shape}, {ud.shape}")
-    mu = md @ ud
-
-    def backprop(g):
-        gh = g.T @ hd
-        return g @ mu, gh[:, :, None] * ud, np.tensordot(gh, md, axes=2)
-
-    return node(np.einsum("ni,ki->nk", hd, mu), (h, maps, u), backprop)
-
-
-# ---------------------------------------------------------------------------
-# reductions, reshaping, normalization
-
-
-def tensor_sum(t: Tensor) -> Tensor:
-    shape = t.data.shape
-    return node(np.asarray(t.data.sum()), (t,), lambda g: (np.full(shape, float(g)),))
-
-
-def reduce_max(t: Tensor) -> Tensor:
-    """Max over the last axis; each gradient routes to the first maximum."""
-    x = t.data
-    idx = np.argmax(x, axis=-1)[..., None]
-
-    def backprop(g):
-        out = np.zeros(x.shape)
-        np.put_along_axis(out, idx, np.asarray(g)[..., None], axis=-1)
-        return (out,)
-
-    return node(np.take_along_axis(x, idx, axis=-1)[..., 0], (t,), backprop)
-
-
-def slice_last(t: Tensor, start: int, stop: int) -> Tensor:
-    """Entries [start, stop) of the last axis."""
-    shape = t.data.shape
-    n = shape[-1] if shape else 0
-    if not (0 <= start < stop <= n):
-        raise ValueError(f"slice [{start}, {stop}) out of range for last axis of {shape}")
-
-    def backprop(g):
-        out = np.zeros(shape)
-        out[..., start:stop] = g
-        return (out,)
-
-    return node(t.data[..., start:stop], (t,), backprop)
-
-
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Join along the last axis; the other axes must agree."""
-    ad, bd = a.data, b.data
-    if ad.ndim == 0 or ad.ndim != bd.ndim or ad.shape[:-1] != bd.shape[:-1]:
-        raise ValueError(f"concat shape mismatch: {ad.shape} vs {bd.shape}")
-    p = ad.shape[-1]
-    return node(
-        np.concatenate([ad, bd], axis=-1), (a, b), lambda g: (g[..., :p], g[..., p:])
-    )
-
-
-def softmax(t: Tensor, axis: int) -> Tensor:
-    x = t.data
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    s = e / e.sum(axis=axis, keepdims=True)
-    return node(s, (t,), lambda g: ((g - (g * s).sum(axis=axis, keepdims=True)) * s,))
-
-
-def log_softmax(t: Tensor, axis: int) -> Tensor:
-    x = t.data
-    m = x.max(axis=axis, keepdims=True)
-    shifted = x - m
-    ls = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    return node(ls, (t,), lambda g: (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),))
+    return node(ad @ bd, (a, b), backprop)
 
 
 # ---------------------------------------------------------------------------

@@ -52,19 +52,29 @@ def align_spans(char_spans, tokens, kind: str):
     """Map character spans to token spans by range overlap.
 
     A token belongs to a span iff their character ranges overlap, so a
-    span cutting a token in half claims the whole token. Returns
-    (token spans, diagnostics) where diagnostics describe char spans that
-    cover no token at all.
+    span cutting a token in half claims the whole token. Token spans that
+    share a token cannot both be tagged: the longest is kept, or the
+    earliest of equally long ones. Returns (token spans, diagnostics)
+    where diagnostics describe char spans that cover no token or were
+    dropped for an overlap.
     """
-    spans = []
+    origin = {}   # token span -> the first char span that produced it
     problems = []
     for lo, hi in char_spans:
         covered = [i for i, t in enumerate(tokens) if t.start < hi and t.end > lo]
         if not covered:
             problems.append(f"char span [{lo}, {hi}) covers no token")
             continue
-        spans.append(Span(covered[0], covered[-1] + 1, kind))
-    return sorted(set(spans)), problems
+        origin.setdefault(Span(covered[0], covered[-1] + 1, kind), (lo, hi))
+    kept = []
+    for span in sorted(origin, key=lambda s: (s.start - s.end, s.start)):
+        clash = next((k for k in kept if k.start < span.end and span.start < k.end), None)
+        if clash is None:
+            kept.append(span)
+        else:
+            problems.append(f"char span [{origin[span][0]}, {origin[span][1]}) overlaps "
+                            f"[{origin[clash][0]}, {origin[clash][1]}), dropped")
+    return sorted(kept), problems
 
 
 @dataclass
@@ -220,9 +230,11 @@ def load_embeddings(path, oov: OovPolicy = OovPolicy()) -> EmbeddingTable:
                 )
             word = parts[0]
             try:
-                vec = np.array([float(v) for v in parts[1:]])
+                vec = np.array(list(map(float, parts[1:])))
             except ValueError:
                 raise DataFormatError(f"{path}: line {lineno}: non-numeric value") from None
+            if not np.isfinite(vec).all():
+                raise DataFormatError(f"{path}: line {lineno}: non-finite value")
             if word in vectors:
                 duplicates += 1
             vectors[word] = vec

@@ -126,7 +126,7 @@ def attention_report(sentence, token_scores) -> list:
         )
     for name in ("aspect_attention", "opinion_attention"):
         total = sum(getattr(ts, name) for ts in token_scores)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"{name} column sums to {total!r}, not normalized")
 
     gold_a = {i for s in sentence.aspect_spans for i in range(s.start, s.end)}

@@ -81,14 +81,18 @@ class GruParams:
     def tensors(self) -> dict:
         return {name: getattr(self, name) for name in GRU_FIELDS}
 
-    def check_shapes(self):
-        h, d = self.hidden_dim, self.input_dim
-        expected = {
+    @staticmethod
+    def shapes(input_dim: int, hidden_dim: int) -> dict:
+        """Shape of each tensor of a cell, by field name."""
+        h, d = hidden_dim, input_dim
+        return {
             "W_z": (h, d), "W_r": (h, d), "W_h": (h, d),
             "U_z": (h, h), "U_r": (h, h), "U_h": (h, h),
             "b_z": (h,), "b_r": (h,), "b_h": (h,),
         }
-        for name, shape in expected.items():
+
+    def check_shapes(self):
+        for name, shape in self.shapes(self.input_dim, self.hidden_dim).items():
             got = getattr(self, name).data.shape
             if got != shape:
                 raise ValueError(f"GRU param {name} has shape {got}, expected {shape}")

@@ -18,28 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bio
-from .autodiff import (
-    Tensor,
-    add,
-    backward,
-    bilinear,
-    concat,
-    constant,
-    init_uniform,
-    log_softmax,
-    matmul,
-    mul,
-    reduce_max,
-    scale,
-    slice_last,
-    softmax,
-    tanh,
-    tensor_sum,
-    transpose,
-)
+from .autodiff import Tensor, add, backward, constant, init_uniform, matmul, node
 from .bio import ASPECT, OPINION, LabelSeq, labels_to_spans, merge_heads
 from .data import DataFormatError
-from .gru import GruParams, gru_run
+from .gru import GRU_FIELDS, GruParams, gru_run
 
 # class order shared by logits, gold indices and checkpointed classifiers
 CLASS_ORDER = (bio.B, bio.I, bio.O)
@@ -122,26 +104,35 @@ class CmlaParams:
     def all_tensors(self) -> list:
         return list(self.named_tensors().values())
 
+    @staticmethod
+    def shapes(dim: int, channels: int) -> dict:
+        """Shape of every named tensor of a dim x channels model."""
+        out = {f"ctx_gru.{k}": s for k, s in GruParams.shapes(dim, dim).items()}
+        for head in (ASPECT, OPINION):
+            out.update({f"{head}.prototype": (dim,), f"{head}.comp": (channels, dim, dim),
+                        f"{head}.cross": (channels, dim, dim)})
+            out.update({f"{head}.att_gru.{k}": s
+                        for k, s in GruParams.shapes(2 * channels, channels).items()})
+            out.update({f"{head}.classifier": (3, channels), f"{head}.proto_map": (dim, dim)})
+        return out
+
+    @classmethod
+    def from_named(cls, tensors: dict, layers: int):
+        """Parameters made of `tensors`, keyed as named_tensors() keys them."""
+        def gru(prefix):
+            return GruParams(**{f: tensors[f"{prefix}.{f}"] for f in GRU_FIELDS})
+
+        def head(name):
+            fields = ("prototype", "comp", "cross", "classifier", "proto_map")
+            return HeadParams(att_gru=gru(f"{name}.att_gru"), **{f: tensors[f"{name}.{f}"] for f in fields})
+
+        return cls(ctx_gru=gru("ctx_gru"), aspect=head(ASPECT), opinion=head(OPINION), layers=layers)
+
     def check_shapes(self):
-        d, k = self.dim, self.channels
-        self.ctx_gru.check_shapes()
-        if self.ctx_gru.input_dim != d:
-            raise ValueError("context GRU must map embeddings to the same dimension")
-        for name, head in ((ASPECT, self.aspect), (OPINION, self.opinion)):
-            head.att_gru.check_shapes()
-            expected = {
-                "prototype": (d,),
-                "comp": (k, d, d),
-                "cross": (k, d, d),
-                "classifier": (3, k),
-                "proto_map": (d, d),
-            }
-            for field_name, shape in expected.items():
-                got = getattr(head, field_name).data.shape
-                if got != shape:
-                    raise ValueError(f"{name}.{field_name} has shape {got}, expected {shape}")
-            if head.att_gru.input_dim != 2 * k or head.att_gru.hidden_dim != k:
-                raise ValueError(f"{name} attention GRU must map 2*{k} -> {k}")
+        expected = self.shapes(self.dim, self.channels)
+        for name, t in self.named_tensors().items():
+            if t.data.shape != expected[name]:
+                raise ValueError(f"{name} has shape {t.data.shape}, expected {expected[name]}")
 
 
 def compose(h_seq: Tensor, u_self: Tensor, u_other: Tensor, comp: Tensor, cross: Tensor) -> Tensor:
@@ -150,26 +141,62 @@ def compose(h_seq: Tensor, u_self: Tensor, u_other: Tensor, comp: Tensor, cross:
     First half of each row: tanh of the bilinear form of the hidden state
     against this head's own prototype, one entry per channel. Second half:
     the same against the other head's prototype, which is what couples the
-    heads.
+    heads. The maps are contracted with the prototypes first, so the
+    per-token cost is one (d,) x (d, 2*channels) product.
     """
-    own = tanh(bilinear(h_seq, comp, u_self))
-    coupled = tanh(bilinear(h_seq, cross, u_other))
-    return concat(own, coupled)
+    h, us, uo, cm, cr = h_seq.data, u_self.data, u_other.data, comp.data, cross.data
+    k = cm.shape[0]
+    mu = np.concatenate([cm @ us, cr @ uo])
+    # an unoptimised einsum sums every row the same way however many rows
+    # there are, so appending a token never changes an earlier row's bits
+    y = np.tanh(np.einsum("ni,ki->nk", h, mu))
+
+    def backprop(g):
+        gp = g * (1.0 - y * y)
+        g_mu = gp.T @ h
+        return (gp @ mu, np.tensordot(g_mu[:k], cm, axes=2), np.tensordot(g_mu[k:], cr, axes=2),
+                g_mu[:k, :, None] * us, g_mu[k:, :, None] * uo)
+
+    return node(y, (h_seq, u_self, u_other, comp, cross), backprop)
+
+
+def classify(features: Tensor, classifier: Tensor) -> Tensor:
+    """(n, 3) B/I/O logits in CLASS_ORDER from (n, channels) features."""
+    f, w = features.data, classifier.data
+    # unoptimised einsum for bitwise prefix causality, as in compose
+    return node(np.einsum("nk,ck->nc", f, w), (features, classifier), lambda g: (g @ w, g.T @ f))
+
+
+def attend(logits: Tensor) -> Tensor:
+    """Attention weights: softmax over the sentence of each token's max(B, I).
+
+    The max's gradient goes to the B logit when B and I tie.
+    """
+    x = logits.data
+    rows, pick = np.arange(x.shape[0]), np.argmax(x[:, :2], axis=1)
+    raw = x[rows, pick]
+    e = np.exp(raw - raw.max())
+    w = e / e.sum()
+
+    def backprop(g):
+        out = np.zeros(x.shape)
+        out[rows, pick] = (g - (g * w).sum()) * w
+        return (out,)
+
+    return node(w, (logits,), backprop)
 
 
 @dataclass
 class HeadOutput:
     features: Tensor    # (n, channels) attention features
     logits: Tensor      # (n, 3) class scores in CLASS_ORDER
-    raw_scores: Tensor  # (n,) max of the B/I logits per token
-    norm_scores: Tensor # (n,) softmax of raw_scores across the sentence
+    norm_scores: Tensor # (n,) softmax over the sentence of max(B, I) logits
 
 
 def attention_layer(h_seq: Tensor, head: HeadParams, u_self: Tensor, u_other: Tensor) -> HeadOutput:
     features = gru_run(compose(h_seq, u_self, u_other, head.comp, head.cross), head.att_gru)
-    logits = matmul(features, transpose(head.classifier))
-    raw = reduce_max(slice_last(logits, 0, 2))
-    return HeadOutput(features, logits, raw, softmax(raw, axis=0))
+    logits = classify(features, head.classifier)
+    return HeadOutput(features, logits, attend(logits))
 
 
 def update_prototype(u: Tensor, norm_scores: Tensor, h_seq: Tensor, proto_map: Tensor) -> Tensor:
@@ -178,6 +205,8 @@ def update_prototype(u: Tensor, norm_scores: Tensor, h_seq: Tensor, proto_map: T
     if norm_scores.data.shape != (n,):
         raise ValueError(f"{n} hidden states but scores of shape {norm_scores.data.shape}")
     total = float(norm_scores.data.sum())
+    if not np.isfinite(total):
+        raise FloatingPointError(f"non-finite attention weights (sum {total!r})")
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weight-sum violation beyond 1e-9: weights sum to {total!r}")
     return add(u, matmul(proto_map, matmul(norm_scores, h_seq)))
@@ -213,16 +242,19 @@ def forward(embeddings, params: CmlaParams) -> ForwardResult:
 
 def loss(logits_a: Tensor, logits_p: Tensor, gold_a: LabelSeq, gold_p: LabelSeq) -> Tensor:
     """Mean per-token cross-entropy of each head, summed over the heads."""
-    terms = []
+    heads = []   # (log-probabilities, one-hot gold, token count) per head
     for logits, gold in ((logits_a, gold_a), (logits_p, gold_p)):
         n = len(gold)
         if logits.data.shape != (n, len(CLASS_ORDER)):
             raise ValueError(f"logits of shape {logits.data.shape} for {n} gold labels")
-        gold_mask = np.zeros((n, len(CLASS_ORDER)))
-        gold_mask[np.arange(n), [CLASS_INDEX[label] for label in gold.labels]] = 1.0
-        picked = tensor_sum(mul(constant(gold_mask), log_softmax(logits, axis=1)))
-        terms.append(scale(picked, -1.0 / n))
-    return add(terms[0], terms[1])
+        shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        one_hot = np.zeros((n, len(CLASS_ORDER)))
+        one_hot[np.arange(n), [CLASS_INDEX[label] for label in gold.labels]] = 1.0
+        heads.append((log_probs, one_hot, n))
+    value = sum(-(one_hot * log_probs).sum() / n for log_probs, one_hot, n in heads)
+    return node(value, (logits_a, logits_p),
+                lambda g: tuple(g * (np.exp(lp) - oh) / n for lp, oh, n in heads))
 
 
 def embed_sentence(sentence, table) -> list:
@@ -262,7 +294,7 @@ def clip_gradients(grads: dict, tensors, threshold: float) -> float:
     for t in tensors:
         g = grads.get(t)
         if g is not None:
-            sq += float((np.asarray(g) ** 2).sum())
+            sq += float(np.vdot(g, g))
     norm = float(np.sqrt(sq))
     if norm > threshold:
         factor = threshold / norm
@@ -278,7 +310,7 @@ def train(sentences, table, params: CmlaParams, config: TrainConfig) -> list:
     Sentence order is reshuffled every epoch from a generator seeded with
     config.seed, so two runs with identical inputs produce identical
     parameters and traces. The trace holds one mean per-sentence loss per
-    epoch. Any non-finite loss aborts immediately.
+    epoch. Any non-finite loss or attention weight aborts immediately.
     """
     sentences = list(sentences)
     if not sentences:
@@ -291,11 +323,12 @@ def train(sentences, table, params: CmlaParams, config: TrainConfig) -> list:
     for epoch in range(config.epochs):
         epoch_total = 0.0
         for idx in order_gen.permutation(len(sentences)):
-            value = sentence_loss(sentences[idx], table, params)
-            if not np.isfinite(value.data):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, sentence index {int(idx)}"
-                )
+            try:
+                value = sentence_loss(sentences[idx], table, params)
+                if not np.isfinite(value.data):
+                    raise FloatingPointError("non-finite loss")
+            except FloatingPointError as exc:
+                raise TrainingDiverged(f"{exc} at epoch {epoch}, sentence index {int(idx)}") from None
             epoch_total += value.item()
             grads = backward(value)
             clip_gradients(grads, tensors, config.clip)
@@ -400,6 +433,8 @@ def save_checkpoint(path, params: CmlaParams):
 
 
 def load_checkpoint(path) -> CmlaParams:
+    """Read a checkpoint back; every stored tensor is checked against the
+    shape its header implies before the parameters are built from them."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -410,30 +445,30 @@ def load_checkpoint(path) -> CmlaParams:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: unsupported version {payload.get('version')!r}")
     try:
-        params = CmlaParams.init(
-            dim=int(payload["dim"]),
-            channels=int(payload["channels"]),
-            rng=0,
-            layers=int(payload["layers"]),
-        )
+        dim, channels, layers = (int(payload[key]) for key in ("dim", "channels", "layers"))
         stored = payload["tensors"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint: {exc}") from None
+    if dim <= 0 or channels <= 0 or layers < 1:
+        raise DataFormatError(
+            f"{path}: malformed checkpoint: dim {dim}, channels {channels}, layers {layers}"
+        )
 
     if not isinstance(stored, dict):
         raise DataFormatError(f"{path}: malformed checkpoint: tensors is not an object")
-    expected = params.named_tensors()
-    missing = sorted(set(expected) - set(stored))
-    extra = sorted(set(stored) - set(expected))
+    shapes = CmlaParams.shapes(dim, channels)
+    missing = sorted(set(shapes) - set(stored))
+    extra = sorted(set(stored) - set(shapes))
     if missing or extra:
         raise DataFormatError(f"{path}: tensor names mismatch (missing {missing}, extra {extra})")
-    for name, t in expected.items():
+    tensors = {}
+    for name, shape in shapes.items():
         entry = stored[name]
         if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
             raise DataFormatError(f"{path}: tensor {name} is not an object with shape and values")
-        if entry["shape"] != list(t.data.shape):
+        if entry["shape"] != list(shape):
             raise DataFormatError(
-                f"{path}: tensor {name} has shape {entry['shape']}, expected {list(t.data.shape)}"
+                f"{path}: tensor {name} has shape {entry['shape']}, expected {list(shape)}"
             )
         try:
             values = np.array(entry["values"])
@@ -442,8 +477,7 @@ def load_checkpoint(path) -> CmlaParams:
             numeric = False
         if not numeric:
             raise DataFormatError(f"{path}: tensor {name} values are not a list of finite numbers")
-        if values.size != t.data.size:
+        if values.size != np.prod(shape):
             raise DataFormatError(f"{path}: tensor {name} has {values.size} values")
-        t.data = values.astype(np.float64, copy=False).reshape(t.data.shape)
-    params.check_shapes()
-    return params
+        tensors[name] = Tensor(values.reshape(shape), requires_grad=True)
+    return CmlaParams.from_named(tensors, layers)

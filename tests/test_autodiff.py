@@ -3,32 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmla.autodiff import (
-    Tensor,
-    add,
-    backward,
-    bilinear,
-    concat,
-    constant,
-    grad_check,
-    init_uniform,
-    log_softmax,
-    matmul,
-    mul,
-    reduce_max,
-    scale,
-    slice_last,
-    softmax,
-    tanh,
-    tensor_sum,
-    transpose,
-    zeros,
-)
+from cmla.autodiff import Tensor, add, backward, constant, grad_check, init_uniform, matmul, node, zeros
+from cmla.bio import ASPECT, OPINION, LabelSeq
 from cmla.gru import sigmoid
+from cmla.model import CLASS_INDEX, CLASS_ORDER, attend, compose, loss
 
 
 def randt(shape, seed=0, lo=-1.0, hi=1.0):
     return init_uniform(shape, lo, hi, np.random.default_rng(seed))
+
+
+def dot(a, b):
+    """Scalar sum(a * b) as one node, the loss these tests differentiate."""
+    return node(np.vdot(a.data, b.data), (a, b), lambda g: (g * b.data, g * a.data))
+
+
+def total(t):
+    return dot(t, constant(np.ones(t.data.shape)))
 
 
 # --- init_uniform ---------------------------------------------------------
@@ -59,66 +50,61 @@ def test_init_uniform_rejects_bad_shapes_and_intervals():
 
 
 def test_matmul_identity():
-    m = constant([[1.0, 2.0], [3.0, 4.0]])
-    out = matmul(constant(np.eye(2)), m)
-    assert np.array_equal(out.data, m.data)
+    v = constant([1.0, -2.0])
+    assert np.array_equal(matmul(constant(np.eye(2)), v).data, v.data)
+    assert np.array_equal(matmul(v, constant(np.eye(2))).data, v.data)
 
 
 def test_matmul_hand_case():
-    out = matmul(constant([[1.0, 2.0]]), constant([[3.0], [4.0]]))
-    assert out.data.tolist() == [[11.0]]
+    assert matmul(constant([[1.0, 2.0]]), constant([3.0, 4.0])).data.tolist() == [11.0]
+    assert matmul(constant([3.0, 4.0]), constant([[1.0], [2.0]])).data.tolist() == [11.0]
 
 
 def test_matmul_grad_of_sum_matches_closed_form():
     a = randt((3, 4), seed=1)
-    b = randt((4, 2), seed=2)
-    grads = backward(tensor_sum(matmul(a, b)))
-    assert np.allclose(grads[a], np.ones((3, 2)) @ b.data.T)
-    assert np.allclose(grads[b], a.data.T @ np.ones((3, 2)))
+    b = randt((4,), seed=2)
+    grads = backward(total(matmul(a, b)))
+    assert np.allclose(grads[a], np.outer(np.ones(3), b.data))
+    assert np.allclose(grads[b], a.data.T @ np.ones(3))
 
 
 def test_matmul_vector_cases_gradcheck():
     m = randt((3, 4), seed=3)
     v = randt((4,), seed=4)
-    assert grad_check(lambda: tensor_sum(tanh(matmul(m, v))), [m, v]) < 1e-6
+
+    def square(t):
+        return dot(t, t)
+
+    assert grad_check(lambda: square(matmul(m, v)), [m, v]) < 1e-6
     w = randt((3,), seed=5)
-    assert grad_check(lambda: tensor_sum(tanh(matmul(w, m))), [w, m]) < 1e-6
-
-
-def test_matmul_matrix_case_gradcheck():
-    a = randt((4, 3), seed=30)
-    b = randt((3, 2), seed=31)
-    assert grad_check(lambda: tensor_sum(tanh(matmul(a, b))), [a, b]) < 1e-6
-
-
-def test_matmul_rows_unchanged_by_appended_row():
-    # forward products over token rows must not depend on the row count
-    gen = np.random.default_rng(32)
-    for _ in range(200):
-        n, d, k = (int(v) for v in gen.integers(1, 9, size=3))
-        a = gen.uniform(-1, 1, size=(n + 1, d))
-        b = constant(gen.uniform(-1, 1, size=(d, k)))
-        full = matmul(constant(a), b).data
-        assert np.array_equal(matmul(constant(a[:n]), b).data, full[:n])
+    assert grad_check(lambda: square(matmul(w, m)), [w, m]) < 1e-6
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError):
         matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
     with pytest.raises(ValueError):
+        matmul(constant(np.ones((2, 3))), constant(np.ones((3, 2))))
+    with pytest.raises(ValueError):
         matmul(constant(np.ones(3)), constant(np.ones(3)))
+    with pytest.raises(ValueError):
+        matmul(constant(np.ones((2, 3))), constant(np.ones(2)))
 
 
-# --- elementwise ----------------------------------------------------------
+def test_add_shape_mismatch():
+    with pytest.raises(ValueError):
+        add(constant(np.ones(3)), constant(np.ones(4)))
 
 
-# sigmoid is the GRU's plain numpy gate function, tested here beside tanh
+# --- the model's one-node ops: tanh of bilinear forms (compose), softmax of
+# the max of the B/I logits (attend), log-softmax cross-entropy (loss)
 
 
 def test_tanh_and_sigmoid_at_zero():
-    z = zeros((4,))
-    assert np.array_equal(tanh(z).data, np.zeros(4))
-    assert np.array_equal(sigmoid(z.data), np.full(4, 0.5))
+    maps = randt((3, 2, 2), seed=9)
+    u = randt((2,), seed=10)
+    assert np.array_equal(compose(zeros((4, 2)), u, u, maps, maps).data, np.zeros((4, 6)))
+    assert np.array_equal(sigmoid(np.zeros(4)), np.full(4, 0.5))
 
 
 def test_sigmoid_stable_at_extremes():
@@ -128,179 +114,118 @@ def test_sigmoid_stable_at_extremes():
     assert out[0] == 0.0 and out[1] == 1.0
 
 
-def test_mul_gradcheck():
-    a = randt((5,), seed=6)
-    b = randt((5,), seed=7)
-    assert grad_check(lambda: tensor_sum(mul(a, b)), [a, b]) < 1e-4
-
-
-def test_add_mul_shape_mismatch():
-    a, b = constant(np.ones(3)), constant(np.ones(4))
-    with pytest.raises(ValueError):
-        add(a, b)
-    with pytest.raises(ValueError):
-        mul(a, b)
-
-
-def test_scale_by_number():
-    t = randt((3,), seed=8)
-    assert np.array_equal(scale(t, 2.5).data, 2.5 * t.data)
-    assert grad_check(lambda: tensor_sum(mul(scale(t, -1.5), t)), [t]) < 1e-6
-
-
-# --- bilinear -------------------------------------------------------------
-
-
 def test_bilinear_matches_triple_loop_oracle():
     gen = np.random.default_rng(13)
     h = init_uniform((2, 4), -1, 1, gen)
-    maps = init_uniform((3, 4, 5), -1, 1, gen)
-    u = init_uniform((5,), -1, 1, gen)
-    out = bilinear(h, maps, u)
-    expected = np.zeros((2, 3))
+    comp = init_uniform((3, 4, 5), -1, 1, gen)
+    cross = init_uniform((3, 4, 5), -1, 1, gen)
+    u_self = init_uniform((5,), -1, 1, gen)
+    u_other = init_uniform((5,), -1, 1, gen)
+    out = compose(h, u_self, u_other, comp, cross)
+    expected = np.zeros((2, 6))
     for n in range(2):
         for k in range(3):
             for i in range(4):
                 for j in range(5):
-                    expected[n, k] += h.data[n, i] * maps.data[k, i, j] * u.data[j]
-    assert np.allclose(out.data, expected, atol=1e-12)
+                    expected[n, k] += h.data[n, i] * comp.data[k, i, j] * u_self.data[j]
+                    expected[n, 3 + k] += h.data[n, i] * cross.data[k, i, j] * u_other.data[j]
+    assert np.allclose(out.data, np.tanh(expected), atol=1e-12)
 
 
 def test_bilinear_gradcheck():
     gen = np.random.default_rng(14)
     for rows in (1, 4):
         h = init_uniform((rows, 3), -1, 1, gen)
-        maps = init_uniform((2, 3, 3), -1, 1, gen)
-        u = init_uniform((3,), -1, 1, gen)
-        f = lambda: tensor_sum(tanh(bilinear(h, maps, u)))
-        assert grad_check(f, [h, maps, u]) < 1e-6
+        comp = init_uniform((2, 3, 3), -1, 1, gen)
+        cross = init_uniform((2, 3, 3), -1, 1, gen)
+        u_self = init_uniform((3,), -1, 1, gen)
+        u_other = init_uniform((3,), -1, 1, gen)
+        f = lambda: total(compose(h, u_self, u_other, comp, cross))
+        assert grad_check(f, [h, u_self, u_other, comp, cross]) < 1e-6
 
 
 def test_bilinear_shape_validation():
+    u, maps = constant(np.ones(2)), constant(np.ones((1, 2, 2)))
     with pytest.raises(ValueError):
-        bilinear(constant(np.ones(2)), constant(np.ones((1, 2, 2))), constant(np.ones(2)))
+        compose(constant(np.ones(2)), u, u, maps, maps)
     with pytest.raises(ValueError):
-        bilinear(constant(np.ones((1, 3))), constant(np.ones((1, 2, 2))), constant(np.ones(2)))
+        compose(constant(np.ones((1, 3))), u, u, maps, maps)
     with pytest.raises(ValueError):
-        bilinear(constant(np.ones((1, 2))), constant(np.ones((1, 2, 2))), constant(np.ones(3)))
+        compose(constant(np.ones((1, 2))), constant(np.ones(3)), u, maps, maps)
 
 
-# --- softmax / log_softmax ------------------------------------------------
+def logits_with_raw(raw):
+    """(n, 3) logits whose max(B, I) is `raw`; the O column must not matter."""
+    raw = np.asarray(raw, dtype=float)
+    return constant(np.stack([raw, raw - 1.0, np.full(raw.shape, 100.0)], axis=1))
 
 
 def test_softmax_uniform_and_oracle():
-    assert np.allclose(softmax(constant([0.0, 0.0, 0.0]), axis=0).data, np.full(3, 1 / 3))
+    assert np.allclose(attend(logits_with_raw([0.0, 0.0, 0.0])).data, np.full(3, 1 / 3))
     x = np.array([1.0, 2.0, 3.0])
     expected = np.exp(x) / np.exp(x).sum()
-    assert np.allclose(softmax(constant(x), axis=0).data, expected, atol=1e-12)
+    assert np.allclose(attend(logits_with_raw(x)).data, expected, atol=1e-12)
 
 
 def test_softmax_shift_invariance():
     x = np.array([0.3, -1.2, 2.5, 0.0])
-    base = softmax(constant(x), axis=0).data
-    shifted = softmax(constant(x + 123.456), axis=0).data
+    base = attend(logits_with_raw(x)).data
+    shifted = attend(logits_with_raw(x + 123.456)).data
     assert np.allclose(base, shifted, rtol=1e-9)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
 def test_softmax_sums_to_one(values):
-    out = softmax(constant(values), axis=0)
+    out = attend(logits_with_raw(values))
     assert abs(out.data.sum() - 1.0) <= 1e-12
     assert np.all(out.data > 0)
 
 
 def test_softmax_gradcheck():
-    t = randt((5,), seed=15)
-    w = constant(np.array([0.2, -1.0, 0.5, 2.0, -0.3]))
-    f = lambda: tensor_sum(mul(softmax(t, axis=0), w))
-    assert grad_check(f, [t]) < 1e-6
+    for n in (1, 5):
+        t = randt((n, 3), seed=15 + n)
+        w = constant(np.random.default_rng(n).uniform(-1, 1, size=n))
+        assert grad_check(lambda: dot(attend(t), w), [t]) < 1e-6
 
 
 def test_log_softmax_consistent_and_gradcheck():
-    t = randt((4,), seed=16)
-    assert np.allclose(log_softmax(t, axis=0).data, np.log(softmax(t, axis=0).data))
-    f = lambda: tensor_sum(slice_last(log_softmax(t, axis=0), 2, 3))
-    assert grad_check(f, [t]) < 1e-6
-    rows = randt((3, 4), seed=17)
-    w = constant(np.random.default_rng(18).uniform(-1, 1, size=(3, 4)))
-    assert grad_check(lambda: tensor_sum(mul(w, log_softmax(rows, axis=1))), [rows]) < 1e-6
-
-
-# --- reductions and reshaping ---------------------------------------------
+    gen = np.random.default_rng(16)
+    for n in (1, 3):
+        la, lp = randt((n, 3), seed=16 + n), randt((n, 3), seed=26 + n)
+        ga = LabelSeq([CLASS_ORDER[int(c)] for c in gen.integers(3, size=n)], ASPECT)
+        gp = LabelSeq([CLASS_ORDER[int(c)] for c in gen.integers(3, size=n)], OPINION)
+        expected = 0.0
+        for logits, gold in ((la, ga), (lp, gp)):
+            probs = np.exp(logits.data) / np.exp(logits.data).sum(axis=1, keepdims=True)
+            picked = probs[np.arange(n), [CLASS_INDEX[label] for label in gold.labels]]
+            expected -= np.log(picked).mean()
+        assert abs(loss(la, lp, ga, gp).item() - expected) < 1e-12
+        assert grad_check(lambda: loss(la, lp, ga, gp), [la, lp]) < 1e-6
 
 
 def test_reduce_max_value_and_subgradient():
-    t = Tensor([1.0, 5.0, 3.0], requires_grad=True)
-    out = reduce_max(t)
-    assert out.item() == 5.0
-    grads = backward(out)
-    assert grads[t].tolist() == [0.0, 1.0, 0.0]
+    t = Tensor([[1.0, 5.0, 9.0], [3.0, 2.0, 0.0]], requires_grad=True)
+    out = attend(t)
+    assert np.allclose(out.data, np.exp([5.0, 3.0]) / np.exp([5.0, 3.0]).sum(), atol=1e-15)
+    grads = backward(dot(out, constant([1.0, 0.0])))
+    assert np.count_nonzero(grads[t]) == 2
+    assert grads[t][0, 1] > 0.0 and grads[t][1, 0] < 0.0
 
 
 def test_reduce_max_tie_routes_to_first():
-    t = Tensor([2.0, 2.0], requires_grad=True)
-    grads = backward(reduce_max(t))
-    assert grads[t].tolist() == [1.0, 0.0]
-    rows = Tensor([[2.0, 2.0, 1.0], [0.0, 3.0, 3.0]], requires_grad=True)
-    grads = backward(tensor_sum(reduce_max(rows)))
-    assert grads[rows].tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    # on a B = I tie the max's gradient goes to B, the first of the two
+    t = Tensor([[2.0, 2.0, 0.0], [1.0, 1.0, 5.0]], requires_grad=True)
+    grads = backward(dot(attend(t), constant([1.0, 0.0])))
+    assert np.all(grads[t][:, 0] != 0.0)
+    assert np.array_equal(grads[t][:, 1:], np.zeros((2, 2)))
 
 
 def test_reduce_max_rows_value_and_gradcheck():
     t = randt((4, 3), seed=40)
-    out = reduce_max(t)
-    assert np.array_equal(out.data, t.data.max(axis=1))
+    raw = t.data[:, :2].max(axis=1)
+    assert np.allclose(attend(t).data, np.exp(raw) / np.exp(raw).sum(), atol=1e-15)
     w = constant(np.array([0.5, -1.0, 2.0, 0.25]))
-    assert grad_check(lambda: tensor_sum(mul(w, reduce_max(t))), [t]) < 1e-6
-
-
-def test_transpose_value_and_gradcheck():
-    t = randt((2, 3), seed=41)
-    assert np.array_equal(transpose(t).data, t.data.T)
-    w = constant(np.random.default_rng(42).uniform(-1, 1, size=(3, 2)))
-    assert grad_check(lambda: tensor_sum(mul(w, transpose(t))), [t]) < 1e-6
-    with pytest.raises(ValueError):
-        transpose(constant(np.ones(3)))
-
-
-def test_slice_last_concat_roundtrip():
-    t = randt((6,), seed=17)
-    rebuilt = concat(slice_last(t, 0, 3), slice_last(t, 3, 6))
-    assert np.array_equal(rebuilt.data, t.data)
-    grads = backward(tensor_sum(rebuilt))
-    assert np.array_equal(grads[t], np.ones(6))
-
-    rows = randt((3, 5), seed=43)
-    left, right = slice_last(rows, 0, 2), slice_last(rows, 2, 5)
-    assert left.data.shape == (3, 2) and right.data.shape == (3, 3)
-    assert np.array_equal(concat(left, right).data, rows.data)
-
-    w = constant(np.random.default_rng(44).uniform(-1, 1, size=(3, 5)))
-
-    def swapped_weighted():
-        return tensor_sum(mul(w, concat(slice_last(rows, 3, 5), slice_last(rows, 0, 3))))
-
-    assert grad_check(swapped_weighted, [rows]) < 1e-6
-    other = randt((3, 2), seed=45)
-    assert grad_check(lambda: tensor_sum(tanh(concat(rows, other))), [rows, other]) < 1e-6
-
-
-def test_slice_last_and_concat_bounds():
-    t = constant(np.ones(4))
-    with pytest.raises(ValueError):
-        slice_last(t, 2, 2)
-    with pytest.raises(ValueError):
-        slice_last(t, -1, 2)
-    with pytest.raises(ValueError):
-        slice_last(t, 0, 5)
-    with pytest.raises(ValueError):
-        slice_last(constant(np.ones((2, 3))), 0, 4)
-    with pytest.raises(ValueError):
-        slice_last(constant(1.0), 0, 1)
-    with pytest.raises(ValueError):
-        concat(constant(np.ones((2, 3))), constant(np.ones((3, 3))))
-    with pytest.raises(ValueError):
-        concat(constant(np.ones((2, 3))), constant(np.ones(3)))
+    assert grad_check(lambda: dot(w, attend(t)), [t]) < 1e-6
 
 
 # --- backward -------------------------------------------------------------
@@ -308,20 +233,20 @@ def test_slice_last_and_concat_bounds():
 
 def test_backward_sum_gives_ones():
     w = randt((4,), seed=18)
-    grads = backward(tensor_sum(w))
+    grads = backward(total(w))
     assert np.array_equal(grads[w], np.ones(4))
 
 
 def test_backward_quadratic():
     w = randt((4,), seed=19)
-    grads = backward(tensor_sum(mul(w, w)))
+    grads = backward(dot(w, w))
     assert np.allclose(grads[w], 2 * w.data)
 
 
 def test_backward_accumulates_through_shared_nodes():
     w = randt((3,), seed=20)
     y = add(w, w)
-    grads = backward(tensor_sum(y))
+    grads = backward(total(y))
     assert np.array_equal(grads[w], np.full(3, 2.0))
 
 
@@ -334,16 +259,16 @@ def test_backward_rejects_nonscalar():
 def test_backward_skips_constants():
     w = randt((3,), seed=22)
     c = constant(np.ones(3))
-    grads = backward(tensor_sum(mul(w, c)))
+    grads = backward(dot(w, c))
     assert c not in grads
     assert c.grad is None
 
 
 def test_backward_overwrites_stale_grad():
     w = randt((2,), seed=23)
-    backward(tensor_sum(w))
+    backward(total(w))
     assert np.array_equal(w.grad, np.ones(2))
-    backward(tensor_sum(mul(w, w)))
+    backward(dot(w, w))
     assert np.allclose(w.grad, 2 * w.data)
 
 
@@ -359,18 +284,18 @@ def test_constant_graph_is_pruned():
 
 def test_grad_check_sum_of_squares_tiny_error():
     w = randt((5,), seed=24)
-    assert grad_check(lambda: tensor_sum(mul(w, w)), [w]) < 1e-7
+    assert grad_check(lambda: dot(w, w), [w]) < 1e-7
 
 
 def test_grad_check_eps_validation():
     w = randt((2,), seed=25)
     with pytest.raises(ValueError):
-        grad_check(lambda: tensor_sum(w), [w], eps=0.0)
+        grad_check(lambda: total(w), [w], eps=0.0)
 
 
 def test_grad_check_coordinate_sampling():
     w = randt((40,), seed=26)
-    err = grad_check(lambda: tensor_sum(mul(w, w)), [w], max_coords_per_param=5, rng=1)
+    err = grad_check(lambda: dot(w, w), [w], max_coords_per_param=5, rng=1)
     assert err < 1e-7
 
 
@@ -379,7 +304,8 @@ def test_determinism_two_identical_graphs():
         gen = np.random.default_rng(99)
         a = init_uniform((4, 4), -1, 1, gen)
         v = init_uniform((4,), -1, 1, gen)
-        return tensor_sum(tanh(matmul(a, v))).item()
+        out = matmul(a, v)
+        return dot(out, out).item()
 
     assert run() == run()
 
@@ -387,7 +313,10 @@ def test_determinism_two_identical_graphs():
 @settings(max_examples=50)
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=6))
 def test_tanh_sigmoid_ranges(values):
-    t = constant(values)
-    assert np.all(np.abs(tanh(t).data) <= 1.0)
-    s = sigmoid(t.data)
+    # 1x1 maps and prototypes of 1 make row t of compose tanh(values[t]) twice
+    one, unit = constant([1.0]), constant([[[1.0]]])
+    out = compose(constant([[v] for v in values]), one, one, unit, unit).data
+    assert np.array_equal(out[:, 0], np.tanh(values))
+    assert np.all(np.abs(out) <= 1.0)
+    s = sigmoid(np.array(values))
     assert np.all((s >= 0.0) & (s <= 1.0))

@@ -127,7 +127,7 @@ def test_malformed_xml_exits_two(workspace, capsys, tmp_path):
     assert "line" in stderr
 
 
-def test_nan_embeddings_exit_three(workspace, capsys, tmp_path):
+def test_nan_embeddings_exit_two(workspace, capsys, tmp_path):
     data, _ = workspace
     lines = (data / "embeddings.txt").read_text().splitlines()
     header = lines[0]
@@ -146,6 +146,22 @@ def test_nan_embeddings_exit_three(workspace, capsys, tmp_path):
         "--lexicon", str(data / "lexicon.txt"),
         "--out", str(tmp_path / "out"),
         "--epochs", "2",
+    )
+    assert code == 2
+    assert f"{bad}: line 2: non-finite value" in stderr
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflow is the point
+def test_diverging_training_exits_three(workspace, capsys, tmp_path):
+    data, _ = workspace
+    code, _, stderr = run(
+        capsys, "train",
+        "--data", str(data / "corpus.xml"),
+        "--embeddings", str(data / "embeddings.txt"),
+        "--lexicon", str(data / "lexicon.txt"),
+        "--out", str(tmp_path / "out"),
+        "--epochs", "2",
+        "--lr", "1e300",
     )
     assert code == 3
     assert "sentence index" in stderr

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmla.bio import ASPECT, OPINION, Span
+from cmla.bio import ASPECT, OPINION, Span, spans_to_labels
 from cmla.data import (
     DataFormatError,
     EmbeddingTable,
@@ -117,6 +119,17 @@ def test_align_span_over_whitespace_only_reports_problem():
     assert len(problems) == 1
 
 
+def test_align_overlap_keeps_longest_then_earliest():
+    toks = tokenize("the food quality and service")
+    spans, problems = align_spans([(4, 8), (4, 16), (9, 20)], toks, ASPECT)
+    assert spans == [Span(1, 3, ASPECT)]
+    assert problems == ["char span [9, 20) overlaps [4, 16), dropped",
+                        "char span [4, 8) overlaps [4, 16), dropped"]
+    spans, problems = align_spans([(9, 20), (4, 16)], toks, ASPECT)
+    assert spans == [Span(1, 3, ASPECT)]
+    assert problems == ["char span [9, 20) overlaps [4, 16), dropped"]
+
+
 # --- parse_semeval_xml ------------------------------------------------------
 
 
@@ -185,6 +198,25 @@ def test_parse_skips_whitespace_only_sentence(tmp_path):
     assert all(s.tokens for s in result.sentences)
 
 
+def test_parse_resolves_overlapping_targets(tmp_path):
+    xml = """<Reviews><Review><sentences>
+      <sentence id="s1"><text>The food quality was great</text>
+        <Opinions>
+          <Opinion target="food" from="4" to="8"/>
+          <Opinion target="food quality" from="4" to="16"/>
+        </Opinions>
+      </sentence>
+    </sentences></Review></Reviews>"""
+    path = tmp_path / "overlap.xml"
+    path.write_text(xml, encoding="utf-8")
+    result = parse_semeval_xml(path)
+    sentence = result.sentences[0]
+    assert sentence.aspect_spans == [Span(1, 3, ASPECT)]
+    assert result.diagnostics == ["sentence 's1': char span [4, 8) overlaps [4, 16), dropped"]
+    assert result.skipped == 0
+    spans_to_labels(len(sentence.tokens), sentence.aspect_spans, ASPECT)
+
+
 def test_parse_drops_span_when_target_text_disagrees(tmp_path):
     xml = """<Reviews><Review><sentences>
       <sentence id="s1"><text>The food was fine</text>
@@ -224,6 +256,13 @@ def test_load_embeddings_wrong_count_names_line(tmp_path):
 def test_load_embeddings_non_numeric_names_line(tmp_path):
     path = write_embeddings(tmp_path, "1 3\nhond 1.0 x 3.0\n")
     with pytest.raises(DataFormatError, match="line 2"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+def test_load_embeddings_non_finite_names_line(tmp_path, value):
+    path = write_embeddings(tmp_path, f"2 3\nhond 1.0 2.0 3.0\nkat 0.5 {value} 3.0\n")
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 3: non-finite value")):
         load_embeddings(path)
 
 

@@ -214,6 +214,8 @@ def test_attention_unnormalized_column_rejected():
         attention_report(s, make_scores([0.5, 0.6], [0.5, 0.5]))
     with pytest.raises(ValueError, match="opinion_attention"):
         attention_report(s, make_scores([0.5, 0.5], [0.9, 0.2]))
+    with pytest.raises(ValueError, match="aspect_attention column sums to nan"):
+        attention_report(s, make_scores([np.nan, 0.5], [0.5, 0.5]))
 
 
 def test_attention_tolerates_tiny_rounding():

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cmla.model import (
     TrainConfig,
     TrainingDiverged,
     attention_layer,
+    classify,
     compose,
     embed_sentence,
     forward,
@@ -146,8 +148,38 @@ def test_attention_outputs_per_token():
     out = attention_layer(h_seq, params.aspect, params.aspect.prototype, params.opinion.prototype)
     assert out.features.data.shape == (3, 2) and out.logits.data.shape == (3, 3)
     for i, l in enumerate(out.logits.data):
-        assert out.raw_scores.data[i] == max(l[0], l[1])
         assert np.allclose(l, params.aspect.classifier.data @ out.features.data[i], atol=1e-15)
+    raw = np.maximum(out.logits.data[:, 0], out.logits.data[:, 1])
+    assert np.allclose(out.norm_scores.data, np.exp(raw) / np.exp(raw).sum(), atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_classify_gradcheck(n):
+    gen = np.random.default_rng(50 + n)
+    features = init_uniform((n, 3), -1, 1, gen)
+    classifier = init_uniform((3, 3), -1, 1, gen)
+    gold_a = random_gold(n, ASPECT, seed=n)
+    gold_p = random_gold(n, OPINION, seed=n + 1)
+
+    def f():
+        logits = classify(features, classifier)
+        return loss(logits, logits, gold_a, gold_p)
+
+    assert grad_check(f, [features, classifier]) < 1e-6
+
+
+def test_rows_unchanged_by_appended_row():
+    # the token-row products must not depend on the row count, or appending
+    # a token could change an earlier token's bits
+    gen = np.random.default_rng(32)
+    for _ in range(200):
+        n, d, k = (int(v) for v in gen.integers(1, 9, size=3))
+        h = gen.uniform(-1, 1, size=(n + 1, d))
+        u, maps = constant(gen.uniform(-1, 1, size=d)), constant(gen.uniform(-1, 1, size=(k, d, d)))
+        full = compose(constant(h), u, u, maps, maps).data
+        assert np.array_equal(compose(constant(h[:n]), u, u, maps, maps).data, full[:n])
+        w = constant(gen.uniform(-1, 1, size=(3, d)))
+        assert np.array_equal(classify(constant(h[:n]), w).data, classify(constant(h), w).data[:n])
 
 
 # --- update_prototype -------------------------------------------------------
@@ -187,6 +219,12 @@ def test_update_prototype_rejects_unnormalized_weights():
     bad = constant(np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="weight-sum violation beyond 1e-9"):
         update_prototype(u, bad, h_seq, constant(np.eye(2)))
+
+
+def test_update_prototype_rejects_nan_weights():
+    h_seq = random_rows(2, 2, seed=8)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        update_prototype(constant(np.zeros(2)), constant([np.nan, 1.0]), h_seq, constant(np.eye(2)))
 
 
 def test_update_prototype_rejects_length_mismatch():
@@ -512,6 +550,25 @@ def test_checkpoint_rejects_missing_tensor_and_bad_shape(tmp_path):
     p2.write_text(json.dumps(mangled), encoding="utf-8")
     with pytest.raises(DataFormatError, match="shape"):
         load_checkpoint(p2)
+
+
+def test_checkpoint_header_cannot_force_a_large_allocation(tmp_path):
+    # the stored tensors are dim 2; building a dim-300, 20-channel model
+    # before checking them would take about 70 MiB
+    params = CmlaParams.init(dim=2, channels=2, rng=45)
+    path = tmp_path / "big.json"
+    save_checkpoint(path, params)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["dim"], payload["channels"] = 300, 20
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="expected"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize(
