@@ -2,17 +2,17 @@
 
 The engine is small on purpose: each layer of the model is one node that
 `node` wraps around a numpy forward result and a hand-written backward,
-so a two-layer forward pass and its loss are about two dozen nodes
-whatever the sentence length. Only `add` and the matrix-vector `matmul`
-of the prototype update are generic primitives. Tensors are plain
-row-major numpy arrays with no implicit broadcasting. The graph is
-rebuilt for every loss; creation order doubles as a topological order,
-so backward() just sweeps reachable tensors in reverse creation order.
+so a two-layer forward pass and its loss are 21 nodes whatever the
+sentence length, and the engine has no generic primitives. Tensors are
+plain row-major numpy arrays. The graph is rebuilt for every loss;
+creation order doubles as a topological order, so backward() just sweeps
+reachable tensors in reverse creation order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -35,10 +35,6 @@ class Tensor:
         self.node_id = next(_NODE_IDS)
         self._parents = ()
         self._backprop = None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def item(self) -> float:
         return self.data.item()
@@ -65,8 +61,8 @@ def init_uniform(shape, lo: float, hi: float, rng) -> Tensor:
     dims = tuple(int(s) for s in shape)
     if len(dims) == 0 or any(s <= 0 for s in dims):
         raise ValueError(f"invalid shape {dims}: dimensions must be positive")
-    if not lo < hi:
-        raise ValueError(f"degenerate interval [{lo}, {hi}]: need lo < hi")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError(f"bad interval [{lo}, {hi}]: need lo < hi and a finite width")
     gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
     return Tensor(gen.uniform(lo, hi, size=dims), requires_grad=True)
 
@@ -83,30 +79,6 @@ def node(data, parents, backprop) -> Tensor:
         out._parents = tuple(parents)
         out._backprop = backprop
     return out
-
-
-# ---------------------------------------------------------------------------
-# primitives
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    return node(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for a matrix and a vector, in either order."""
-    ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 1:
-        backprop = lambda g: (np.outer(g, bd), ad.T @ g)
-    elif ad.ndim == 1 and bd.ndim == 2:
-        backprop = lambda g: (bd @ g, np.outer(ad, g))
-    else:
-        raise ValueError(f"matmul supports 2d x 1d and 1d x 2d; got {ad.ndim}d x {bd.ndim}d")
-    if ad.shape[-1] != bd.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
-    return node(ad @ bd, (a, b), backprop)
 
 
 # ---------------------------------------------------------------------------

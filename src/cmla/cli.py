@@ -30,6 +30,7 @@ from .data import (
     generate_synthetic,
     load_embeddings,
     load_lexicon,
+    open_text,
     parse_semeval_xml,
     save_embeddings,
     save_lexicon,
@@ -107,6 +108,14 @@ _SCHEMAS = {
 
 _INPUT_PATH_KEYS = ("data", "embeddings", "lexicon", "checkpoint", "input")
 
+# numeric option -> the values it accepts, checked before any file is read
+# or written; `not test(v)` rejects NaN as well
+_RANGES = {
+    "positive": (lambda v: v > 0, ("lr", "clip", "channels", "layers", "buckets", "sentences", "dim")),
+    "positive and finite": (lambda v: 0 < v < float("inf"), ("init_scale",)),
+    "nonnegative": (lambda v: v >= 0, ("epochs", "seed", "top")),
+}
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cmla", description=__doc__.splitlines()[0])
@@ -161,6 +170,10 @@ def _merge_options(args, schema) -> dict:
         merged[dest] = value
     if missing:
         raise UsageError(f"missing required options: {', '.join(missing)}")
+    for need, (test, keys) in _RANGES.items():
+        for key in keys:
+            if key in merged and not test(merged[key]):
+                raise UsageError(f"--{key.replace('_', '-')} must be {need}, got {merged[key]!r}")
     for key in _INPUT_PATH_KEYS:
         path = merged.get(key)
         if path and not os.path.isfile(path):
@@ -171,9 +184,7 @@ def _merge_options(args, schema) -> dict:
 def _oov_policy(cfg) -> OovPolicy:
     if cfg["oov"] not in ("zero_vector", "hash_bucket"):
         raise UsageError(f"unknown OOV policy {cfg['oov']!r}")
-    if cfg["oov"] == "hash_bucket":
-        return OovPolicy("hash_bucket", buckets=cfg["buckets"])
-    return OovPolicy()
+    return OovPolicy(cfg["oov"], buckets=cfg["buckets"])
 
 
 def _load_corpus(cfg):
@@ -210,16 +221,6 @@ def _cmd_synth(cfg) -> int:
 
 
 def _cmd_train(cfg) -> int:
-    for key, ok, need in (
-        ("lr", cfg["lr"] > 0, "positive"),
-        ("epochs", cfg["epochs"] >= 0, "nonnegative"),
-        ("clip", cfg["clip"] > 0, "positive"),
-        ("channels", cfg["channels"] > 0, "positive"),
-        ("layers", cfg["layers"] >= 1, "at least 1"),
-        ("init_scale", cfg["init_scale"] > 0, "positive"),
-    ):
-        if not ok:
-            raise UsageError(f"--{key.replace('_', '-')} must be {need}, got {cfg[key]!r}")
     table = load_embeddings(cfg["embeddings"], oov=_oov_policy(cfg))
     sentences = _load_corpus(cfg)
     params = CmlaParams.init(
@@ -265,7 +266,7 @@ def _cmd_predict(cfg) -> int:
             f"checkpoint dimension {params.dim} != embedding dimension {table.dim}"
         )
     if cfg["input"]:
-        with open(cfg["input"], encoding="utf-8") as fh:
+        with open_text(cfg["input"]) as fh:
             lines = fh.readlines()
     else:
         lines = sys.stdin.readlines()

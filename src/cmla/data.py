@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,6 +19,23 @@ from .bio import ASPECT, OPINION, Span
 
 class DataFormatError(ValueError):
     """Malformed input file; message carries the offending line where known."""
+
+
+@contextmanager
+def open_text(path):
+    """Open `path` for reading as UTF-8; undecodable bytes raise a
+    DataFormatError naming the first line that holds them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise DataFormatError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})") from None
 
 
 @dataclass(frozen=True)
@@ -98,6 +116,8 @@ def parse_semeval_xml(path) -> ParseResult:
     except ET.ParseError as exc:
         line, col = exc.position
         raise DataFormatError(f"{path}: XML parse error at line {line}, column {col}: {exc.msg}") from exc
+    except (LookupError, ValueError) as exc:   # a declared encoding expat cannot read
+        raise DataFormatError(f"{path}: XML encoding error: {exc}") from None
 
     result = ParseResult(sentences=[])
     for elem in tree.getroot().iter("sentence"):
@@ -206,7 +226,7 @@ def load_embeddings(path, oov: OovPolicy = OovPolicy()) -> EmbeddingTable:
     """Load the text embedding format: 'vocab dim' header, then one word
     plus dim space-separated reals per line. Duplicate words keep the last
     vector and bump the table's duplicate counter."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise DataFormatError(f"{path}: line 1: header must be 'vocab_size dim'")
@@ -273,12 +293,16 @@ def cosine_neighbors(table: EmbeddingTable, word: str, top: int = 5):
 # opinion lexicon
 
 
+def _is_lexicon_word(word: str) -> bool:
+    return bool(word) and word == word.lower() and not any(c.isspace() for c in word)
+
+
 @dataclass(frozen=True)
 class OpinionLexicon:
     words: frozenset
 
     def __post_init__(self):
-        bad = [w for w in self.words if not w or w != w.lower() or any(c.isspace() for c in w)]
+        bad = [w for w in self.words if not _is_lexicon_word(w)]
         if bad:
             raise ValueError(f"lexicon entries must be lowercase single words, got {bad[:5]}")
 
@@ -287,9 +311,21 @@ class OpinionLexicon:
 
 
 def load_lexicon(path) -> OpinionLexicon:
-    with open(path, encoding="utf-8") as fh:
-        words = frozenset(line.strip() for line in fh if line.strip())
-    return OpinionLexicon(words)
+    """One lowercase word per line; blank lines are ignored."""
+    words = set()
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            word = line.strip()
+            if not word:
+                continue
+            if not _is_lexicon_word(word):
+                raise DataFormatError(
+                    f"{path}: line {lineno}: lexicon entries must be lowercase single words, got {word!r}"
+                )
+            words.add(word)
+    if not words:
+        raise DataFormatError(f"{path}: opinion lexicon is empty")
+    return OpinionLexicon(frozenset(words))
 
 
 def save_lexicon(path, lexicon: OpinionLexicon):

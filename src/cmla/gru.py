@@ -33,6 +33,14 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def init_tensor(name: str, shape, scale: float, gen) -> Tensor:
+    """A fresh parameter: zeros for a bias (last name part `b_*`), else
+    entries drawn from U(-scale, scale) with `gen`."""
+    if name.rpartition(".")[2].startswith("b_"):
+        return zeros(shape, requires_grad=True)
+    return init_uniform(shape, -scale, scale, gen)
+
+
 @dataclass
 class GruParams:
     """Nine learnable tensors of one cell.
@@ -52,23 +60,10 @@ class GruParams:
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng, scale: float = 0.2):
-        """Uniform(-scale, scale) weights, zero biases."""
+        """Uniform(-scale, scale) weights, zero biases, drawn in shapes() order."""
         gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
-
-        def w(rows, cols):
-            return init_uniform((rows, cols), -scale, scale, gen)
-
-        return cls(
-            W_z=w(hidden_dim, input_dim),
-            W_r=w(hidden_dim, input_dim),
-            W_h=w(hidden_dim, input_dim),
-            U_z=w(hidden_dim, hidden_dim),
-            U_r=w(hidden_dim, hidden_dim),
-            U_h=w(hidden_dim, hidden_dim),
-            b_z=zeros(hidden_dim, requires_grad=True),
-            b_r=zeros(hidden_dim, requires_grad=True),
-            b_h=zeros(hidden_dim, requires_grad=True),
-        )
+        return cls(**{name: init_tensor(name, shape, scale, gen)
+                      for name, shape in cls.shapes(input_dim, hidden_dim).items()})
 
     @property
     def input_dim(self) -> int:
@@ -90,12 +85,6 @@ class GruParams:
             "U_z": (h, h), "U_r": (h, h), "U_h": (h, h),
             "b_z": (h,), "b_r": (h,), "b_h": (h,),
         }
-
-    def check_shapes(self):
-        for name, shape in self.shapes(self.input_dim, self.hidden_dim).items():
-            got = getattr(self, name).data.shape
-            if got != shape:
-                raise ValueError(f"GRU param {name} has shape {got}, expected {shape}")
 
 
 def gru_run(xs: Tensor, p: GruParams) -> Tensor:

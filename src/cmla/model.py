@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bio
-from .autodiff import Tensor, add, backward, constant, init_uniform, matmul, node
+from .autodiff import Tensor, backward, constant, node
 from .bio import ASPECT, OPINION, LabelSeq, labels_to_spans, merge_heads
-from .data import DataFormatError
-from .gru import GRU_FIELDS, GruParams, gru_run
+from .data import DataFormatError, open_text
+from .gru import GRU_FIELDS, GruParams, gru_run, init_tensor
 
 # class order shared by logits, gold indices and checkpointed classifiers
 CLASS_ORDER = (bio.B, bio.I, bio.O)
@@ -77,23 +77,11 @@ class CmlaParams:
         if layers < 1:
             raise ValueError(f"need at least one layer, got {layers}")
         gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
-
-        def head():
-            return HeadParams(
-                prototype=init_uniform((dim,), -PROTOTYPE_INIT, PROTOTYPE_INIT, gen),
-                comp=init_uniform((channels, dim, dim), -init_scale, init_scale, gen),
-                cross=init_uniform((channels, dim, dim), -init_scale, init_scale, gen),
-                att_gru=GruParams.init(2 * channels, channels, gen, scale=init_scale),
-                classifier=init_uniform((3, channels), -init_scale, init_scale, gen),
-                proto_map=init_uniform((dim, dim), -init_scale, init_scale, gen),
-            )
-
-        return cls(
-            ctx_gru=GruParams.init(dim, dim, gen, scale=init_scale),
-            aspect=head(),
-            opinion=head(),
-            layers=layers,
-        )
+        tensors = {}
+        for name, shape in cls.shapes(dim, channels).items():
+            band = PROTOTYPE_INIT if name.endswith(".prototype") else init_scale
+            tensors[name] = init_tensor(name, shape, band, gen)
+        return cls.from_named(tensors, layers)
 
     def named_tensors(self) -> dict:
         out = {f"ctx_gru.{k}": v for k, v in self.ctx_gru.tensors().items()}
@@ -201,15 +189,24 @@ def attention_layer(h_seq: Tensor, head: HeadParams, u_self: Tensor, u_other: Te
 
 def update_prototype(u: Tensor, norm_scores: Tensor, h_seq: Tensor, proto_map: Tensor) -> Tensor:
     """Attention-weighted feedback: u' = u + proto_map (w^T H)."""
-    n = h_seq.data.shape[0]
-    if norm_scores.data.shape != (n,):
-        raise ValueError(f"{n} hidden states but scores of shape {norm_scores.data.shape}")
-    total = float(norm_scores.data.sum())
+    w, h, m = norm_scores.data, h_seq.data, proto_map.data
+    n = h.shape[0]
+    if w.shape != (n,):
+        raise ValueError(f"{n} hidden states but scores of shape {w.shape}")
+    if h.ndim != 2 or m.shape != (*u.data.shape, h.shape[1]):
+        raise ValueError(f"prototype {u.data.shape}, map {m.shape} and states {h.shape} do not fit")
+    total = float(w.sum())
     if not np.isfinite(total):
         raise FloatingPointError(f"non-finite attention weights (sum {total!r})")
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weight-sum violation beyond 1e-9: weights sum to {total!r}")
-    return add(u, matmul(proto_map, matmul(norm_scores, h_seq)))
+    pooled = w @ h
+
+    def backprop(g):
+        mg = m.T @ g
+        return (g, h @ mg, np.outer(w, mg), np.outer(g, pooled))
+
+    return node(u.data + m @ pooled, (u, norm_scores, h_seq, proto_map), backprop)
 
 
 @dataclass
@@ -280,11 +277,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
-        if self.clip <= 0:
+        if not self.clip > 0:
             raise ValueError(f"clip threshold must be positive, got {self.clip}")
 
 
@@ -310,7 +307,8 @@ def train(sentences, table, params: CmlaParams, config: TrainConfig) -> list:
     Sentence order is reshuffled every epoch from a generator seeded with
     config.seed, so two runs with identical inputs produce identical
     parameters and traces. The trace holds one mean per-sentence loss per
-    epoch. Any non-finite loss or attention weight aborts immediately.
+    epoch. Any overflow, invalid operation or non-finite loss or attention
+    weight aborts immediately.
     """
     sentences = list(sentences)
     if not sentences:
@@ -324,18 +322,20 @@ def train(sentences, table, params: CmlaParams, config: TrainConfig) -> list:
         epoch_total = 0.0
         for idx in order_gen.permutation(len(sentences)):
             try:
-                value = sentence_loss(sentences[idx], table, params)
-                if not np.isfinite(value.data):
-                    raise FloatingPointError("non-finite loss")
+                # the first overflow or invalid operation of the step raises
+                with np.errstate(over="raise", invalid="raise"):
+                    value = sentence_loss(sentences[idx], table, params)
+                    if not np.isfinite(value.data):
+                        raise FloatingPointError("non-finite loss")
+                    grads = backward(value)
+                    clip_gradients(grads, tensors, config.clip)
+                    for t in tensors:
+                        g = grads.get(t)
+                        if g is not None:
+                            t.data -= config.lr * np.asarray(g)
             except FloatingPointError as exc:
                 raise TrainingDiverged(f"{exc} at epoch {epoch}, sentence index {int(idx)}") from None
             epoch_total += value.item()
-            grads = backward(value)
-            clip_gradients(grads, tensors, config.clip)
-            for t in tensors:
-                g = grads.get(t)
-                if g is not None:
-                    t.data -= config.lr * np.asarray(g)
         trace.append(epoch_total / len(sentences))
     return trace
 
@@ -435,25 +435,25 @@ def save_checkpoint(path, params: CmlaParams):
 def load_checkpoint(path) -> CmlaParams:
     """Read a checkpoint back; every stored tensor is checked against the
     shape its header implies before the parameters are built from them."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open_text(path) as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
+    except DataFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:   # ValueError: also a too-long integer
+        raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {payload.get('version')!r}")
-    try:
-        dim, channels, layers = (int(payload[key]) for key in ("dim", "channels", "layers"))
-        stored = payload["tensors"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: malformed checkpoint: {exc}") from None
-    if dim <= 0 or channels <= 0 or layers < 1:
-        raise DataFormatError(
-            f"{path}: malformed checkpoint: dim {dim}, channels {channels}, layers {layers}"
-        )
-
+    # JSON integers only: true, 2.0 or "2" are not silently converted
+    version = payload.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise DataFormatError(f"{path}: unsupported version {version!r}")
+    header = [payload.get(key) for key in ("dim", "channels", "layers")]
+    if not all(type(v) is int and v >= 1 for v in header):
+        raise DataFormatError(f"{path}: malformed checkpoint: dim, channels and layers "
+                              f"must be positive integers, got {header}")
+    dim, channels, layers = header
+    stored = payload.get("tensors")
     if not isinstance(stored, dict):
         raise DataFormatError(f"{path}: malformed checkpoint: tensors is not an object")
     shapes = CmlaParams.shapes(dim, channels)
@@ -473,7 +473,7 @@ def load_checkpoint(path) -> CmlaParams:
         try:
             values = np.array(entry["values"])
             numeric = values.ndim == 1 and values.dtype.kind in "if" and np.isfinite(values).all()
-        except ValueError:   # ragged nesting
+        except ValueError:   # ragged nesting, or deeper than numpy's 64 axes
             numeric = False
         if not numeric:
             raise DataFormatError(f"{path}: tensor {name} values are not a list of finite numbers")

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmla.autodiff import Tensor, add, backward, constant, grad_check, init_uniform, matmul, node, zeros
+from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
 from cmla.bio import ASPECT, OPINION, LabelSeq
 from cmla.gru import sigmoid
-from cmla.model import CLASS_INDEX, CLASS_ORDER, attend, compose, loss
+from cmla.model import CLASS_INDEX, CLASS_ORDER, attend, compose, loss, update_prototype
 
 
 def randt(shape, seed=0, lo=-1.0, hi=1.0):
@@ -20,6 +20,11 @@ def dot(a, b):
 
 def total(t):
     return dot(t, constant(np.ones(t.data.shape)))
+
+
+def plus(a, b):
+    """Elementwise a + b as one node, for graphs with a shared input."""
+    return node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 # --- init_uniform ---------------------------------------------------------
@@ -44,56 +49,54 @@ def test_init_uniform_rejects_bad_shapes_and_intervals():
         init_uniform((2,), 0.0, 0.0, 0)
     with pytest.raises(ValueError):
         init_uniform((2,), 1.0, -1.0, 0)
+    with pytest.raises(ValueError):   # the width 2e308 overflows
+        init_uniform((2,), -1e308, 1e308, 0)
 
 
-# --- matmul ---------------------------------------------------------------
+# --- the matrix-vector products of update_prototype: u + M (w^T H) -----------
 
 
 def test_matmul_identity():
-    v = constant([1.0, -2.0])
-    assert np.array_equal(matmul(constant(np.eye(2)), v).data, v.data)
-    assert np.array_equal(matmul(v, constant(np.eye(2))).data, v.data)
+    # zero prototype, identity map, one-hot weights: the update is one state
+    h = constant([[1.0, -2.0], [3.0, 0.5], [-4.0, 2.5]])
+    out = update_prototype(zeros(2), constant([0.0, 1.0, 0.0]), h, constant(np.eye(2)))
+    assert np.array_equal(out.data, h.data[1])
 
 
 def test_matmul_hand_case():
-    assert matmul(constant([[1.0, 2.0]]), constant([3.0, 4.0])).data.tolist() == [11.0]
-    assert matmul(constant([3.0, 4.0]), constant([[1.0], [2.0]])).data.tolist() == [11.0]
+    # w^T H = 0.25 [1, 2] + 0.75 [3, 4] = [2.5, 3.5]; [1, 1] . [2.5, 3.5] = 6
+    out = update_prototype(constant([0.5]), constant([0.25, 0.75]),
+                           constant([[1.0, 2.0], [3.0, 4.0]]), constant([[1.0, 1.0]]))
+    assert out.data.tolist() == [6.5]
 
 
 def test_matmul_grad_of_sum_matches_closed_form():
-    a = randt((3, 4), seed=1)
-    b = randt((4,), seed=2)
-    grads = backward(total(matmul(a, b)))
-    assert np.allclose(grads[a], np.outer(np.ones(3), b.data))
-    assert np.allclose(grads[b], a.data.T @ np.ones(3))
-
-
-def test_matmul_vector_cases_gradcheck():
-    m = randt((3, 4), seed=3)
-    v = randt((4,), seed=4)
-
-    def square(t):
-        return dot(t, t)
-
-    assert grad_check(lambda: square(matmul(m, v)), [m, v]) < 1e-6
-    w = randt((3,), seed=5)
-    assert grad_check(lambda: square(matmul(w, m)), [w, m]) < 1e-6
+    u, m, h = randt((3,), seed=1), randt((3, 4), seed=2), randt((5, 4), seed=3)
+    raw = np.random.default_rng(4).uniform(0.1, 1.0, size=5)
+    w = Tensor(raw / raw.sum(), requires_grad=True)
+    grads = backward(total(update_prototype(u, w, h, m)))
+    ones = np.ones(3)
+    assert np.array_equal(grads[u], ones)
+    assert np.allclose(grads[w], h.data @ (m.data.T @ ones))
+    assert np.allclose(grads[h], np.outer(w.data, m.data.T @ ones))
+    assert np.allclose(grads[m], np.outer(ones, w.data @ h.data))
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(ValueError):
-        matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
-    with pytest.raises(ValueError):
-        matmul(constant(np.ones((2, 3))), constant(np.ones((3, 2))))
-    with pytest.raises(ValueError):
-        matmul(constant(np.ones(3)), constant(np.ones(3)))
-    with pytest.raises(ValueError):
-        matmul(constant(np.ones((2, 3))), constant(np.ones(2)))
+    w, u = constant([0.5, 0.5]), constant(np.zeros(2))
+    with pytest.raises(ValueError):   # map columns != state width
+        update_prototype(u, w, constant(np.ones((2, 3))), constant(np.eye(2)))
+    with pytest.raises(ValueError):   # states not a matrix
+        update_prototype(u, w, constant(np.ones(2)), constant(np.eye(2)))
+    with pytest.raises(ValueError):   # map not a matrix
+        update_prototype(u, w, constant(np.ones((2, 2))), constant(np.ones(2)))
 
 
 def test_add_shape_mismatch():
+    # the prototype must have one entry per map row
     with pytest.raises(ValueError):
-        add(constant(np.ones(3)), constant(np.ones(4)))
+        update_prototype(constant(np.zeros(3)), constant([1.0]), constant(np.ones((1, 2))),
+                         constant(np.eye(2)))
 
 
 # --- the model's one-node ops: tanh of bilinear forms (compose), softmax of
@@ -245,7 +248,7 @@ def test_backward_quadratic():
 
 def test_backward_accumulates_through_shared_nodes():
     w = randt((3,), seed=20)
-    y = add(w, w)
+    y = plus(w, w)
     grads = backward(total(y))
     assert np.array_equal(grads[w], np.full(3, 2.0))
 
@@ -253,7 +256,7 @@ def test_backward_accumulates_through_shared_nodes():
 def test_backward_rejects_nonscalar():
     w = randt((3,), seed=21)
     with pytest.raises(ValueError):
-        backward(add(w, w))
+        backward(plus(w, w))
 
 
 def test_backward_skips_constants():
@@ -274,7 +277,7 @@ def test_backward_overwrites_stale_grad():
 
 def test_constant_graph_is_pruned():
     a, b = constant(np.ones(2)), constant(np.ones(2))
-    out = add(a, b)
+    out = plus(a, b)
     assert not out.requires_grad
     assert out._parents == ()
 
@@ -302,9 +305,9 @@ def test_grad_check_coordinate_sampling():
 def test_determinism_two_identical_graphs():
     def run():
         gen = np.random.default_rng(99)
-        a = init_uniform((4, 4), -1, 1, gen)
+        a = init_uniform((4,), -1, 1, gen)
         v = init_uniform((4,), -1, 1, gen)
-        out = matmul(a, v)
+        out = plus(a, v)
         return dot(out, out).item()
 
     assert run() == run()

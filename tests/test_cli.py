@@ -94,8 +94,9 @@ def test_missing_input_file_exits_one(workspace, capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--lr", "-1"), ("--lr", "nan"), ("--epochs", "-1"), ("--clip", "0"),
-     ("--channels", "0"), ("--layers", "0"), ("--init-scale", "0")],
+    [("--lr", "-1"), ("--lr", "nan"), ("--epochs", "-1"), ("--clip", "0"), ("--clip", "nan"),
+     ("--channels", "0"), ("--layers", "0"), ("--init-scale", "0"), ("--init-scale", "inf"),
+     ("--seed", "-1"), ("--buckets", "0")],
 )
 def test_invalid_training_hyperparameter_exits_one(workspace, capsys, tmp_path, flag, value):
     data, _ = workspace
@@ -105,10 +106,36 @@ def test_invalid_training_hyperparameter_exits_one(workspace, capsys, tmp_path, 
         "--embeddings", str(data / "embeddings.txt"),
         "--lexicon", str(data / "lexicon.txt"),
         "--out", str(tmp_path / "out"),
+        "--oov", "hash_bucket",
         flag, value,
     )
     assert code == 1
     assert f"{flag} must be" in stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("synth", "--sentences", "-3"), ("synth", "--sentences", "0"), ("synth", "--dim", "0"),
+     ("synth", "--seed", "-1"), ("inspect", "--top", "-2"), ("predict", "--buckets", "0"),
+     ("eval", "--buckets", "0")],
+)
+def test_invalid_option_value_exits_one(workspace, capsys, tmp_path, command, flag, value):
+    data, run_dir = workspace
+    files = {
+        "synth": ["--out", str(tmp_path / "out")],
+        "inspect": ["--embeddings", str(data / "embeddings.txt"), "dag"],
+        "predict": ["--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--embeddings", str(data / "embeddings.txt"), "--oov", "hash_bucket"],
+        "eval": ["--data", str(data / "corpus.xml"), "--embeddings", str(data / "embeddings.txt"),
+                 "--lexicon", str(data / "lexicon.txt"),
+                 "--checkpoint", str(run_dir / "checkpoint.json"),
+                 "--out", str(tmp_path / "out"), "--oov", "hash_bucket"],
+    }
+    code, stdout, stderr = run(capsys, command, *files[command], flag, value)
+    assert code == 1
+    assert stderr.startswith(f"cmla: {flag} must be ")
+    assert stdout == ""
     assert not (tmp_path / "out").exists()
 
 
@@ -151,7 +178,7 @@ def test_nan_embeddings_exit_two(workspace, capsys, tmp_path):
     assert f"{bad}: line 2: non-finite value" in stderr
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflow is the point
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # the overflow must not leak as a warning
 def test_diverging_training_exits_three(workspace, capsys, tmp_path):
     data, _ = workspace
     code, _, stderr = run(
@@ -164,7 +191,8 @@ def test_diverging_training_exits_three(workspace, capsys, tmp_path):
         "--lr", "1e300",
     )
     assert code == 3
-    assert "sentence index" in stderr
+    assert stderr.startswith("cmla: overflow encountered")
+    assert stderr.count("\n") == 1 and "sentence index" in stderr
 
 
 def test_no_subcommand_exits_one(capsys):

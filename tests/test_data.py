@@ -217,6 +217,14 @@ def test_parse_resolves_overlapping_targets(tmp_path):
     spans_to_labels(len(sentence.tokens), sentence.aspect_spans, ASPECT)
 
 
+@pytest.mark.parametrize("encoding", ["utf-32", "rot13", "no-such-codec"])
+def test_parse_unreadable_declared_encoding_is_format_error(tmp_path, encoding):
+    path = tmp_path / "enc.xml"
+    path.write_text(f'<?xml version="1.0" encoding="{encoding}"?><Reviews/>', encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(str(path))):
+        parse_semeval_xml(path)
+
+
 def test_parse_drops_span_when_target_text_disagrees(tmp_path):
     xml = """<Reviews><Review><sentences>
       <sentence id="s1"><text>The food was fine</text>
@@ -343,6 +351,35 @@ def test_lexicon_save_load(tmp_path):
     path = tmp_path / "lex.txt"
     save_lexicon(path, lex)
     assert load_lexicon(path).words == lex.words
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [("prima\nGoede\n", 2, "'Goede'"), ("prima\n\ngoede smaak\n", 3, "'goede smaak'")],
+)
+def test_load_lexicon_bad_entry_names_file_and_line(tmp_path, text, line, message):
+    path = tmp_path / "lex.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: line {line}: ") + ".*" + message):
+        load_lexicon(path)
+
+
+def test_load_lexicon_empty_names_file(tmp_path):
+    path = tmp_path / "lex.txt"
+    path.write_text("\n  \n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: opinion lexicon is empty")):
+        load_lexicon(path)
+
+
+@pytest.mark.parametrize(
+    "loader, data",
+    [(load_lexicon, b"prima\nw\xe9\n"), (load_embeddings, b"1 2\nw\xe9 0.5 0.5\n")],
+)
+def test_non_utf8_input_names_file_and_line(tmp_path, loader, data):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 2: not UTF-8")):
+        loader(path)
 
 
 def test_annotate_opinions_figure_sentence():

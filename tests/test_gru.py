@@ -3,6 +3,7 @@ import pytest
 
 from cmla.autodiff import constant, grad_check, init_uniform, node, zeros
 from cmla.gru import GRU_FIELDS, GruParams, gru_run, sigmoid
+from cmla.model import CmlaParams
 
 
 def dot(a, b):
@@ -23,7 +24,7 @@ def rows(gen, n, d, lo=-1.0, hi=1.0):
 
 def test_init_shapes_and_zero_biases():
     p = GruParams.init(3, 5, rng=1)
-    p.check_shapes()
+    assert {name: t.data.shape for name, t in p.tensors().items()} == GruParams.shapes(3, 5)
     assert p.input_dim == 3 and p.hidden_dim == 5
     assert np.array_equal(p.b_z.data, np.zeros(5))
     assert all(t.requires_grad for t in p.tensors().values())
@@ -156,7 +157,8 @@ def test_output_stays_in_convex_hull_of_tanh_band_and_h0():
 
 
 def test_check_shapes_catches_corruption():
-    p = GruParams.init(2, 3, rng=10)
-    p.U_h = zeros((2, 2), requires_grad=True)
-    with pytest.raises(ValueError):
-        p.check_shapes()
+    # a model's shape check covers every tensor of its GRU cells
+    params = CmlaParams.init(dim=3, channels=2, rng=10)
+    params.aspect.att_gru.U_h = zeros((3, 3), requires_grad=True)
+    with pytest.raises(ValueError, match="aspect.att_gru.U_h"):
+        params.check_shapes()

@@ -1,19 +1,22 @@
 import copy
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, zeros
+from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
 from cmla.bio import ASPECT, B, I, O, OPINION, LabelSeq, Span
 from cmla.data import DataFormatError, SynthConfig, generate_synthetic
 from cmla.model import (
     CLASS_INDEX,
     CLASS_ORDER,
+    PROTOTYPE_INIT,
     CmlaParams,
     TrainConfig,
     TrainingDiverged,
+    attend,
     attention_layer,
     classify,
     compose,
@@ -62,6 +65,23 @@ def test_init_shapes_and_prototype_band():
     names = set(params.named_tensors())
     assert "ctx_gru.W_z" in names and "aspect.comp" in names and "opinion.proto_map" in names
     assert len(names) == 9 + 2 * (9 + 5)
+
+
+def test_init_draws_every_tensor_in_shapes_order():
+    # zero biases, the prototype band, init_scale for everything else
+    params = CmlaParams.init(dim=3, channels=2, rng=5, layers=3, init_scale=0.7)
+    shapes = CmlaParams.shapes(3, 2)
+    named = params.named_tensors()
+    assert list(named) == list(shapes) and params.layers == 3
+    gen = np.random.default_rng(5)
+    for name, shape in shapes.items():
+        if name.rpartition(".")[2].startswith("b_"):
+            expected = np.zeros(shape)
+        else:
+            band = PROTOTYPE_INIT if name.endswith(".prototype") else 0.7
+            expected = gen.uniform(-band, band, size=shape)
+        assert named[name].requires_grad
+        assert np.array_equal(named[name].data, expected), name
 
 
 def test_init_validation():
@@ -225,6 +245,23 @@ def test_update_prototype_rejects_nan_weights():
     h_seq = random_rows(2, 2, seed=8)
     with pytest.raises(FloatingPointError, match="non-finite"):
         update_prototype(constant(np.zeros(2)), constant([np.nan, 1.0]), h_seq, constant(np.eye(2)))
+
+
+def test_update_prototype_gradcheck():
+    # w enters through attend, since a finite difference on w itself
+    # breaks its sum-to-one check; the closed form of dL/dw is pinned by
+    # test_autodiff's test_matmul_grad_of_sum_matches_closed_form
+    gen = np.random.default_rng(30)
+    probe = constant(gen.uniform(-1, 1, size=3))
+    for n in (1, 4):
+        u, logits = init_uniform((3,), -1, 1, gen), init_uniform((n, 3), -1, 1, gen)
+        h_seq, proto_map = init_uniform((n, 4), -1, 1, gen), init_uniform((3, 4), -1, 1, gen)
+
+        def f():
+            out = update_prototype(u, attend(logits), h_seq, proto_map)
+            return node(np.vdot(out.data, probe.data), (out,), lambda g: (g * probe.data,))
+
+        assert grad_check(f, [u, logits, h_seq, proto_map]) < 1e-6
 
 
 def test_update_prototype_rejects_length_mismatch():
@@ -402,6 +439,11 @@ def test_train_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
         TrainConfig(clip=0.0)
+    # NaN compares false with everything, so it must fail `not x > 0`
+    with pytest.raises(ValueError, match="learning rate"):
+        TrainConfig(lr=float("nan"))
+    with pytest.raises(ValueError, match="clip"):
+        TrainConfig(clip=float("nan"))
 
 
 def test_no_dead_parameters_on_fixture(tiny_corpus):
@@ -608,6 +650,36 @@ def test_checkpoint_rejects_non_object_payloads(tmp_path):
     payload["tensors"] = list(payload["tensors"])
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(DataFormatError, match="tensors"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "key, literal",
+    [("dim", "true"), ("dim", "2.7"), ("dim", '"2"'), ("channels", "2.0"), ("layers", "true"),
+     ("dim", "1e400"), ("layers", "Infinity"), ("channels", "-Infinity"), ("dim", "NaN"),
+     pytest.param("dim", "9" * 5000, id="dim-5000-digits"), ("version", "true"), ("version", "1.0")],
+)
+def test_checkpoint_header_values_must_be_json_integers(tmp_path, key, literal):
+    path = tmp_path / "header.json"
+    save_checkpoint(path, CmlaParams.init(dim=2, channels=2, rng=46))
+    text, count = re.subn(f'"{key}": [0-9]+', f'"{key}": {literal}', path.read_text(encoding="utf-8"))
+    assert count == 1
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_checkpoint_deep_nesting_is_a_format_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format": "cmla-checkpoint",\n "version": "\xe9t\xe9"}\n')
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 2: not UTF-8")):
         load_checkpoint(path)
 
 
