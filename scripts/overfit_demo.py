@@ -12,7 +12,7 @@ import argparse
 import time
 
 from cmla.data import SynthConfig, generate_synthetic
-from cmla.evaluation import attention_report, attention_tsv, metrics_table, score_corpus
+from cmla.evaluation import attention_tsv, metrics_table, score_corpus
 from cmla.model import CmlaParams, TrainConfig, predict, train
 
 
@@ -53,7 +53,7 @@ def main():
         print()
         print(f"{sentence.source_id}: {sentence.raw_text}")
         print(f"  merged tags: {' '.join(pred.merged)}")
-        print(attention_tsv(attention_report(sentence, pred.token_scores)), end="")
+        print(attention_tsv(sentence, pred), end="")
 
 
 if __name__ == "__main__":

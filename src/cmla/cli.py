@@ -37,7 +37,7 @@ from .data import (
     tokenize,
     write_semeval_xml,
 )
-from .evaluation import attention_report, attention_tsv, metrics_table, metrics_tsv, score_corpus
+from .evaluation import attention_tsv, metrics_table, metrics_tsv, score_corpus
 from .model import (
     CmlaParams,
     TrainConfig,
@@ -112,7 +112,9 @@ _INPUT_PATH_KEYS = ("data", "embeddings", "lexicon", "checkpoint", "input")
 # or written; `not test(v)` rejects NaN as well
 _RANGES = {
     "positive": (lambda v: v > 0, ("lr", "clip", "channels", "layers", "buckets", "sentences", "dim")),
-    "positive and finite": (lambda v: 0 < v < float("inf"), ("init_scale",)),
+    # init_uniform draws from [-v, v], whose width 2 v must be finite
+    f"positive and at most {sys.float_info.max / 2!r}": (
+        lambda v: 0 < v <= sys.float_info.max / 2, ("init_scale",)),
     "nonnegative": (lambda v: v >= 0, ("epochs", "seed", "top")),
 }
 
@@ -281,8 +283,6 @@ def _cmd_predict(cfg) -> int:
             raw_text=text, tokens=tokenize(text),
             aspect_spans=[], opinion_spans=[], source_id=f"input-{n}",
         )
-        if not sentence.tokens:
-            continue
         pred = predict(sentence, table, params)
         print(f"sentence {n}: {text}")
         for head, spans in ((ASPECT, pred.aspect_spans), (OPINION, pred.opinion_spans)):
@@ -291,7 +291,7 @@ def _cmd_predict(cfg) -> int:
             )
             print(f"  {head} spans: {shown if shown else '(none)'}")
         print(f"  merged tags: {' '.join(pred.merged)}")
-        sys.stdout.write(attention_tsv(attention_report(sentence, pred.token_scores)))
+        sys.stdout.write(attention_tsv(sentence, pred))
         print()
     if n == 0:
         print("no sentences on input", file=sys.stderr)

@@ -377,10 +377,6 @@ class SynthConfig:
     n_sentences: int = 20
     seed: int = 42
     dim: int = 12
-    templates: tuple = DEFAULT_TEMPLATES
-    aspect_words: tuple = DEFAULT_ASPECT_WORDS
-    opinion_words: tuple = DEFAULT_OPINION_WORDS
-    include_showcase: bool = True
 
 
 def showcase_sentences() -> list:
@@ -408,25 +404,20 @@ def generate_synthetic(cfg: SynthConfig):
     Every distinct surface form gets its own uniform random vector, so the
     corpus is trivially separable and suitable for overfit tests.
     """
-    for template in cfg.templates:
-        words = template.split()
-        if "ASPECT" not in words or "OPINION" not in words:
-            raise ValueError(f"template {template!r} needs ASPECT and OPINION slots")
-
     gen = np.random.default_rng(cfg.seed)
-    sentences = list(showcase_sentences()) if cfg.include_showcase else []
+    sentences = showcase_sentences()
     while len(sentences) < cfg.n_sentences:
-        template = cfg.templates[int(gen.integers(len(cfg.templates)))]
+        template = DEFAULT_TEMPLATES[int(gen.integers(len(DEFAULT_TEMPLATES)))]
         words = []
         aspect_spans = []
         opinion_spans = []
         for slot in template.split():
             idx = len(words)
             if slot == "ASPECT":
-                words.append(cfg.aspect_words[int(gen.integers(len(cfg.aspect_words)))])
+                words.append(DEFAULT_ASPECT_WORDS[int(gen.integers(len(DEFAULT_ASPECT_WORDS)))])
                 aspect_spans.append(Span(idx, idx + 1, ASPECT))
             elif slot == "OPINION":
-                words.append(cfg.opinion_words[int(gen.integers(len(cfg.opinion_words)))])
+                words.append(DEFAULT_OPINION_WORDS[int(gen.integers(len(DEFAULT_OPINION_WORDS)))])
                 opinion_spans.append(Span(idx, idx + 1, OPINION))
             else:
                 words.append(slot)

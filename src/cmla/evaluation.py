@@ -1,18 +1,18 @@
-"""Chunk-level scoring and attention reports.
+"""Chunk-level scoring and the per-token attention report.
 
 Scoring is exact-match over (start, end, kind) token spans, the usual
 chunking convention: no partial credit, precision/recall as percentages,
-zero-denominator cases defined as 0.
+zero-denominator cases defined as 0. The attention report prints one row
+per token of a `Prediction`; its `pred` column is read off the predicted
+spans, so `predict` is the only place that decides B/I/O.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bio import ASPECT, B, I, OPINION
-from .model import CLASS_ORDER, predict
+from .bio import ASPECT, OPINION
+from .model import predict
 
 
 @dataclass(frozen=True)
@@ -101,70 +101,35 @@ def metrics_table(report: CorpusReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class AttentionRow:
-    index: int
-    token: str
-    aspect_score: float
-    opinion_score: float
-    gold_aspect: bool
-    gold_opinion: bool
-    pred_aspect: bool
-    pred_opinion: bool
+def attention_tsv(sentence, pred) -> str:
+    """One tab-separated row per token: both heads' attention at 6 decimals,
+    then the heads whose gold and predicted spans cover it ('aspect',
+    'opinion', 'aspect+opinion' or '-').
 
-
-def attention_report(sentence, token_scores) -> list:
-    """One row per token with normalized scores and gold/pred chunk flags.
-
-    Rejects score columns that do not sum to 1 within 1e-9; predictions
-    are read off the stored logits by argmax.
+    Rejects attention columns that do not have one weight per token or do
+    not sum to 1 within 1e-9.
     """
-    token_scores = list(token_scores)
-    if len(token_scores) != len(sentence.tokens):
-        raise ValueError(
-            f"{len(token_scores)} score rows for {len(sentence.tokens)} tokens"
-        )
+    n = len(sentence.tokens)
     for name in ("aspect_attention", "opinion_attention"):
-        total = sum(getattr(ts, name) for ts in token_scores)
+        column = getattr(pred, name)
+        if len(column) != n:
+            raise ValueError(f"{len(column)} {name} weights for {n} tokens")
+        total = sum(map(float, column))
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"{name} column sums to {total!r}, not normalized")
 
-    gold_a = {i for s in sentence.aspect_spans for i in range(s.start, s.end)}
-    gold_p = {i for s in sentence.opinion_spans for i in range(s.start, s.end)}
-    rows = []
-    for i, (tok, ts) in enumerate(zip(sentence.tokens, token_scores)):
-        in_a = CLASS_ORDER[int(np.argmax(ts.aspect_logits))] in (B, I)
-        in_p = CLASS_ORDER[int(np.argmax(ts.opinion_logits))] in (B, I)
-        rows.append(
-            AttentionRow(
-                index=i,
-                token=tok.surface,
-                aspect_score=ts.aspect_attention,
-                opinion_score=ts.opinion_attention,
-                gold_aspect=i in gold_a,
-                gold_opinion=i in gold_p,
-                pred_aspect=in_a,
-                pred_opinion=in_p,
-            )
-        )
-    return rows
-
-
-def attention_tsv(rows) -> str:
-    """Stable delimiter-separated rendering: scores at 6 decimals, flags as
-    the head name or '-'."""
-    lines = ["\t".join(("index", "token", "aspect_score", "opinion_score",
-                        "gold", "pred"))]
-    for r in rows:
-        gold = _flags(r.gold_aspect, r.gold_opinion)
-        pred = _flags(r.pred_aspect, r.pred_opinion)
+    gold, guess = _covering_heads(sentence, n), _covering_heads(pred, n)
+    lines = ["index\ttoken\taspect_score\topinion_score\tgold\tpred"]
+    for i, tok in enumerate(sentence.tokens):
         lines.append(
-            f"{r.index}\t{r.token}\t{r.aspect_score:.6f}\t{r.opinion_score:.6f}"
-            f"\t{gold}\t{pred}"
+            f"{i}\t{tok.surface}\t{pred.aspect_attention[i]:.6f}"
+            f"\t{pred.opinion_attention[i]:.6f}\t{gold[i]}\t{guess[i]}"
         )
     return "\n".join(lines) + "\n"
 
 
-def _flags(aspect: bool, opinion: bool) -> str:
-    marks = [name for name, on in ((ASPECT, aspect), (OPINION, opinion)) if on]
-    return "+".join(marks) if marks else "-"
+def _covering_heads(spans_of, n) -> list:
+    """Per token, the '+'-joined heads whose spans cover it, or '-'."""
+    covered = [(head, {i for s in spans for i in range(s.start, s.end)})
+               for head, spans in ((ASPECT, spans_of.aspect_spans), (OPINION, spans_of.opinion_spans))]
+    return ["+".join(head for head, on in covered if i in on) or "-" for i in range(n)]

@@ -466,16 +466,13 @@ def load_checkpoint(path) -> CmlaParams:
         entry = stored[name]
         if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
             raise DataFormatError(f"{path}: tensor {name} is not an object with shape and values")
-        if entry["shape"] != list(shape):
-            raise DataFormatError(
-                f"{path}: tensor {name} has shape {entry['shape']}, expected {list(shape)}"
-            )
-        try:
-            values = np.array(entry["values"])
-            numeric = values.ndim == 1 and values.dtype.kind in "if" and np.isfinite(values).all()
-        except ValueError:   # ragged nesting, or deeper than numpy's 64 axes
-            numeric = False
-        if not numeric:
+        # JSON integers and numbers only, as in the header: [true] == [1] and
+        # numpy reads [true, 0.5] as [1.0, 0.5]
+        dims, raw = entry["shape"], entry["values"]
+        if not isinstance(dims, list) or any(type(d) is not int for d in dims) or dims != list(shape):
+            raise DataFormatError(f"{path}: tensor {name} has shape {dims!r}, expected {list(shape)}")
+        values = np.array(raw) if isinstance(raw, list) and set(map(type, raw)) <= {int, float} else None
+        if values is None or values.dtype.kind not in "if" or not np.isfinite(values).all():
             raise DataFormatError(f"{path}: tensor {name} values are not a list of finite numbers")
         if values.size != np.prod(shape):
             raise DataFormatError(f"{path}: tensor {name} has {values.size} values")

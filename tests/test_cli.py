@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 
 import pytest
@@ -96,7 +97,7 @@ def test_missing_input_file_exits_one(workspace, capsys, tmp_path):
     "flag, value",
     [("--lr", "-1"), ("--lr", "nan"), ("--epochs", "-1"), ("--clip", "0"), ("--clip", "nan"),
      ("--channels", "0"), ("--layers", "0"), ("--init-scale", "0"), ("--init-scale", "inf"),
-     ("--seed", "-1"), ("--buckets", "0")],
+     ("--init-scale", "1e308"), ("--seed", "-1"), ("--buckets", "0")],
 )
 def test_invalid_training_hyperparameter_exits_one(workspace, capsys, tmp_path, flag, value):
     data, _ = workspace
@@ -337,6 +338,45 @@ def test_predict_from_file(workspace, capsys, tmp_path):
         ln for ln in stdout.splitlines() if ln and ln.split("\t")[0].isdigit()
     ]
     assert len(report_rows) == 10  # one row per token
+
+
+def test_predict_report_pred_column_marks_printed_spans(workspace, capsys, monkeypatch, tmp_path):
+    data, _ = workspace
+    # the shared 5-epoch checkpoint predicts no spans yet
+    code, _, _ = run(
+        capsys, "train",
+        "--data", str(data / "corpus.xml"),
+        "--embeddings", str(data / "embeddings.txt"),
+        "--lexicon", str(data / "lexicon.txt"),
+        "--out", str(tmp_path),
+        "--channels", "3", "--epochs", "60", "--lr", "0.5",
+    )
+    assert code == 0
+    lines = ["zeer goede ligging en prima terras", "het was een leuke dag en ik heb veel gedaan",
+             "de kamer was mooie", "ik vond de service echt lekkere", "wat een saaie tuin zeg"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, stdout, _ = run(
+        capsys, "predict",
+        "--checkpoint", str(tmp_path / "checkpoint.json"),
+        "--embeddings", str(data / "embeddings.txt"),
+    )
+    assert code == 0
+    blocks = stdout.split("sentence ")[1:]
+    assert len(blocks) == len(lines)
+    flagged = set()
+    for block in blocks:
+        covered = {}
+        for head in ("aspect", "opinion"):
+            (shown,) = [ln for ln in block.splitlines() if ln.startswith(f"  {head} spans:")]
+            covered[head] = {i for s, e in re.findall(r"\[(\d+),(\d+)\)", shown)
+                             for i in range(int(s), int(e))}
+        rows = [ln.split("\t") for ln in block.splitlines() if ln.split("\t")[0].isdigit()]
+        for row in rows:
+            i, pred = int(row[0]), row[5]
+            marks = [h for h in ("aspect", "opinion") if i in covered[h]]
+            assert pred == ("+".join(marks) or "-")
+            flagged.update(marks)
+    assert flagged == {"aspect", "opinion"}
 
 
 def test_predict_from_stdin(workspace, capsys, monkeypatch):

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from cmla.bio import ASPECT, OPINION, Span, spans_to_labels
 from cmla.data import (
+    DEFAULT_ASPECT_WORDS,
+    DEFAULT_OPINION_WORDS,
+    DEFAULT_TEMPLATES,
     DataFormatError,
     EmbeddingTable,
     OovPolicy,
@@ -442,18 +445,23 @@ def test_generate_synthetic_deterministic():
 
 
 def test_generate_synthetic_single_template():
-    cfg = SynthConfig(n_sentences=1, include_showcase=False,
-                      templates=("the ASPECT was OPINION",))
-    sents, table = generate_synthetic(cfg)
-    assert len(sents) == 1
-    s = sents[0]
-    assert len(s.aspect_spans) == 1 and len(s.opinion_spans) == 1
-    assert all(t.surface in table for t in s.tokens)
-
-
-def test_generate_synthetic_rejects_bad_template():
-    with pytest.raises(ValueError):
-        generate_synthetic(SynthConfig(templates=("no slots here",)))
+    # after the two showcase sentences, each sentence fills one default
+    # template, with a one-token span per slot
+    sents, table = generate_synthetic(SynthConfig(n_sentences=40))
+    assert len(sents) == 40
+    assert [s.source_id for s in sents[:2]] == ["showcase-1", "showcase-2"]
+    fillers = {"ASPECT": DEFAULT_ASPECT_WORDS, "OPINION": DEFAULT_OPINION_WORDS}
+    for s in sents[2:]:
+        aspects = {span.start for span in s.aspect_spans}
+        opinions = {span.start for span in s.opinion_spans}
+        assert s.aspect_spans == [Span(i, i + 1, ASPECT) for i in sorted(aspects)]
+        assert s.opinion_spans == [Span(i, i + 1, OPINION) for i in sorted(opinions)]
+        slots = ["ASPECT" if i in aspects else "OPINION" if i in opinions else t.surface
+                 for i, t in enumerate(s.tokens)]
+        assert " ".join(slots) in DEFAULT_TEMPLATES
+        for slot, tok in zip(slots, s.tokens):
+            assert tok.surface in fillers.get(slot, (slot,))
+            assert tok.surface in table
 
 
 def test_generated_embeddings_distinct_per_word():

@@ -3,20 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmla.bio import Span
+from cmla.bio import ASPECT, OPINION, LabelSeq, Span, labels_to_spans, merge_heads
 from cmla.data import SynthConfig, generate_synthetic
 from cmla.evaluation import (
-    AttentionRow,
     ChunkMetrics,
     CorpusReport,
-    attention_report,
     attention_tsv,
     metrics_table,
     metrics_tsv,
     score_chunks,
     score_corpus,
 )
-from cmla.model import CmlaParams, TokenScores, TrainConfig, predict, train
+from cmla.model import CLASS_ORDER, CmlaParams, Prediction, TrainConfig, predict, train
 
 
 def spans(*pairs, kind="aspect"):
@@ -158,21 +156,27 @@ def test_metrics_table_mentions_counts_and_sentences():
 # --- attention report -------------------------------------------------------
 
 
-def make_scores(att_a, att_p, la=None, lp=None):
+def make_pred(att_a, att_p, la=None, lp=None):
+    """A Prediction whose spans and one-hot logits follow the labels la, lp."""
     n = len(att_a)
     onehot = {"B": (5.0, 0.0, 0.0), "I": (0.0, 5.0, 0.0), "O": (0.0, 0.0, 5.0)}
     la = la or ["O"] * n
     lp = lp or ["O"] * n
-    return [
-        TokenScores(
-            token_index=i,
-            aspect_logits=np.array(onehot[la[i]]),
-            opinion_logits=np.array(onehot[lp[i]]),
-            aspect_attention=att_a[i],
-            opinion_attention=att_p[i],
-        )
-        for i in range(n)
-    ]
+    return Prediction(
+        aspect_spans=labels_to_spans(LabelSeq(la, ASPECT)),
+        opinion_spans=labels_to_spans(LabelSeq(lp, OPINION)),
+        merged=merge_heads(LabelSeq(la, ASPECT), LabelSeq(lp, OPINION), [1.0] * n, [1.0] * n),
+        aspect_logits=np.array([onehot[x] for x in la]),
+        opinion_logits=np.array([onehot[x] for x in lp]),
+        aspect_attention=np.array(att_a, dtype=float),
+        opinion_attention=np.array(att_p, dtype=float),
+    )
+
+
+def report_rows(sentence, pred):
+    """The report's data rows as dicts keyed by its header."""
+    header, *rows = attention_tsv(sentence, pred).splitlines()
+    return [dict(zip(header.split("\t"), row.split("\t"))) for row in rows]
 
 
 def sentence_for(text, aspects=(), opinions=()):
@@ -188,73 +192,87 @@ def sentence_for(text, aspects=(), opinions=()):
 
 def test_attention_single_token_row():
     s = sentence_for("terras", aspects=[(0, 1)])
-    rows = attention_report(s, make_scores([1.0], [1.0], la=["B"]))
-    assert len(rows) == 1
-    r = rows[0]
-    assert r.token == "terras" and r.index == 0
-    assert r.gold_aspect and not r.gold_opinion
-    assert r.pred_aspect and not r.pred_opinion
+    rows = report_rows(s, make_pred([1.0], [1.0], la=["B"]))
+    assert rows == [{"index": "0", "token": "terras", "aspect_score": "1.000000",
+                     "opinion_score": "1.000000", "gold": "aspect", "pred": "aspect"}]
 
 
 def test_attention_rows_follow_token_order():
     s = sentence_for("zeer goede ligging", aspects=[(2, 3)], opinions=[(1, 2)])
-    rows = attention_report(
-        s, make_scores([0.2, 0.3, 0.5], [0.1, 0.6, 0.3], la=["O", "O", "B"], lp=["O", "B", "O"])
+    rows = report_rows(
+        s, make_pred([0.2, 0.3, 0.5], [0.1, 0.6, 0.3], la=["O", "O", "B"], lp=["O", "B", "O"])
     )
-    assert [r.index for r in rows] == [0, 1, 2]
-    assert [r.token for r in rows] == ["zeer", "goede", "ligging"]
-    assert [r.gold_aspect for r in rows] == [False, False, True]
-    assert [r.gold_opinion for r in rows] == [False, True, False]
-    assert rows[2].pred_aspect and rows[1].pred_opinion
+    assert [r["index"] for r in rows] == ["0", "1", "2"]
+    assert [r["token"] for r in rows] == ["zeer", "goede", "ligging"]
+    assert [r["gold"] for r in rows] == ["-", "opinion", "aspect"]
+    assert [r["pred"] for r in rows] == ["-", "opinion", "aspect"]
 
 
 def test_attention_unnormalized_column_rejected():
     s = sentence_for("a b")
     with pytest.raises(ValueError, match="not normalized"):
-        attention_report(s, make_scores([0.5, 0.6], [0.5, 0.5]))
+        attention_tsv(s, make_pred([0.5, 0.6], [0.5, 0.5]))
     with pytest.raises(ValueError, match="opinion_attention"):
-        attention_report(s, make_scores([0.5, 0.5], [0.9, 0.2]))
+        attention_tsv(s, make_pred([0.5, 0.5], [0.9, 0.2]))
     with pytest.raises(ValueError, match="aspect_attention column sums to nan"):
-        attention_report(s, make_scores([np.nan, 0.5], [0.5, 0.5]))
+        attention_tsv(s, make_pred([np.nan, 0.5], [0.5, 0.5]))
 
 
 def test_attention_tolerates_tiny_rounding():
     s = sentence_for("a b")
-    rows = attention_report(s, make_scores([0.5, 0.5 + 5e-10], [0.5, 0.5]))
-    assert len(rows) == 2
+    assert len(report_rows(s, make_pred([0.5, 0.5 + 5e-10], [0.5, 0.5]))) == 2
+    with pytest.raises(ValueError, match="not normalized"):
+        attention_tsv(s, make_pred([0.5, 0.5 + 2e-9], [0.5, 0.5]))
 
 
 def test_attention_row_count_mismatch_rejected():
     s = sentence_for("a b c")
-    with pytest.raises(ValueError, match="3 tokens"):
-        attention_report(s, make_scores([0.5, 0.5], [0.5, 0.5]))
+    with pytest.raises(ValueError, match="2 aspect_attention weights for 3 tokens"):
+        attention_tsv(s, make_pred([0.5, 0.5], [0.5, 0.5]))
+    pred = make_pred([0.2, 0.3, 0.5], [0.2, 0.3, 0.5])
+    pred.opinion_attention = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="2 opinion_attention weights for 3 tokens"):
+        attention_tsv(s, pred)
 
 
 def test_attention_inside_label_counts_as_pred():
     s = sentence_for("a b")
-    rows = attention_report(s, make_scores([0.5, 0.5], [0.5, 0.5], la=["B", "I"]))
-    assert rows[0].pred_aspect and rows[1].pred_aspect
+    rows = report_rows(s, make_pred([0.5, 0.5], [0.5, 0.5], la=["B", "I"]))
+    assert [r["pred"] for r in rows] == ["aspect", "aspect"]
+
+
+def test_attention_pred_column_follows_spans_not_logits():
+    # B and O round to the same probability, so predict tags the token B
+    # (the first maximum) although the logits' own argmax is O
+    s = sentence_for("terras")
+    pred = make_pred([1.0], [1.0])
+    pred.aspect_spans = [Span(0, 1, ASPECT)]
+    pred.aspect_logits = np.array([[0.0, -5.0, 1e-17]])
+    assert CLASS_ORDER[int(np.argmax(pred.aspect_logits[0]))] == "O"
+    probs = np.exp(pred.aspect_logits[0] - pred.aspect_logits[0].max())
+    assert probs[0] == probs[2]
+    assert [r["pred"] for r in report_rows(s, pred)] == ["aspect"]
+    pred.aspect_spans = []
+    pred.aspect_logits = np.array([[5.0, 0.0, 0.0]])
+    assert [r["pred"] for r in report_rows(s, pred)] == ["-"]
 
 
 def test_attention_tsv_rendering():
     s = sentence_for("goede dag", aspects=[(1, 2)], opinions=[(0, 1)])
-    rows = attention_report(
-        s, make_scores([0.25, 0.75], [0.75, 0.25], la=["O", "B"], lp=["B", "O"])
+    text = attention_tsv(
+        s, make_pred([0.25, 0.75], [0.75, 0.25], la=["O", "B"], lp=["B", "O"])
     )
-    text = attention_tsv(rows)
     lines = text.strip("\n").split("\n")
     assert lines[0] == "index\ttoken\taspect_score\topinion_score\tgold\tpred"
     assert lines[1] == "0\tgoede\t0.250000\t0.750000\topinion\topinion"
     assert lines[2] == "1\tdag\t0.750000\t0.250000\taspect\taspect"
+    assert text.endswith("aspect\n")
 
 
 def test_attention_tsv_both_flags_and_dash():
-    row = AttentionRow(
-        index=0, token="x", aspect_score=1.0, opinion_score=1.0,
-        gold_aspect=True, gold_opinion=True, pred_aspect=False, pred_opinion=False,
-    )
-    text = attention_tsv([row])
-    assert "aspect+opinion" in text and "\t-" in text
+    s = sentence_for("x", aspects=[(0, 1)], opinions=[(0, 1)])
+    text = attention_tsv(s, make_pred([1.0], [1.0]))
+    assert text.splitlines()[1] == "0\tx\t1.000000\t1.000000\taspect+opinion\t-"
 
 
 @settings(max_examples=30)
@@ -265,8 +283,17 @@ def test_attention_report_row_count_property(n, seed):
     s = sentence_for(words)
     raw_a = gen.uniform(0.1, 1.0, size=n)
     raw_p = gen.uniform(0.1, 1.0, size=n)
-    rows = attention_report(
-        s, make_scores(list(raw_a / raw_a.sum()), list(raw_p / raw_p.sum()))
-    )
+    rows = report_rows(s, make_pred(list(raw_a / raw_a.sum()), list(raw_p / raw_p.sum())))
     assert len(rows) == n
-    assert sum(r.aspect_score for r in rows) == pytest.approx(1.0)
+    assert sum(float(r["aspect_score"]) for r in rows) == pytest.approx(1.0, abs=n * 5e-7)
+
+
+# --- package ----------------------------------------------------------------
+
+
+def test_package_all_names_resolve():
+    import cmla
+
+    missing = [name for name in cmla.__all__ if not hasattr(cmla, name)]
+    assert missing == []
+    assert "attention_tsv" in cmla.__all__ and "attention_report" not in cmla.__all__

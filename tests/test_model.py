@@ -625,10 +625,16 @@ def test_checkpoint_header_cannot_force_a_large_allocation(tmp_path):
         ("opinion.prototype", {"shape": [2], "values": [[0.5], 0.1]}, "opinion.prototype"),
         ("opinion.prototype", {"shape": [2], "values": None}, "opinion.prototype"),
         ("opinion.prototype", {"shape": [2], "values": [0.5]}, "1 values"),
+        # numpy would read each of these as numbers; true is not 1
+        ("aspect.att_gru.b_z", {"shape": [True], "values": [0.0]}, "aspect.att_gru.b_z has shape"),
+        ("aspect.classifier", {"shape": [3, True], "values": [0.1, 0.2, 0.3]},
+         "aspect.classifier has shape"),
+        ("aspect.prototype", {"shape": [2], "values": [True, 0.5]}, "aspect.prototype values"),
+        ("opinion.prototype", {"shape": [2], "values": [1, False]}, "opinion.prototype values"),
     ],
 )
 def test_checkpoint_rejects_bad_tensor_entries(tmp_path, name, entry, message):
-    params = CmlaParams.init(dim=2, channels=2, rng=38)
+    params = CmlaParams.init(dim=2, channels=1, rng=38)
     good = tmp_path / "good.json"
     save_checkpoint(good, params)
     payload = json.loads(good.read_text(encoding="utf-8"))
