@@ -88,9 +88,10 @@ def node(data, parents, backprop) -> Tensor:
 def backward(loss: Tensor) -> dict:
     """Accumulate gradients of a scalar loss into every reachable tensor.
 
-    Returns {tensor: gradient array} and stores the same array on each
+    Returns {tensor: gradient} and stores the same object on each
     tensor's .grad (overwriting any previous value, so there is no
-    zero-grad step between training iterations).
+    zero-grad step between training iterations). A gradient is usually a
+    numpy array, but may be any array-like with `+` and `*` by a scalar.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")

@@ -243,14 +243,18 @@ def _cmd_train(cfg) -> int:
     return 0
 
 
-def _cmd_eval(cfg) -> int:
+def _load_model(cfg):
     table = load_embeddings(cfg["embeddings"], oov=_oov_policy(cfg))
-    sentences = _load_corpus(cfg)
     params = load_checkpoint(cfg["checkpoint"])
     if params.dim != table.dim:
-        raise DataFormatError(
-            f"checkpoint dimension {params.dim} != embedding dimension {table.dim}"
-        )
+        raise DataFormatError(f"{cfg['checkpoint']}: checkpoint dimension {params.dim} != "
+                              f"dimension {table.dim} of embeddings {cfg['embeddings']}")
+    return table, params
+
+
+def _cmd_eval(cfg) -> int:
+    table, params = _load_model(cfg)
+    sentences = _load_corpus(cfg)
     report = score_corpus(params, table, sentences)
     sys.stdout.write(metrics_table(report))
     if cfg["out"]:
@@ -261,12 +265,7 @@ def _cmd_eval(cfg) -> int:
 
 
 def _cmd_predict(cfg) -> int:
-    table = load_embeddings(cfg["embeddings"], oov=_oov_policy(cfg))
-    params = load_checkpoint(cfg["checkpoint"])
-    if params.dim != table.dim:
-        raise DataFormatError(
-            f"checkpoint dimension {params.dim} != embedding dimension {table.dim}"
-        )
+    table, params = _load_model(cfg)
     if cfg["input"]:
         with open_text(cfg["input"]) as fh:
             lines = fh.readlines()

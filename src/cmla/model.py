@@ -123,6 +123,36 @@ class CmlaParams:
                 raise ValueError(f"{name} has shape {t.data.shape}, expected {expected[name]}")
 
 
+class FactoredGrad:
+    """Gradient of a (k, d, d) stack of maps as factors a (L, k, d) and
+    b (L, d): map c's gradient is sum_l outer(a[l, c], b[l]). Clipping and
+    the SGD update read the factors; np.asarray gives the dense array."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __add__(self, other):
+        return FactoredGrad(np.concatenate((self.a, other.a)), np.concatenate((self.b, other.b)))
+
+    def __mul__(self, scale):
+        return FactoredGrad(self.a * scale, self.b)
+
+    def _dense(self, a):
+        """sum_l outer(a[l, c], b[l]) for every c, as one (k*d, L) x (L, d) product."""
+        return (a.reshape(len(self.b), -1).T @ self.b).reshape(a.shape[1:] + self.b.shape[1:])
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self._dense(self.a), dtype=dtype)
+
+    def squared_norm(self) -> float:
+        """The dense array's squared L2 norm, from the factors' Gram matrices."""
+        a = self.a.reshape(len(self.b), -1)
+        return float(np.vdot(a @ a.T, self.b @ self.b.T))
+
+    def subtract_from(self, param, lr: float):
+        param -= self._dense(lr * self.a)
+
+
 def compose(h_seq: Tensor, u_self: Tensor, u_other: Tensor, comp: Tensor, cross: Tensor) -> Tensor:
     """Composition vectors of a sentence, (n, 2*channels) in (-1, 1).
 
@@ -142,8 +172,9 @@ def compose(h_seq: Tensor, u_self: Tensor, u_other: Tensor, comp: Tensor, cross:
     def backprop(g):
         gp = g * (1.0 - y * y)
         g_mu = gp.T @ h
+        u_rows = np.array([us, uo])   # a copy: train updates the prototypes in place
         return (gp @ mu, np.tensordot(g_mu[:k], cm, axes=2), np.tensordot(g_mu[k:], cr, axes=2),
-                g_mu[:k, :, None] * us, g_mu[k:, :, None] * uo)
+                FactoredGrad(g_mu[None, :k], u_rows[:1]), FactoredGrad(g_mu[None, k:], u_rows[1:]))
 
     return node(y, (h_seq, u_self, u_other, comp, cross), backprop)
 
@@ -291,7 +322,7 @@ def clip_gradients(grads: dict, tensors, threshold: float) -> float:
     for t in tensors:
         g = grads.get(t)
         if g is not None:
-            sq += float(np.vdot(g, g))
+            sq += g.squared_norm() if isinstance(g, FactoredGrad) else float(np.vdot(g, g))
     norm = float(np.sqrt(sq))
     if norm > threshold:
         factor = threshold / norm
@@ -331,8 +362,10 @@ def train(sentences, table, params: CmlaParams, config: TrainConfig) -> list:
                     clip_gradients(grads, tensors, config.clip)
                     for t in tensors:
                         g = grads.get(t)
-                        if g is not None:
-                            t.data -= config.lr * np.asarray(g)
+                        if isinstance(g, FactoredGrad):
+                            g.subtract_from(t.data, config.lr)
+                        elif g is not None:
+                            t.data -= config.lr * g
             except FloatingPointError as exc:
                 raise TrainingDiverged(f"{exc} at epoch {epoch}, sentence index {int(idx)}") from None
             epoch_total += value.item()

@@ -315,6 +315,24 @@ def test_eval_dimension_mismatch_exits_two(workspace, capsys, tmp_path):
     )
     assert code == 2
     assert "dimension" in stderr
+    assert str(run_dir / "checkpoint.json") in stderr and str(other / "embeddings.txt") in stderr
+
+
+def test_predict_dimension_mismatch_exits_two(workspace, capsys, tmp_path):
+    _, run_dir = workspace
+    other = tmp_path / "other"
+    run(capsys, "synth", "--out", str(other), "--sentences", "4", "--dim", "5")
+    inp = tmp_path / "sentences.txt"
+    inp.write_text("de soep was lekker\n", encoding="utf-8")
+    code, stdout, stderr = run(
+        capsys, "predict",
+        "--checkpoint", str(run_dir / "checkpoint.json"),
+        "--embeddings", str(other / "embeddings.txt"),
+        "--input", str(inp),
+    )
+    assert code == 2 and stdout == ""
+    assert "checkpoint dimension 8 != dimension 5" in stderr
+    assert str(run_dir / "checkpoint.json") in stderr and str(other / "embeddings.txt") in stderr
 
 
 # --- predict ----------------------------------------------------------------

@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
 from cmla.bio import ASPECT, B, I, O, OPINION, LabelSeq, Span
@@ -14,11 +17,13 @@ from cmla.model import (
     CLASS_ORDER,
     PROTOTYPE_INIT,
     CmlaParams,
+    FactoredGrad,
     TrainConfig,
     TrainingDiverged,
     attend,
     attention_layer,
     classify,
+    clip_gradients,
     compose,
     embed_sentence,
     forward,
@@ -462,15 +467,106 @@ def test_no_dead_parameters_on_fixture(tiny_corpus):
 
 
 def test_gradient_clipping_bounds_update(tiny_corpus):
-    from cmla.model import clip_gradients
-
     sents, table = tiny_corpus
     params = CmlaParams.init(dim=6, channels=2, rng=31)
     grads = backward(sentence_loss(sents[0], table, params))
     tensors = params.all_tensors()
-    clip_gradients(grads, tensors, 0.01)
+    dense = sum(float((np.asarray(grads[t]) ** 2).sum()) for t in tensors if t in grads)
+    # the comp and cross terms come from FactoredGrad.squared_norm
+    assert clip_gradients(grads, tensors, 0.01) == pytest.approx(np.sqrt(dense), rel=1e-12, abs=0)
     total = sum(float((np.asarray(grads[t]) ** 2).sum()) for t in tensors if t in grads)
     assert np.sqrt(total) <= 0.01 + 1e-12
+
+
+# --- factored map gradients -------------------------------------------------
+
+
+def dense_sgd_step(sentence, table, params, config):
+    """One SGD step with every gradient made dense first; returns the norm."""
+    tensors = params.all_tensors()
+    grads = {t: np.asarray(g) for t, g in backward(sentence_loss(sentence, table, params)).items()}
+    norm = clip_gradients(grads, tensors, config.clip)
+    for t in tensors:
+        if t in grads:
+            t.data -= config.lr * grads[t]
+    return norm
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("clip", [1e-3, 1e6])
+def test_factored_update_matches_dense_update(tiny_corpus, layers, clip):
+    sents, table = tiny_corpus
+    config = TrainConfig(lr=0.3, epochs=1, clip=clip)
+    factored = CmlaParams.init(dim=6, channels=3, rng=40, layers=layers)
+    dense = copy.deepcopy(factored)
+    start = copy.deepcopy(factored.named_tensors())
+    grads = backward(sentence_loss(sents[1], table, factored))
+    maps = [t for h in (factored.aspect, factored.opinion) for t in (h.comp, h.cross)]
+    for t in factored.all_tensors():
+        assert isinstance(grads.get(t), FactoredGrad) == (t in maps)
+    train([sents[1]], table, factored, config)
+    norm = dense_sgd_step(sents[1], table, dense, config)
+    assert (norm > clip) == (clip < 1)   # the small threshold clips, the large one does not
+    for name, t in factored.named_tensors().items():
+        # one layer leaves proto_map unused
+        assert (t in grads) == (not np.array_equal(t.data, start[name].data)), name
+        np.testing.assert_allclose(t.data, dense.named_tensors()[name].data, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_map_gradient_does_not_alias_the_prototype(tiny_corpus, layers):
+    # train updates each prototype in place before it updates comp and cross
+    sents, table = tiny_corpus
+    params = CmlaParams.init(dim=6, channels=3, rng=41, layers=layers)
+    grads = backward(sentence_loss(sents[1], table, params))
+    maps = [t for h in (params.aspect, params.opinion) for t in (h.comp, h.cross)]
+    before = [np.asarray(grads[t]) for t in maps]
+    params.aspect.prototype.data += 1.0
+    params.opinion.prototype.data -= 1.0
+    for t, g in zip(maps, before):
+        assert np.any(g != 0.0)
+        assert np.array_equal(np.asarray(grads[t]), g)
+
+
+def normal_floats(top):
+    """0 or a float of magnitude in [1e-3, top]: products of three stay normal."""
+    return st.one_of(st.just(0.0), st.floats(1e-3, top), st.floats(-top, -1e-3))
+
+
+@st.composite
+def factored_pairs(draw):
+    """Two factored gradients of one (k, d, d) shape, each of rank 1 to 3."""
+    k, d = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+
+    def one():
+        rank = draw(st.integers(1, 3))
+        return FactoredGrad(draw(arrays(np.float64, (rank, k, d), elements=normal_floats(2.0))),
+                            draw(arrays(np.float64, (rank, d), elements=normal_floats(2.0))))
+
+    return one(), one()
+
+
+def magnitude(x):
+    """The dense form of |x|'s factors: it bounds each entry's rounding error,
+    which a relative tolerance alone cannot where the terms cancel."""
+    return np.asarray(FactoredGrad(np.abs(x.a), np.abs(x.b)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_pairs(), normal_floats(3.0), st.floats(1e-3, 1.0))
+def test_factored_grad_matches_its_dense_form(pair, scale, lr):
+    x, y = pair
+    dx, dy = np.asarray(x), np.asarray(y)
+    assert dx.shape == x.a.shape[1:] + x.b.shape[1:]
+    assert np.all(np.abs(dx - np.einsum("lki,lj->kij", x.a, x.b)) <= 1e-12 * magnitude(x))
+    assert np.all(np.abs(np.asarray(x + y) - (dx + dy)) <= 1e-12 * (magnitude(x) + magnitude(y)))
+    assert np.all(np.abs(np.asarray(x * scale) - scale * dx) <= 1e-12 * abs(scale) * magnitude(x))
+    mx = magnitude(x)
+    assert abs(x.squared_norm() - float(np.vdot(dx, dx))) <= 1e-12 * float(np.vdot(mx, mx))
+    param = np.arange(dx.size, dtype=np.float64).reshape(dx.shape) / 7.0
+    expected = param - lr * dx
+    x.subtract_from(param, lr)
+    assert np.all(np.abs(param - expected) <= 1e-12 * (np.abs(expected) + lr * mx))
 
 
 # --- predict ----------------------------------------------------------------
