@@ -2,7 +2,7 @@
 
 The engine is small on purpose: each layer of the model is one node that
 `node` wraps around a numpy forward result and a hand-written backward,
-so a two-layer forward pass and its loss are 21 nodes whatever the
+so a two-layer forward pass and its loss are 17 nodes whatever the
 sentence length, and the engine has no generic primitives. Tensors are
 plain row-major numpy arrays. The graph is rebuilt for every loss;
 creation order doubles as a topological order, so backward() just sweeps

@@ -13,11 +13,12 @@ in numpy and its backward is hand-written backpropagation through time.
 
 Used twice in the tagger: once to fold sentence context into the word
 embeddings and once to smooth per-token composition vectors into
-attention features.
+attention features, with both heads' cells run as one block-diagonal cell.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,22 +88,35 @@ class GruParams:
         }
 
 
-def gru_run(xs: Tensor, p: GruParams) -> Tensor:
-    """Run the cell from a zero state over the rows of an (n, input) Tensor.
+def spans(sizes) -> list:
+    """Consecutive slices of the given sizes, starting at 0."""
+    return [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
 
-    Returns the (n, hidden) state sequence as one node. Every step is
-    computed from its own row and the previous state only, so row t
-    depends only on inputs <= t, bit for bit.
+
+def gru_run(xs: Tensor, *cells: GruParams) -> Tensor:
+    """Run the cells from a zero state over the rows of an (n, input) Tensor.
+
+    Returns the (n, hidden) state sequence as one node. Several cells run
+    as one cell with block-diagonal weights, their inputs and states side by
+    side. Every step is computed from its own row and the previous state
+    only, so row t depends only on inputs <= t, bit for bit.
     """
     x = xs.data
     if x.shape[0] == 0:
         raise ValueError("gru_run needs a nonempty sequence")
-    if x.ndim != 2 or x.shape[1] != p.input_dim:
-        raise ValueError(f"input has shape {x.shape}, expected (n, {p.input_dim})")
-    n, k = x.shape[0], p.hidden_dim
-    w = np.concatenate([p.W_z.data, p.W_r.data, p.W_h.data])
-    u_zr, u_h = np.concatenate([p.U_z.data, p.U_r.data]), p.U_h.data
-    b = np.concatenate([p.b_z.data, p.b_r.data, p.b_h.data])
+    width = sum(p.input_dim for p in cells)
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ValueError(f"input has shape {x.shape}, expected (n, {width})")
+    n, k = x.shape[0], sum(p.hidden_dim for p in cells)
+    # gate g (z, r, h) of cell i: rows g*k + hid[i], input columns inp[i], state columns hid[i]
+    hid, inp = spans([p.hidden_dim for p in cells]), spans([p.input_dim for p in cells])
+    gates = [[slice(g * k + h_at.start, g * k + h_at.stop) for g in range(3)] for h_at in hid]
+    w, u, b = np.zeros((3 * k, width)), np.zeros((3 * k, k)), np.empty(3 * k)
+    for p, at, h_at, x_at in zip(cells, gates, hid, inp):
+        ts = [v.data for v in p.tensors().values()]   # in GRU_FIELDS order
+        for g, rows in enumerate(at):
+            w[rows, x_at], u[rows, h_at], b[rows] = ts[g], ts[3 + g], ts[6 + g]
+    u_zr, u_h = u[: 2 * k], u[2 * k :]
 
     states = np.zeros((n + 1, k))   # states[t] is the state before step t
     zr, cand = np.empty((n, 2 * k)), np.empty((n, k))
@@ -124,8 +138,10 @@ def gru_run(xs: Tensor, p: GruParams) -> Tensor:
             pre[t, k : 2 * k] = d_rh * prev[t] * r[t] * (1.0 - r[t])
             dh = dh * (1.0 - z[t]) + d_rh * r[t] + pre[t, : 2 * k] @ u_zr
         dx = pre @ w if xs.requires_grad else None
-        du_h = pre[:, 2 * k :].T @ (r * prev)
-        return (dx, *np.split(pre.T @ x, 3), *np.split(pre[:, : 2 * k].T @ prev, 2), du_h,
-                *np.split(pre.sum(axis=0), 3))
+        dw, db = pre.T @ x, pre.sum(axis=0)
+        du = np.concatenate([pre[:, : 2 * k].T @ prev, pre[:, 2 * k :].T @ (r * prev)])
+        # only each cell's own blocks, in GRU_FIELDS order
+        return (dx, *(d for at, h_at, x_at in zip(gates, hid, inp)
+                      for d in [dw[a, x_at] for a in at] + [du[a, h_at] for a in at] + [db[a] for a in at]))
 
-    return node(states[1:], (xs, *p.tensors().values()), backprop)
+    return node(states[1:], (xs, *(t for p in cells for t in p.tensors().values())), backprop)

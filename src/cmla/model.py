@@ -7,7 +7,9 @@ composition vectors run through a small per-head GRU, a linear classifier
 gives B/I/O logits per token, and the max of the B/I logits doubles as a
 raw attention score. Between layers each prototype absorbs an
 attention-weighted summary of the sentence, so the second pass attends
-with sharper templates.
+with sharper templates. Both heads run each layer as one pass: the
+prototypes are the rows of one array, and the two GRUs and classifiers
+run as one block-diagonal cell and one block-diagonal map.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import bio
 from .autodiff import Tensor, backward, constant, node
 from .bio import ASPECT, OPINION, LabelSeq, labels_to_spans, merge_heads
 from .data import DataFormatError, open_text
-from .gru import GRU_FIELDS, GruParams, gru_run, init_tensor
+from .gru import GRU_FIELDS, GruParams, gru_run, init_tensor, spans
 
 # class order shared by logits, gold indices and checkpointed classifiers
 CLASS_ORDER = (bio.B, bio.I, bio.O)
@@ -153,91 +155,114 @@ class FactoredGrad:
         param -= self._dense(lr * self.a)
 
 
-def compose(h_seq: Tensor, u_self: Tensor, u_other: Tensor, comp: Tensor, cross: Tensor) -> Tensor:
-    """Composition vectors of a sentence, (n, 2*channels) in (-1, 1).
+def compose(h_seq: Tensor, u: Tensor, heads) -> Tensor:
+    """Composition vectors of a sentence, (n, 2*channels per head) in (-1, 1).
 
-    First half of each row: tanh of the bilinear form of the hidden state
-    against this head's own prototype, one entry per channel. Second half:
-    the same against the other head's prototype, which is what couples the
-    heads. The maps are contracted with the prototypes first, so the
-    per-token cost is one (d,) x (d, 2*channels) product.
+    Head i's block: tanh of the bilinear form of each hidden state against
+    its own prototype u[i] through its comp maps, one entry per channel, then
+    against the other head's u[-1 - i] through its cross maps, which is what
+    couples the heads. The maps are contracted with the prototypes first, so
+    the per-token cost is one (d,) x (d, 2*channels*heads) product.
     """
-    h, us, uo, cm, cr = h_seq.data, u_self.data, u_other.data, comp.data, cross.data
-    k = cm.shape[0]
-    mu = np.concatenate([cm @ us, cr @ uo])
+    h, us = h_seq.data, u.data
+    maps = [t for head in heads for t in (head.comp, head.cross)]
+    protos = [j for i in range(len(heads)) for j in (i, len(heads) - 1 - i)]   # u row of each map
+    mu = np.concatenate([m.data @ us[j] for m, j in zip(maps, protos)])
     # an unoptimised einsum sums every row the same way however many rows
     # there are, so appending a token never changes an earlier row's bits
     y = np.tanh(np.einsum("ni,ki->nk", h, mu))
 
     def backprop(g):
         gp = g * (1.0 - y * y)
-        g_mu = gp.T @ h
-        u_rows = np.array([us, uo])   # a copy: train updates the prototypes in place
-        return (gp @ mu, np.tensordot(g_mu[:k], cm, axes=2), np.tensordot(g_mu[k:], cr, axes=2),
-                FactoredGrad(g_mu[None, :k], u_rows[:1]), FactoredGrad(g_mu[None, k:], u_rows[1:]))
+        g_mu = (gp.T @ h).reshape(len(maps), -1, h.shape[1])
+        u_rows, g_u = np.array(us), np.zeros(us.shape)   # a copy: train updates the prototypes in place
+        for m, j, gm in zip(maps, protos, g_mu):
+            g_u[j] += np.tensordot(gm, m.data, axes=2)
+        return (gp @ mu, g_u, *(FactoredGrad(gm[None], u_rows[j : j + 1]) for gm, j in zip(g_mu, protos)))
 
-    return node(y, (h_seq, u_self, u_other, comp, cross), backprop)
+    return node(y, (h_seq, u, *maps), backprop)
 
 
-def classify(features: Tensor, classifier: Tensor) -> Tensor:
-    """(n, 3) B/I/O logits in CLASS_ORDER from (n, channels) features."""
-    f, w = features.data, classifier.data
+def classify(features: Tensor, *classifiers: Tensor) -> Tensor:
+    """(n, 3 per head) B/I/O logits in CLASS_ORDER from (n, channels per head)
+    features, through one block-diagonal classifier."""
+    f, cs = features.data, [c.data for c in classifiers]
+    at = list(zip(spans([len(c) for c in cs]), spans([c.shape[1] for c in cs])))
+    w = np.zeros((at[-1][0].stop, at[-1][1].stop))
+    for c, a in zip(cs, at):
+        w[a] = c
     # unoptimised einsum for bitwise prefix causality, as in compose
-    return node(np.einsum("nk,ck->nc", f, w), (features, classifier), lambda g: (g @ w, g.T @ f))
+    return node(np.einsum("nk,ck->nc", f, w), (features, *classifiers),
+                lambda g: (g @ w, *map((g.T @ f).__getitem__, at)))
 
 
 def attend(logits: Tensor) -> Tensor:
-    """Attention weights: softmax over the sentence of each token's max(B, I).
+    """Attention weights, (n, heads): per head's B/I/O column triple, the
+    softmax over the sentence of each token's max(B, I).
 
     The max's gradient goes to the B logit when B and I tie.
     """
     x = logits.data
-    rows, pick = np.arange(x.shape[0]), np.argmax(x[:, :2], axis=1)
-    raw = x[rows, pick]
-    e = np.exp(raw - raw.max())
-    w = e / e.sum()
+    first = np.arange(0, x.shape[1], len(CLASS_ORDER))   # each head's B column
+    rows, cols = np.arange(x.shape[0])[:, None], first + np.argmax(x[:, first[:, None] + [0, 1]], axis=2)
+    raw = x[rows, cols]
+    e = np.exp(raw - raw.max(axis=0))
+    w = e / e.sum(axis=0)
 
     def backprop(g):
         out = np.zeros(x.shape)
-        out[rows, pick] = (g - (g * w).sum()) * w
+        out[rows, cols] = (g - (g * w).sum(axis=0)) * w
         return (out,)
 
     return node(w, (logits,), backprop)
 
 
+def take_columns(t: Tensor, cols) -> Tensor:
+    """Columns `cols` (an index or a slice) of a 2-D Tensor, as one node."""
+    def backprop(g):
+        out = np.zeros(t.data.shape)
+        out[:, cols] = g
+        return (out,)
+
+    return node(t.data[:, cols], (t,), backprop)
+
+
 @dataclass
 class HeadOutput:
-    features: Tensor    # (n, channels) attention features
     logits: Tensor      # (n, 3) class scores in CLASS_ORDER
     norm_scores: Tensor # (n,) softmax over the sentence of max(B, I) logits
 
 
-def attention_layer(h_seq: Tensor, head: HeadParams, u_self: Tensor, u_other: Tensor) -> HeadOutput:
-    features = gru_run(compose(h_seq, u_self, u_other, head.comp, head.cross), head.att_gru)
-    logits = classify(features, head.classifier)
-    return HeadOutput(features, logits, attend(logits))
+def attention_layer(h_seq: Tensor, u: Tensor, heads) -> tuple:
+    """One layer of every head: (n, 3 per head) logits, (n, heads) weights."""
+    features = gru_run(compose(h_seq, u, heads), *(head.att_gru for head in heads))
+    logits = classify(features, *(head.classifier for head in heads))
+    return logits, attend(logits)
 
 
-def update_prototype(u: Tensor, norm_scores: Tensor, h_seq: Tensor, proto_map: Tensor) -> Tensor:
-    """Attention-weighted feedback: u' = u + proto_map (w^T H)."""
-    w, h, m = norm_scores.data, h_seq.data, proto_map.data
+def update_prototype(u: Tensor, norm_scores: Tensor, h_seq: Tensor, proto_maps) -> Tensor:
+    """Attention-weighted feedback on the (heads, dim) prototypes:
+    u'[i] = u[i] + proto_maps[i] (w[:, i]^T H)."""
+    w, h, us, maps = norm_scores.data, h_seq.data, u.data, [m.data for m in proto_maps]
     n = h.shape[0]
-    if w.shape != (n,):
-        raise ValueError(f"{n} hidden states but scores of shape {w.shape}")
-    if h.ndim != 2 or m.shape != (*u.data.shape, h.shape[1]):
-        raise ValueError(f"prototype {u.data.shape}, map {m.shape} and states {h.shape} do not fit")
-    total = float(w.sum())
-    if not np.isfinite(total):
-        raise FloatingPointError(f"non-finite attention weights (sum {total!r})")
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"weight-sum violation beyond 1e-9: weights sum to {total!r}")
-    pooled = w @ h
+    if w.shape != (n, len(maps)):
+        raise ValueError(f"{n} hidden states and {len(maps)} heads but scores of shape {w.shape}")
+    if h.ndim != 2 or us.shape[0] != len(maps) or any(m.shape != (*us.shape[1:], h.shape[1]) for m in maps):
+        raise ValueError(f"prototypes {us.shape}, maps {[m.shape for m in maps]} "
+                         f"and states {h.shape} do not fit")
+    for total in w.sum(axis=0).tolist():
+        if not np.isfinite(total):
+            raise FloatingPointError(f"non-finite attention weights (sum {total!r})")
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"weight-sum violation beyond 1e-9: weights sum to {total!r}")
+    pooled = w.T @ h
 
     def backprop(g):
-        mg = m.T @ g
-        return (g, h @ mg, np.outer(w, mg), np.outer(g, pooled))
+        mg = np.array([m.T @ gi for m, gi in zip(maps, g)])
+        return (g, h @ mg.T, w @ mg, *map(np.outer, g, pooled))
 
-    return node(u.data + m @ pooled, (u, norm_scores, h_seq, proto_map), backprop)
+    return node(us + np.array([m @ p for m, p in zip(maps, pooled)]),
+                (u, norm_scores, h_seq, *proto_maps), backprop)
 
 
 @dataclass
@@ -251,21 +276,23 @@ def forward(embeddings, params: CmlaParams) -> ForwardResult:
     """Run the full stack over one sentence of embedding vectors.
 
     The vectors (arrays or Tensors) enter as one constant (n, dim) block,
-    so no gradient flows back into them. Prototypes are refreshed between
-    layers only; the final layer's attention output is the model's answer,
-    so a trailing update would be unobservable.
+    so no gradient flows back into them. Both heads run each layer as one
+    pass on their stacked (2, dim) prototypes. Prototypes are refreshed
+    between layers only; the final layer's attention output is the model's
+    answer, so a trailing update would be unobservable.
     """
     xs = constant(np.array([x.data if isinstance(x, Tensor) else x for x in embeddings]))
     h_seq = gru_run(xs, params.ctx_gru)
-    u_a, u_p = params.aspect.prototype, params.opinion.prototype
-    out_a = out_p = None
+    heads = (params.aspect, params.opinion)
+    # the prototypes as the rows of one node; row i's gradient goes to head i
+    u = node(np.array([head.prototype.data for head in heads]), [head.prototype for head in heads], tuple)
     for layer in range(params.layers):
-        out_a = attention_layer(h_seq, params.aspect, u_a, u_p)
-        out_p = attention_layer(h_seq, params.opinion, u_p, u_a)
+        logits, scores = attention_layer(h_seq, u, heads)
         if layer + 1 < params.layers:
-            u_a = update_prototype(u_a, out_a.norm_scores, h_seq, params.aspect.proto_map)
-            u_p = update_prototype(u_p, out_p.norm_scores, h_seq, params.opinion.proto_map)
-    return ForwardResult(aspect=out_a, opinion=out_p, hidden=h_seq)
+            u = update_prototype(u, scores, h_seq, [head.proto_map for head in heads])
+    a, p = (HeadOutput(take_columns(logits, slice(3 * i, 3 * i + 3)), take_columns(scores, i))
+            for i in range(len(heads)))
+    return ForwardResult(aspect=a, opinion=p, hidden=h_seq)
 
 
 def loss(logits_a: Tensor, logits_p: Tensor, gold_a: LabelSeq, gold_p: LabelSeq) -> Tensor:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,60 +55,74 @@ def test_init_uniform_rejects_bad_shapes_and_intervals():
         init_uniform((2,), -1e308, 1e308, 0)
 
 
-# --- the matrix-vector products of update_prototype: u + M (w^T H) -----------
+# --- the matrix-vector products of update_prototype: u[i] + M_i (w[:, i]^T H)
 
 
 def test_matmul_identity():
-    # zero prototype, identity map, one-hot weights: the update is one state
+    # zero prototypes, identity maps, one-hot weights: each head's update is one state
     h = constant([[1.0, -2.0], [3.0, 0.5], [-4.0, 2.5]])
-    out = update_prototype(zeros(2), constant([0.0, 1.0, 0.0]), h, constant(np.eye(2)))
-    assert np.array_equal(out.data, h.data[1])
+    w = constant([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    out = update_prototype(zeros((2, 2)), w, h, [constant(np.eye(2))] * 2)
+    assert np.array_equal(out.data, h.data[1:])
 
 
 def test_matmul_hand_case():
-    # w^T H = 0.25 [1, 2] + 0.75 [3, 4] = [2.5, 3.5]; [1, 1] . [2.5, 3.5] = 6
-    out = update_prototype(constant([0.5]), constant([0.25, 0.75]),
-                           constant([[1.0, 2.0], [3.0, 4.0]]), constant([[1.0, 1.0]]))
-    assert out.data.tolist() == [6.5]
+    # aspect: w^T H = 0.25 [1, 2] + 0.75 [3, 4] = [2.5, 3.5]; [1, 1] . [2.5, 3.5] = 6
+    # opinion: w^T H = [2, 3]; [2, -1] . [2, 3] = 1
+    out = update_prototype(constant([[0.5], [-1.0]]), constant([[0.25, 0.5], [0.75, 0.5]]),
+                           constant([[1.0, 2.0], [3.0, 4.0]]),
+                           [constant([[1.0, 1.0]]), constant([[2.0, -1.0]])])
+    assert out.data.tolist() == [[6.5], [0.0]]
 
 
 def test_matmul_grad_of_sum_matches_closed_form():
-    u, m, h = randt((3,), seed=1), randt((3, 4), seed=2), randt((5, 4), seed=3)
-    raw = np.random.default_rng(4).uniform(0.1, 1.0, size=5)
-    w = Tensor(raw / raw.sum(), requires_grad=True)
-    grads = backward(total(update_prototype(u, w, h, m)))
+    u, h = randt((2, 3), seed=1), randt((5, 4), seed=3)
+    maps = [randt((3, 4), seed=2), randt((3, 4), seed=5)]
+    raw = np.random.default_rng(4).uniform(0.1, 1.0, size=(5, 2))
+    w = Tensor(raw / raw.sum(axis=0), requires_grad=True)
+    grads = backward(total(update_prototype(u, w, h, maps)))
     ones = np.ones(3)
-    assert np.array_equal(grads[u], ones)
-    assert np.allclose(grads[w], h.data @ (m.data.T @ ones))
-    assert np.allclose(grads[h], np.outer(w.data, m.data.T @ ones))
-    assert np.allclose(grads[m], np.outer(ones, w.data @ h.data))
+    assert np.array_equal(grads[u], np.ones((2, 3)))
+    for i, m in enumerate(maps):
+        assert np.allclose(grads[w][:, i], h.data @ (m.data.T @ ones))
+        assert np.allclose(grads[m], np.outer(ones, w.data[:, i] @ h.data))
+    assert np.allclose(grads[h], sum(np.outer(w.data[:, i], m.data.T @ ones) for i, m in enumerate(maps)))
 
 
 def test_matmul_shape_mismatch():
-    w, u = constant([0.5, 0.5]), constant(np.zeros(2))
+    # the first head's map fits; each check must cover every head
+    w, u, eye = constant([[0.5, 0.5], [0.5, 0.5]]), constant(np.zeros((2, 2))), constant(np.eye(2))
     with pytest.raises(ValueError):   # map columns != state width
-        update_prototype(u, w, constant(np.ones((2, 3))), constant(np.eye(2)))
+        update_prototype(u, w, constant(np.ones((2, 3))), [constant(np.ones((2, 3))), eye])
     with pytest.raises(ValueError):   # states not a matrix
-        update_prototype(u, w, constant(np.ones(2)), constant(np.eye(2)))
+        update_prototype(u, w, constant(np.ones(2)), [eye, eye])
     with pytest.raises(ValueError):   # map not a matrix
-        update_prototype(u, w, constant(np.ones((2, 2))), constant(np.ones(2)))
+        update_prototype(u, w, constant(np.ones((2, 2))), [eye, constant(np.ones(2))])
 
 
 def test_add_shape_mismatch():
-    # the prototype must have one entry per map row
+    # each prototype must have one entry per map row, and there is one per map
     with pytest.raises(ValueError):
-        update_prototype(constant(np.zeros(3)), constant([1.0]), constant(np.ones((1, 2))),
-                         constant(np.eye(2)))
+        update_prototype(constant(np.zeros((2, 3))), constant([[1.0, 1.0]]), constant(np.ones((1, 2))),
+                         [constant(np.ones((3, 2))), constant(np.eye(2))])
+    with pytest.raises(ValueError):
+        update_prototype(constant(np.zeros((1, 2))), constant([[1.0, 1.0]]), constant(np.ones((1, 2))),
+                         [constant(np.eye(2))] * 2)
 
 
 # --- the model's one-node ops: tanh of bilinear forms (compose), softmax of
 # the max of the B/I logits (attend), log-softmax cross-entropy (loss)
 
 
+def heads_of(*maps):
+    """(comp, cross) pairs as the heads compose reads them."""
+    return [SimpleNamespace(comp=comp, cross=cross) for comp, cross in zip(maps[::2], maps[1::2])]
+
+
 def test_tanh_and_sigmoid_at_zero():
-    maps = randt((3, 2, 2), seed=9)
-    u = randt((2,), seed=10)
-    assert np.array_equal(compose(zeros((4, 2)), u, u, maps, maps).data, np.zeros((4, 6)))
+    heads = heads_of(*(randt((3, 2, 2), seed=9 + i) for i in range(4)))
+    u = randt((2, 2), seed=13)
+    assert np.array_equal(compose(zeros((4, 2)), u, heads).data, np.zeros((4, 12)))
     assert np.array_equal(sigmoid(np.zeros(4)), np.full(4, 0.5))
 
 
@@ -118,20 +134,19 @@ def test_sigmoid_stable_at_extremes():
 
 
 def test_bilinear_matches_triple_loop_oracle():
+    # each head composes against its own prototype, then the other head's
     gen = np.random.default_rng(13)
     h = init_uniform((2, 4), -1, 1, gen)
-    comp = init_uniform((3, 4, 5), -1, 1, gen)
-    cross = init_uniform((3, 4, 5), -1, 1, gen)
-    u_self = init_uniform((5,), -1, 1, gen)
-    u_other = init_uniform((5,), -1, 1, gen)
-    out = compose(h, u_self, u_other, comp, cross)
-    expected = np.zeros((2, 6))
-    for n in range(2):
-        for k in range(3):
-            for i in range(4):
-                for j in range(5):
-                    expected[n, k] += h.data[n, i] * comp.data[k, i, j] * u_self.data[j]
-                    expected[n, 3 + k] += h.data[n, i] * cross.data[k, i, j] * u_other.data[j]
+    maps = [init_uniform((3, 4, 5), -1, 1, gen) for _ in range(4)]
+    u = init_uniform((2, 5), -1, 1, gen)
+    out = compose(h, u, heads_of(*maps))
+    expected = np.zeros((2, 12))
+    for block, (m, j) in enumerate(zip(maps, (0, 1, 1, 0))):
+        for n in range(2):
+            for k in range(3):
+                for i in range(4):
+                    for jj in range(5):
+                        expected[n, 3 * block + k] += h.data[n, i] * m.data[k, i, jj] * u.data[j, jj]
     assert np.allclose(out.data, np.tanh(expected), atol=1e-12)
 
 
@@ -139,55 +154,62 @@ def test_bilinear_gradcheck():
     gen = np.random.default_rng(14)
     for rows in (1, 4):
         h = init_uniform((rows, 3), -1, 1, gen)
-        comp = init_uniform((2, 3, 3), -1, 1, gen)
-        cross = init_uniform((2, 3, 3), -1, 1, gen)
-        u_self = init_uniform((3,), -1, 1, gen)
-        u_other = init_uniform((3,), -1, 1, gen)
-        f = lambda: total(compose(h, u_self, u_other, comp, cross))
-        assert grad_check(f, [h, u_self, u_other, comp, cross]) < 1e-6
+        maps = [init_uniform((2, 3, 3), -1, 1, gen) for _ in range(4)]
+        u = init_uniform((2, 3), -1, 1, gen)
+        f = lambda: total(compose(h, u, heads_of(*maps)))
+        assert grad_check(f, [h, u, *maps]) < 1e-6
 
 
 def test_bilinear_shape_validation():
-    u, maps = constant(np.ones(2)), constant(np.ones((1, 2, 2)))
+    u, heads = constant(np.ones((2, 2))), heads_of(*[constant(np.ones((1, 2, 2)))] * 4)
     with pytest.raises(ValueError):
-        compose(constant(np.ones(2)), u, u, maps, maps)
+        compose(constant(np.ones(2)), u, heads)
     with pytest.raises(ValueError):
-        compose(constant(np.ones((1, 3))), u, u, maps, maps)
+        compose(constant(np.ones((1, 3))), u, heads)
     with pytest.raises(ValueError):
-        compose(constant(np.ones((1, 2))), constant(np.ones(3)), u, maps, maps)
+        compose(constant(np.ones((1, 2))), constant(np.ones((2, 3))), heads)
 
 
-def logits_with_raw(raw):
-    """(n, 3) logits whose max(B, I) is `raw`; the O column must not matter."""
-    raw = np.asarray(raw, dtype=float)
-    return constant(np.stack([raw, raw - 1.0, np.full(raw.shape, 100.0)], axis=1))
+def logits_with_raw(*raws):
+    """(n, 3 per head) logits whose max(B, I) of head i is raws[i]; the O
+    columns must not matter."""
+    blocks = []
+    for raw in raws:
+        raw = np.asarray(raw, dtype=float)
+        blocks += [raw, raw - 1.0, np.full(raw.shape, 100.0)]
+    return constant(np.stack(blocks, axis=1))
 
 
 def test_softmax_uniform_and_oracle():
-    assert np.allclose(attend(logits_with_raw([0.0, 0.0, 0.0])).data, np.full(3, 1 / 3))
     x = np.array([1.0, 2.0, 3.0])
-    expected = np.exp(x) / np.exp(x).sum()
-    assert np.allclose(attend(logits_with_raw(x)).data, expected, atol=1e-12)
+    out = attend(logits_with_raw([0.0, 0.0, 0.0], x)).data
+    assert out.shape == (3, 2)
+    assert np.allclose(out[:, 0], np.full(3, 1 / 3))
+    assert np.allclose(out[:, 1], np.exp(x) / np.exp(x).sum(), atol=1e-12)
+    out = attend(logits_with_raw(x, [0.0, 0.0, 0.0])).data
+    assert np.allclose(out[:, 0], np.exp(x) / np.exp(x).sum(), atol=1e-12)
+    assert np.allclose(out[:, 1], np.full(3, 1 / 3))
 
 
 def test_softmax_shift_invariance():
     x = np.array([0.3, -1.2, 2.5, 0.0])
-    base = attend(logits_with_raw(x)).data
-    shifted = attend(logits_with_raw(x + 123.456)).data
-    assert np.allclose(base, shifted, rtol=1e-9)
+    base = attend(logits_with_raw(x, -x)).data
+    for shift in ((123.456, 0.0), (0.0, 123.456)):
+        shifted = attend(logits_with_raw(x + shift[0], -x + shift[1])).data
+        assert np.allclose(base, shifted, rtol=1e-9)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
 def test_softmax_sums_to_one(values):
-    out = attend(logits_with_raw(values))
-    assert abs(out.data.sum() - 1.0) <= 1e-12
+    out = attend(logits_with_raw(values, values[::-1]))
+    assert np.all(np.abs(out.data.sum(axis=0) - 1.0) <= 1e-12)
     assert np.all(out.data > 0)
 
 
 def test_softmax_gradcheck():
     for n in (1, 5):
-        t = randt((n, 3), seed=15 + n)
-        w = constant(np.random.default_rng(n).uniform(-1, 1, size=n))
+        t = randt((n, 6), seed=15 + n)
+        w = constant(np.random.default_rng(n).uniform(-1, 1, size=(n, 2)))
         assert grad_check(lambda: dot(attend(t), w), [t]) < 1e-6
 
 
@@ -207,27 +229,33 @@ def test_log_softmax_consistent_and_gradcheck():
 
 
 def test_reduce_max_value_and_subgradient():
-    t = Tensor([[1.0, 5.0, 9.0], [3.0, 2.0, 0.0]], requires_grad=True)
+    # aspect max(B, I) is I then B, opinion B then I
+    t = Tensor([[1.0, 5.0, 9.0, 4.0, 0.0, 9.0], [3.0, 2.0, 0.0, 1.0, 6.0, 0.0]], requires_grad=True)
     out = attend(t)
-    assert np.allclose(out.data, np.exp([5.0, 3.0]) / np.exp([5.0, 3.0]).sum(), atol=1e-15)
-    grads = backward(dot(out, constant([1.0, 0.0])))
-    assert np.count_nonzero(grads[t]) == 2
+    for col, raw in ((0, [5.0, 3.0]), (1, [4.0, 6.0])):
+        assert np.allclose(out.data[:, col], np.exp(raw) / np.exp(raw).sum(), atol=1e-15)
+    grads = backward(dot(out, constant([[1.0, 0.0], [0.0, 1.0]])))
+    assert np.count_nonzero(grads[t]) == 4
     assert grads[t][0, 1] > 0.0 and grads[t][1, 0] < 0.0
+    assert grads[t][0, 3] < 0.0 and grads[t][1, 4] > 0.0
 
 
 def test_reduce_max_tie_routes_to_first():
-    # on a B = I tie the max's gradient goes to B, the first of the two
-    t = Tensor([[2.0, 2.0, 0.0], [1.0, 1.0, 5.0]], requires_grad=True)
-    grads = backward(dot(attend(t), constant([1.0, 0.0])))
-    assert np.all(grads[t][:, 0] != 0.0)
-    assert np.array_equal(grads[t][:, 1:], np.zeros((2, 2)))
+    # on a B = I tie the max's gradient goes to B, the first of the two, in every head
+    t = Tensor([[2.0, 2.0, 0.0, -1.0, -1.0, 3.0], [1.0, 1.0, 5.0, 4.0, 4.0, 0.0]], requires_grad=True)
+    grads = backward(dot(attend(t), constant([[1.0, 0.5], [0.0, 0.0]])))
+    for b in (0, 3):
+        assert np.all(grads[t][:, b] != 0.0)
+        assert np.array_equal(grads[t][:, b + 1 : b + 3], np.zeros((2, 2)))
 
 
 def test_reduce_max_rows_value_and_gradcheck():
-    t = randt((4, 3), seed=40)
-    raw = t.data[:, :2].max(axis=1)
-    assert np.allclose(attend(t).data, np.exp(raw) / np.exp(raw).sum(), atol=1e-15)
-    w = constant(np.array([0.5, -1.0, 2.0, 0.25]))
+    t = randt((4, 6), seed=40)
+    out = attend(t).data
+    for col, b in enumerate((0, 3)):
+        raw = t.data[:, b : b + 2].max(axis=1)
+        assert np.allclose(out[:, col], np.exp(raw) / np.exp(raw).sum(), atol=1e-15)
+    w = constant(np.array([[0.5, -1.0], [2.0, 0.25], [-0.5, 1.5], [1.0, -2.0]]))
     assert grad_check(lambda: dot(w, attend(t)), [t]) < 1e-6
 
 
@@ -316,10 +344,10 @@ def test_determinism_two_identical_graphs():
 @settings(max_examples=50)
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=6))
 def test_tanh_sigmoid_ranges(values):
-    # 1x1 maps and prototypes of 1 make row t of compose tanh(values[t]) twice
-    one, unit = constant([1.0]), constant([[[1.0]]])
-    out = compose(constant([[v] for v in values]), one, one, unit, unit).data
-    assert np.array_equal(out[:, 0], np.tanh(values))
+    # 1x1 maps and prototypes of 1 make row t of compose tanh(values[t]) four times
+    one, unit = constant([[1.0], [1.0]]), constant([[[1.0]]])
+    out = compose(constant([[v] for v in values]), one, heads_of(*[unit] * 4)).data
+    assert np.array_equal(out, np.tile(np.tanh(values)[:, None], 4))
     assert np.all(np.abs(out) <= 1.0)
     s = sigmoid(np.array(values))
     assert np.all((s >= 0.0) & (s <= 1.0))

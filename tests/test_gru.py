@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmla.autodiff import constant, grad_check, init_uniform, node, zeros
+from cmla.autodiff import backward, constant, grad_check, init_uniform, node, zeros
 from cmla.gru import GRU_FIELDS, GruParams, gru_run, sigmoid
 from cmla.model import CmlaParams
 
@@ -145,6 +145,56 @@ def test_run_gradcheck_params_and_inputs(n):
         return dot(w, gru_run(xs, p))
 
     assert grad_check(f, [xs] + list(p.tensors().values())) < 1e-6
+
+
+def random_cell(input_dim, hidden_dim, gen):
+    p = GruParams.init(input_dim, hidden_dim, rng=gen, scale=1.0)
+    for name in ("b_z", "b_r", "b_h"):
+        getattr(p, name).data[:] = gen.uniform(-0.5, 0.5, size=hidden_dim)
+    return p
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_cells_side_by_side_match_separate_runs(n):
+    # two cells of different sizes run as one block-diagonal cell: states
+    # and every gradient equal the separate runs', so no off-diagonal
+    # block leaks into a state or a gradient
+    gen = np.random.default_rng(20 + n)
+    pa, pb = random_cell(3, 2, gen), random_cell(4, 3, gen)
+    xa, xb = init_uniform((n, 3), -1, 1, gen), init_uniform((n, 4), -1, 1, gen)
+    wa, wb = constant(gen.uniform(-1, 1, size=(n, 2))), constant(gen.uniform(-1, 1, size=(n, 3)))
+    x = init_uniform((n, 7), -1, 1, gen)
+    x.data[:] = np.hstack([xa.data, xb.data])
+    both = gru_run(x, pa, pb)
+    out_a, out_b = gru_run(xa, pa), gru_run(xb, pb)
+    np.testing.assert_allclose(both.data, np.hstack([out_a.data, out_b.data]), rtol=0, atol=1e-15)
+
+    grads = backward(dot(constant(np.hstack([wa.data, wb.data])), both))
+    separate = {**backward(dot(wa, out_a)), **backward(dot(wb, out_b))}
+    np.testing.assert_allclose(grads[x], np.hstack([separate[xa], separate[xb]]), rtol=0, atol=1e-12)
+    for cell in (pa, pb):
+        for name, t in cell.tensors().items():
+            assert grads[t].shape == t.data.shape, name
+            np.testing.assert_allclose(grads[t], separate[t], rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_cells_side_by_side_rows_unchanged_by_appended_row():
+    gen = np.random.default_rng(30)
+    pa, pb = random_cell(2, 3, gen), random_cell(2, 3, gen)
+    xs = gen.uniform(-1, 1, size=(5, 4))
+    full = gru_run(constant(xs), pa, pb).data
+    for n in range(1, 5):
+        assert np.array_equal(gru_run(constant(xs[:n]), pa, pb).data, full[:n])
+
+
+def test_cells_side_by_side_validation():
+    pa, pb = GruParams.init(2, 3, rng=1), GruParams.init(4, 3, rng=2)
+    with pytest.raises(ValueError):
+        gru_run(constant(np.zeros((0, 6))), pa, pb)
+    with pytest.raises(ValueError):   # the width of one cell's input only
+        gru_run(constant(np.ones((3, 4))), pa, pb)
+    with pytest.raises(ValueError):
+        gru_run(constant(np.ones(6)), pa, pb)
 
 
 def test_output_stays_in_convex_hull_of_tanh_band_and_h0():

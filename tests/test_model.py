@@ -2,6 +2,8 @@ import copy
 import json
 import re
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
 from cmla.bio import ASPECT, B, I, O, OPINION, LabelSeq, Span
 from cmla.data import DataFormatError, SynthConfig, generate_synthetic
+from cmla.gru import gru_run
 from cmla.model import (
     CLASS_INDEX,
     CLASS_ORDER,
@@ -32,6 +35,7 @@ from cmla.model import (
     predict,
     save_checkpoint,
     sentence_loss,
+    take_columns,
     train,
     update_prototype,
 )
@@ -107,44 +111,55 @@ def test_init_deterministic():
 # --- compose ----------------------------------------------------------------
 
 
+def heads_of(*maps):
+    """(comp, cross) pairs as the heads compose reads them."""
+    return [SimpleNamespace(comp=comp, cross=cross) for comp, cross in zip(maps[::2], maps[1::2])]
+
+
+def stacked_prototypes(params):
+    return constant(np.array([params.aspect.prototype.data, params.opinion.prototype.data]))
+
+
 def test_compose_zero_tensors_give_zero_vector():
     h = constant(np.ones((2, 3)))
-    u = constant(np.ones(3))
+    u = constant(np.ones((2, 3)))
     z = constant(np.zeros((2, 3, 3)))
-    out = compose(h, u, u, z, z)
-    assert np.array_equal(out.data, np.zeros((2, 4)))
+    out = compose(h, u, heads_of(z, z, z, z))
+    assert np.array_equal(out.data, np.zeros((2, 8)))
 
 
 def test_compose_scalar_case():
+    # aspect prototype 1, opinion prototype 0: aspect's own block and
+    # opinion's cross block see the 1, the others the 0
     h = constant([[0.5]])
-    u_self = constant([1.0])
-    u_other = constant([0.0])
+    u = constant([[1.0], [0.0]])
     g = constant([[[2.0]]])
-    out = compose(h, u_self, u_other, g, g)
-    assert out.data.shape == (1, 2)
+    out = compose(h, u, heads_of(g, g, g, g))
+    assert out.data.shape == (1, 4)
     assert abs(out.data[0, 0] - np.tanh(1.0)) < 1e-15
-    assert out.data[0, 1] == 0.0
+    assert abs(out.data[0, 3] - np.tanh(1.0)) < 1e-15
+    assert out.data[0, 1] == 0.0 and out.data[0, 2] == 0.0
 
 
 def test_compose_matches_loop_oracle():
     gen = np.random.default_rng(5)
     d, k, n = 4, 3, 3
     h = constant(gen.uniform(-1, 1, size=(n, d)))
-    u_self = constant(gen.uniform(-1, 1, size=d))
-    u_other = constant(gen.uniform(-1, 1, size=d))
-    comp = constant(gen.uniform(-1, 1, size=(k, d, d)))
-    cross = constant(gen.uniform(-1, 1, size=(k, d, d)))
-    out = compose(h, u_self, u_other, comp, cross)
-    assert out.data.shape == (n, 2 * k)
+    u = constant(gen.uniform(-1, 1, size=(2, d)))
+    comp_a, cross_a, comp_p, cross_p = (constant(gen.uniform(-1, 1, size=(k, d, d))) for _ in range(4))
+    out = compose(h, u, heads_of(comp_a, cross_a, comp_p, cross_p))
+    assert out.data.shape == (n, 4 * k)
     assert np.all(np.abs(out.data) < 1.0)
+
+    def form(t, c, m, proto):
+        return sum(h.data[t, i] * m.data[c, i, j] * proto[j] for i in range(d) for j in range(d))
+
+    u_a, u_p = u.data
     for t in range(n):
         for c in range(k):
-            own = sum(h.data[t, i] * comp.data[c, i, j] * u_self.data[j]
-                      for i in range(d) for j in range(d))
-            coupled = sum(h.data[t, i] * cross.data[c, i, j] * u_other.data[j]
-                          for i in range(d) for j in range(d))
-            assert abs(out.data[t, c] - np.tanh(own)) < 1e-12
-            assert abs(out.data[t, k + c] - np.tanh(coupled)) < 1e-12
+            # each head's own block, then its block against the other head's prototype
+            for block, (m, proto) in enumerate(((comp_a, u_a), (cross_a, u_p), (comp_p, u_p), (cross_p, u_a))):
+                assert abs(out.data[t, block * k + c] - np.tanh(form(t, c, m, proto))) < 1e-12
 
 
 # --- attention layer --------------------------------------------------------
@@ -153,9 +168,9 @@ def test_compose_matches_loop_oracle():
 def test_attention_single_token_score_is_one():
     params = CmlaParams.init(dim=4, channels=2, rng=1)
     h_seq = random_rows(4, 1, seed=2)
-    out = attention_layer(h_seq, params.aspect, params.aspect.prototype, params.opinion.prototype)
-    assert out.norm_scores.data.shape == (1,)
-    assert abs(out.norm_scores.data[0] - 1.0) <= 1e-12
+    _, scores = attention_layer(h_seq, stacked_prototypes(params), (params.aspect, params.opinion))
+    assert scores.data.shape == (1, 2)
+    assert np.all(np.abs(scores.data - 1.0) <= 1e-12)
 
 
 def test_attention_zero_params_uniform_scores():
@@ -163,34 +178,38 @@ def test_attention_zero_params_uniform_scores():
     for t in params.all_tensors():
         t.data[:] = 0.0
     h_seq = random_rows(4, 5, seed=3)
-    out = attention_layer(h_seq, params.aspect, params.aspect.prototype, params.opinion.prototype)
-    assert np.allclose(out.norm_scores.data, np.full(5, 0.2), atol=1e-15)
+    _, scores = attention_layer(h_seq, stacked_prototypes(params), (params.aspect, params.opinion))
+    assert np.allclose(scores.data, np.full((5, 2), 0.2), atol=1e-15)
 
 
 def test_attention_outputs_per_token():
     params = CmlaParams.init(dim=4, channels=2, rng=4)
-    h_seq = random_rows(4, 3, seed=5)
-    out = attention_layer(h_seq, params.aspect, params.aspect.prototype, params.opinion.prototype)
-    assert out.features.data.shape == (3, 2) and out.logits.data.shape == (3, 3)
-    for i, l in enumerate(out.logits.data):
-        assert np.allclose(l, params.aspect.classifier.data @ out.features.data[i], atol=1e-15)
-    raw = np.maximum(out.logits.data[:, 0], out.logits.data[:, 1])
-    assert np.allclose(out.norm_scores.data, np.exp(raw) / np.exp(raw).sum(), atol=1e-15)
+    heads = (params.aspect, params.opinion)
+    h_seq, u = random_rows(4, 3, seed=5), stacked_prototypes(params)
+    logits, scores = attention_layer(h_seq, u, heads)
+    assert logits.data.shape == (3, 6) and scores.data.shape == (3, 2)
+    features = gru_run(compose(h_seq, u, heads), params.aspect.att_gru, params.opinion.att_gru).data
+    for i, head in enumerate(heads):
+        head_logits = logits.data[:, 3 * i : 3 * i + 3]
+        for t, l in enumerate(head_logits):
+            assert np.allclose(l, head.classifier.data @ features[t, 2 * i : 2 * i + 2], atol=1e-15)
+        raw = np.maximum(head_logits[:, 0], head_logits[:, 1])
+        assert np.allclose(scores.data[:, i], np.exp(raw) / np.exp(raw).sum(), atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_classify_gradcheck(n):
     gen = np.random.default_rng(50 + n)
-    features = init_uniform((n, 3), -1, 1, gen)
-    classifier = init_uniform((3, 3), -1, 1, gen)
+    features = init_uniform((n, 6), -1, 1, gen)
+    classifiers = [init_uniform((3, 3), -1, 1, gen) for _ in range(2)]
     gold_a = random_gold(n, ASPECT, seed=n)
     gold_p = random_gold(n, OPINION, seed=n + 1)
 
     def f():
-        logits = classify(features, classifier)
-        return loss(logits, logits, gold_a, gold_p)
+        logits = classify(features, *classifiers)
+        return loss(take_columns(logits, slice(0, 3)), take_columns(logits, slice(3, 6)), gold_a, gold_p)
 
-    assert grad_check(f, [features, classifier]) < 1e-6
+    assert grad_check(f, [features, *classifiers]) < 1e-6
 
 
 def test_rows_unchanged_by_appended_row():
@@ -200,56 +219,60 @@ def test_rows_unchanged_by_appended_row():
     for _ in range(200):
         n, d, k = (int(v) for v in gen.integers(1, 9, size=3))
         h = gen.uniform(-1, 1, size=(n + 1, d))
-        u, maps = constant(gen.uniform(-1, 1, size=d)), constant(gen.uniform(-1, 1, size=(k, d, d)))
-        full = compose(constant(h), u, u, maps, maps).data
-        assert np.array_equal(compose(constant(h[:n]), u, u, maps, maps).data, full[:n])
-        w = constant(gen.uniform(-1, 1, size=(3, d)))
-        assert np.array_equal(classify(constant(h[:n]), w).data, classify(constant(h), w).data[:n])
+        u = constant(gen.uniform(-1, 1, size=(2, d)))
+        heads = heads_of(*(constant(gen.uniform(-1, 1, size=(k, d, d))) for _ in range(4)))
+        full = compose(constant(h), u, heads).data
+        assert np.array_equal(compose(constant(h[:n]), u, heads).data, full[:n])
+        w = [constant(gen.uniform(-1, 1, size=(3, c))) for c in (d - d // 2, d // 2) if c]
+        assert np.array_equal(classify(constant(h[:n]), *w).data, classify(constant(h), *w).data[:n])
 
 
 # --- update_prototype -------------------------------------------------------
 
 
 def test_update_prototype_zero_map_is_identity():
-    u = constant(np.array([1.0, -2.0, 0.5]))
-    scores = constant(np.array([0.3, 0.7]))
+    u = constant(np.array([[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]]))
+    scores = constant(np.array([[0.3, 0.9], [0.7, 0.1]]))
     h_seq = random_rows(3, 2, seed=6)
-    out = update_prototype(u, scores, h_seq, constant(np.zeros((3, 3))))
+    out = update_prototype(u, scores, h_seq, [constant(np.zeros((3, 3)))] * 2)
     assert np.array_equal(out.data, u.data)
 
 
 def test_update_prototype_single_token_identity_map():
-    u = constant(np.array([1.0, 2.0]))
+    u = constant(np.array([[1.0, 2.0], [-3.0, 0.5]]))
     h = constant(np.array([[0.25, -0.5]]))
-    out = update_prototype(u, constant(np.array([1.0])), h, constant(np.eye(2)))
+    out = update_prototype(u, constant(np.array([[1.0, 1.0]])), h, [constant(np.eye(2))] * 2)
     assert np.allclose(out.data, u.data + h.data[0], atol=1e-15)
 
 
 def test_update_prototype_matches_weighted_sum_oracle():
     gen = np.random.default_rng(7)
     d, n = 4, 5
-    u = constant(gen.uniform(-1, 1, size=d))
-    raw = gen.uniform(0.1, 1.0, size=n)
-    w = raw / raw.sum()
+    u = constant(gen.uniform(-1, 1, size=(2, d)))
+    raw = gen.uniform(0.1, 1.0, size=(n, 2))
+    w = raw / raw.sum(axis=0)
     h_seq = constant(gen.uniform(-1, 1, size=(n, d)))
-    v = constant(gen.uniform(-1, 1, size=(d, d)))
-    out = update_prototype(u, constant(w), h_seq, v)
-    expected = u.data + sum(w[i] * (v.data @ h_seq.data[i]) for i in range(n))
-    assert np.allclose(out.data, expected, atol=1e-12)
+    maps = [constant(gen.uniform(-1, 1, size=(d, d))) for _ in range(2)]
+    out = update_prototype(u, constant(w), h_seq, maps)
+    for head, v in enumerate(maps):
+        expected = u.data[head] + sum(w[i, head] * (v.data @ h_seq.data[i]) for i in range(n))
+        assert np.allclose(out.data[head], expected, atol=1e-12)
 
 
 def test_update_prototype_rejects_unnormalized_weights():
-    u = constant(np.zeros(2))
+    # the aspect column sums to 1, the opinion column does not
+    u = constant(np.zeros((2, 2)))
     h_seq = random_rows(2, 2, seed=8)
-    bad = constant(np.array([0.5, 0.6]))
+    bad = constant(np.array([[0.5, 0.5], [0.5, 0.6]]))
     with pytest.raises(ValueError, match="weight-sum violation beyond 1e-9"):
-        update_prototype(u, bad, h_seq, constant(np.eye(2)))
+        update_prototype(u, bad, h_seq, [constant(np.eye(2))] * 2)
 
 
 def test_update_prototype_rejects_nan_weights():
     h_seq = random_rows(2, 2, seed=8)
-    with pytest.raises(FloatingPointError, match="non-finite"):
-        update_prototype(constant(np.zeros(2)), constant([np.nan, 1.0]), h_seq, constant(np.eye(2)))
+    for bad in ([[np.nan, 0.5], [1.0, 0.5]], [[0.5, np.nan], [0.5, 1.0]]):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            update_prototype(constant(np.zeros((2, 2))), constant(bad), h_seq, [constant(np.eye(2))] * 2)
 
 
 def test_update_prototype_gradcheck():
@@ -257,22 +280,23 @@ def test_update_prototype_gradcheck():
     # breaks its sum-to-one check; the closed form of dL/dw is pinned by
     # test_autodiff's test_matmul_grad_of_sum_matches_closed_form
     gen = np.random.default_rng(30)
-    probe = constant(gen.uniform(-1, 1, size=3))
+    probe = constant(gen.uniform(-1, 1, size=(2, 3)))
     for n in (1, 4):
-        u, logits = init_uniform((3,), -1, 1, gen), init_uniform((n, 3), -1, 1, gen)
-        h_seq, proto_map = init_uniform((n, 4), -1, 1, gen), init_uniform((3, 4), -1, 1, gen)
+        u, logits = init_uniform((2, 3), -1, 1, gen), init_uniform((n, 6), -1, 1, gen)
+        h_seq = init_uniform((n, 4), -1, 1, gen)
+        maps = [init_uniform((3, 4), -1, 1, gen) for _ in range(2)]
 
         def f():
-            out = update_prototype(u, attend(logits), h_seq, proto_map)
+            out = update_prototype(u, attend(logits), h_seq, maps)
             return node(np.vdot(out.data, probe.data), (out,), lambda g: (g * probe.data,))
 
-        assert grad_check(f, [u, logits, h_seq, proto_map]) < 1e-6
+        assert grad_check(f, [u, logits, h_seq, *maps]) < 1e-6
 
 
 def test_update_prototype_rejects_length_mismatch():
-    u = constant(np.zeros(2))
+    u = constant(np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        update_prototype(u, constant(np.array([1.0])), random_rows(2, 2), constant(np.eye(2)))
+        update_prototype(u, constant(np.array([[1.0, 1.0]])), random_rows(2, 2), [constant(np.eye(2))] * 2)
 
 
 # --- forward ----------------------------------------------------------------
@@ -331,6 +355,33 @@ def test_forward_full_gradcheck_small():
         return loss(fwd.aspect.logits, fwd.opinion.logits, ga, gp)
 
     assert grad_check(f, params.all_tensors(), max_coords_per_param=4, rng=21) < 1e-4
+
+
+# recorded from commit 9431f9c, whose forward ran each head's attention
+# layer and prototype update as separate calls; values are repr floats
+GOLDEN = json.loads((Path(__file__).parent / "golden_forward.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"],
+                         ids=lambda c: f"layers{c['layers']}-n{len(c['inputs'])}")
+def test_forward_and_gradients_match_golden(case):
+    params = CmlaParams.init(dim=5, channels=3, rng=case["seed"], layers=case["layers"],
+                             init_scale=case["init_scale"])
+    fwd = forward(np.array(case["inputs"]), params)
+    value = loss(fwd.aspect.logits, fwd.opinion.logits,
+                 LabelSeq(case["gold_aspect"], ASPECT), LabelSeq(case["gold_opinion"], OPINION))
+    grads = backward(value)
+    close = dict(rtol=0, atol=1e-12)
+    np.testing.assert_allclose(value.item(), case["loss"], **close)
+    for head in (ASPECT, OPINION):
+        out = getattr(fwd, head)
+        np.testing.assert_allclose(out.logits.data, case[f"{head}_logits"], **close)
+        np.testing.assert_allclose(out.norm_scores.data, case[f"{head}_scores"], **close)
+    named = {name: t for name, t in params.named_tensors().items() if t in grads}
+    assert sorted(named) == sorted(case["grads"])   # one layer leaves proto_map unused
+    for name, t in named.items():
+        np.testing.assert_allclose(np.asarray(grads[t]).reshape(-1), case["grads"][name],
+                                   err_msg=name, **close)
 
 
 # --- loss -------------------------------------------------------------------
