@@ -27,6 +27,7 @@ SWEEP = [
     (5, 3, 4, 5),
     (6, 3, 5, 0),
     (8, 4, 6, 6),
+    (6, 3, 25, 7),   # a long sentence: backprop through 25 steps
 ]
 
 

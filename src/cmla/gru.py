@@ -10,6 +10,10 @@ blended by interpolation
 
 A run over a whole sequence is one graph node: the recurrence is stepped
 in numpy and its backward is hand-written backpropagation through time.
+Only state-dependent work stays in the step loops: W x + b is formed per
+row up front, and the backward forms its gate factors for all steps before
+its reverse loop. W x stays one product per row: an (n, input) GEMM sums
+differently with the row count, which would break bit-for-bit prefixes.
 
 Used twice in the tagger: once to fold sentence context into the word
 embeddings and once to smooth per-token composition vectors into
@@ -29,9 +33,8 @@ GRU_FIELDS = ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h")
 
 
 def sigmoid(x):
-    """Logistic function without overflow: exp only ever sees -|x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Logistic function in its tanh form, which cannot overflow."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def init_tensor(name: str, shape, scale: float, gen) -> Tensor:
@@ -118,25 +121,27 @@ def gru_run(xs: Tensor, *cells: GruParams) -> Tensor:
             w[rows, x_at], u[rows, h_at], b[rows] = ts[g], ts[3 + g], ts[6 + g]
     u_zr, u_h = u[: 2 * k], u[2 * k :]
 
+    wxb = np.array([w @ row for row in x]) + b   # input terms of every step, rows as in w
+    wx_zr, wx_h = wxb[:, : 2 * k], wxb[:, 2 * k :]
     states = np.zeros((n + 1, k))   # states[t] is the state before step t
-    zr, cand = np.empty((n, 2 * k)), np.empty((n, k))
+    zr, cand, h = np.empty((n, 2 * k)), np.empty((n, k)), states[0]
     for t in range(n):
-        h, wx = states[t], w @ x[t]
-        zr[t] = sigmoid(wx[: 2 * k] + u_zr @ h + b[: 2 * k])
-        cand[t] = np.tanh(wx[2 * k :] + u_h @ (zr[t, k:] * h) + b[2 * k :])
-        states[t + 1] = (1.0 - zr[t, :k]) * h + zr[t, :k] * cand[t]
+        s = zr[t] = sigmoid(wx_zr[t] + u_zr @ h)
+        c = cand[t] = np.tanh(wx_h[t] + u_h @ (s[k:] * h))
+        h = states[t + 1] = h + s[:k] * (c - h)
 
     def backprop(g):
         prev, z, r = states[:-1], zr[:, :k], zr[:, k:]
+        # derivatives of the next state through each gate, per unit of carried gradient
+        d_c, d_z = z * (1.0 - cand * cand), (cand - prev) * z * (1.0 - z)
+        d_r, keep = prev * r * (1.0 - r), 1.0 - z
         pre = np.empty((n, 3 * k))   # gradients of the gate pre-activations, rows as in w
         dh = np.zeros(k)
         for t in range(n - 1, -1, -1):
             dh = dh + g[t]
-            pre[t, 2 * k :] = dh * z[t] * (1.0 - cand[t] * cand[t])
-            d_rh = pre[t, 2 * k :] @ u_h
-            pre[t, :k] = dh * (cand[t] - prev[t]) * z[t] * (1.0 - z[t])
-            pre[t, k : 2 * k] = d_rh * prev[t] * r[t] * (1.0 - r[t])
-            dh = dh * (1.0 - z[t]) + d_rh * r[t] + pre[t, : 2 * k] @ u_zr
+            d_rh = (p_h := dh * d_c[t]) @ u_h
+            pre[t, :k], pre[t, k : 2 * k], pre[t, 2 * k :] = dh * d_z[t], d_rh * d_r[t], p_h
+            dh = dh * keep[t] + d_rh * r[t] + pre[t, : 2 * k] @ u_zr
         dx = pre @ w if xs.requires_grad else None
         dw, db = pre.T @ x, pre.sum(axis=0)
         du = np.concatenate([pre[:, : 2 * k].T @ prev, pre[:, 2 * k :].T @ (r * prev)])

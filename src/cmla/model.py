@@ -177,7 +177,7 @@ def compose(h_seq: Tensor, u: Tensor, heads) -> Tensor:
         g_mu = (gp.T @ h).reshape(len(maps), -1, h.shape[1])
         u_rows, g_u = np.array(us), np.zeros(us.shape)   # a copy: train updates the prototypes in place
         for m, j, gm in zip(maps, protos, g_mu):
-            g_u[j] += np.tensordot(gm, m.data, axes=2)
+            g_u[j] += gm.reshape(-1) @ m.data.reshape(-1, h.shape[1])
         return (gp @ mu, g_u, *(FactoredGrad(gm[None], u_rows[j : j + 1]) for gm, j in zip(g_mu, protos)))
 
     return node(y, (h_seq, u, *maps), backprop)

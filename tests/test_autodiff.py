@@ -133,6 +133,22 @@ def test_sigmoid_stable_at_extremes():
     assert out[0] == 0.0 and out[1] == 1.0
 
 
+def two_branch_sigmoid(x):
+    """The exp form, each branch exp'ing only -|x|: the oracle for sigmoid."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_sigmoid_matches_two_branch_form():
+    x = np.linspace(-40.0, 40.0, 160_001)
+    s = sigmoid(x)
+    # within one ulp of 1.0; below 0.5 the tanh form loses relative accuracy
+    # (it gives exactly 0 far out) but never absolute accuracy
+    assert np.max(np.abs(s - two_branch_sigmoid(x))) <= np.finfo(float).eps
+    assert np.all(np.diff(s) >= 0.0)
+    assert x[80_000] == 0.0 and s[80_000] == 0.5
+
+
 def test_bilinear_matches_triple_loop_oracle():
     # each head composes against its own prototype, then the other head's
     gen = np.random.default_rng(13)

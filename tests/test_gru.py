@@ -130,7 +130,7 @@ def test_five_step_run_gradcheck():
     assert grad_check(f, list(p.tensors().values())) < 1e-4
 
 
-@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("n", [1, 4, 30])
 def test_run_gradcheck_params_and_inputs(n):
     # random output weights so every step's gradient reaches the earlier ones
     # with a different mix; biases moved off zero so no term vanishes
@@ -176,6 +176,33 @@ def test_cells_side_by_side_match_separate_runs(n):
         for name, t in cell.tensors().items():
             assert grads[t].shape == t.data.shape, name
             np.testing.assert_allclose(grads[t], separate[t], rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_cells_side_by_side_gradcheck():
+    # twelve steps of two cells: inputs and every tensor of both cells
+    gen = np.random.default_rng(40)
+    pa, pb = random_cell(2, 3, gen), random_cell(3, 2, gen)
+    xs = init_uniform((12, 5), -1.0, 1.0, gen)
+    w = constant(gen.uniform(-1, 1, size=(12, 5)))
+
+    def f():
+        return dot(w, gru_run(xs, pa, pb))
+
+    assert grad_check(f, [xs, *pa.tensors().values(), *pb.tensors().values()]) < 1e-6
+
+
+def test_backprop_twice_gives_identical_gradients():
+    # the backward forms its factors from the forward's saved states and
+    # gates; a write into those would change a second call's result
+    gen = np.random.default_rng(41)
+    pa, pb = random_cell(3, 2, gen), random_cell(3, 2, gen)
+    out = gru_run(init_uniform((9, 6), -1, 1, gen), pa, pb)
+    g = gen.uniform(-1, 1, size=(9, 4))
+    first = [d.copy() for d in out._backprop(g)]
+    second = out._backprop(g)
+    assert len(first) == len(second) == 19
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 def test_cells_side_by_side_rows_unchanged_by_appended_row():
