@@ -39,8 +39,7 @@ def audit_config(dim, channels, length, seed, scale, coords):
     gold_p = LabelSeq([CLASS_ORDER[int(gen.integers(3))] for _ in range(length)], OPINION)
 
     def f():
-        fwd = forward(xs, params)
-        return loss(fwd.aspect.logits, fwd.opinion.logits, gold_a, gold_p)
+        return loss(forward(xs, params)[0], gold_a, gold_p)
 
     rows = []
     for name, tensor in params.named_tensors().items():

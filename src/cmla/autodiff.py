@@ -2,7 +2,7 @@
 
 The engine is small on purpose: each layer of the model is one node that
 `node` wraps around a numpy forward result and a hand-written backward,
-so a two-layer forward pass and its loss are 17 nodes whatever the
+so a two-layer forward pass and its loss are 13 nodes whatever the
 sentence length, and the engine has no generic primitives. Tensors are
 plain row-major numpy arrays. The graph is rebuilt for every loss;
 creation order doubles as a topological order, so backward() just sweeps
@@ -26,12 +26,11 @@ class Tensor:
     links, are skipped by backward() and are safe to share between threads.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id", "_parents", "_backprop")
+    __slots__ = ("data", "requires_grad", "node_id", "_parents", "_backprop")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.array(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = None
         self.node_id = next(_NODE_IDS)
         self._parents = ()
         self._backprop = None
@@ -86,12 +85,12 @@ def node(data, parents, backprop) -> Tensor:
 
 
 def backward(loss: Tensor) -> dict:
-    """Accumulate gradients of a scalar loss into every reachable tensor.
+    """Gradients of a scalar loss, as {tensor: gradient} for every reachable
+    tensor that requires one.
 
-    Returns {tensor: gradient} and stores the same object on each
-    tensor's .grad (overwriting any previous value, so there is no
-    zero-grad step between training iterations). A gradient is usually a
-    numpy array, but may be any array-like with `+` and `*` by a scalar.
+    Each call starts from nothing, so there is no zero-grad step between
+    training iterations. A gradient is usually a numpy array, but may be
+    any array-like with `+` and `*` by a scalar.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -117,9 +116,6 @@ def backward(loss: Tensor) -> dict:
                 grads[parent] = grads[parent] + pg
             else:
                 grads[parent] = pg
-
-    for t, g in grads.items():
-        t.grad = g
     return grads
 
 

@@ -10,6 +10,8 @@ results to stdout or the declared output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 
@@ -252,10 +254,31 @@ def _load_model(cfg):
     return table, params
 
 
+@contextlib.contextmanager
+def _checkpoint_overflow(cfg):
+    """Report a forward pass that overflows as a fault of the checkpoint."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise DataFormatError(f"{cfg['checkpoint']}: {exc}") from None
+
+
+def _read_stdin_lines() -> list:
+    """Standard input's lines, read as UTF-8 and split as open() splits them."""
+    raw = sys.stdin.buffer.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"<stdin>: line {lineno}: not UTF-8 text ({exc.reason})") from None
+    return io.StringIO(text, newline=None).readlines()
+
+
 def _cmd_eval(cfg) -> int:
     table, params = _load_model(cfg)
     sentences = _load_corpus(cfg)
-    report = score_corpus(params, table, sentences)
+    with _checkpoint_overflow(cfg):
+        report = score_corpus(params, table, sentences)
     sys.stdout.write(metrics_table(report))
     if cfg["out"]:
         with open(cfg["out"], "w", encoding="utf-8") as fh:
@@ -270,7 +293,7 @@ def _cmd_predict(cfg) -> int:
         with open_text(cfg["input"]) as fh:
             lines = fh.readlines()
     else:
-        lines = sys.stdin.readlines()
+        lines = _read_stdin_lines()
 
     n = 0
     for raw in lines:
@@ -282,7 +305,8 @@ def _cmd_predict(cfg) -> int:
             raw_text=text, tokens=tokenize(text),
             aspect_spans=[], opinion_spans=[], source_id=f"input-{n}",
         )
-        pred = predict(sentence, table, params)
+        with _checkpoint_overflow(cfg):
+            pred = predict(sentence, table, params)
         print(f"sentence {n}: {text}")
         for head, spans in ((ASPECT, pred.aspect_spans), (OPINION, pred.opinion_spans)):
             shown = "; ".join(

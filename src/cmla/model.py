@@ -8,8 +8,9 @@ gives B/I/O logits per token, and the max of the B/I logits doubles as a
 raw attention score. Between layers each prototype absorbs an
 attention-weighted summary of the sentence, so the second pass attends
 with sharper templates. Both heads run each layer as one pass: the
-prototypes are the rows of one array, and the two GRUs and classifiers
-run as one block-diagonal cell and one block-diagonal map.
+prototypes are the rows of one array, the two GRUs and classifiers run as
+one block-diagonal cell and one block-diagonal map, and the loss and the
+decoder read both heads' logits as one (n, 6) block.
 """
 
 from __future__ import annotations
@@ -217,22 +218,6 @@ def attend(logits: Tensor) -> Tensor:
     return node(w, (logits,), backprop)
 
 
-def take_columns(t: Tensor, cols) -> Tensor:
-    """Columns `cols` (an index or a slice) of a 2-D Tensor, as one node."""
-    def backprop(g):
-        out = np.zeros(t.data.shape)
-        out[:, cols] = g
-        return (out,)
-
-    return node(t.data[:, cols], (t,), backprop)
-
-
-@dataclass
-class HeadOutput:
-    logits: Tensor      # (n, 3) class scores in CLASS_ORDER
-    norm_scores: Tensor # (n,) softmax over the sentence of max(B, I) logits
-
-
 def attention_layer(h_seq: Tensor, u: Tensor, heads) -> tuple:
     """One layer of every head: (n, 3 per head) logits, (n, heads) weights."""
     features = gru_run(compose(h_seq, u, heads), *(head.att_gru for head in heads))
@@ -265,15 +250,10 @@ def update_prototype(u: Tensor, norm_scores: Tensor, h_seq: Tensor, proto_maps) 
                 (u, norm_scores, h_seq, *proto_maps), backprop)
 
 
-@dataclass
-class ForwardResult:
-    aspect: HeadOutput
-    opinion: HeadOutput
-    hidden: Tensor      # (n, dim) context GRU states
-
-
-def forward(embeddings, params: CmlaParams) -> ForwardResult:
-    """Run the full stack over one sentence of embedding vectors.
+def forward(embeddings, params: CmlaParams) -> tuple:
+    """Run the full stack over one sentence of embedding vectors; return the
+    final layer's (n, 6) logits, each head's B/I/O triple in CLASS_ORDER,
+    aspect first, and its (n, 2) attention weights, a column per head.
 
     The vectors (arrays or Tensors) enter as one constant (n, dim) block,
     so no gradient flows back into them. Both heads run each layer as one
@@ -290,26 +270,26 @@ def forward(embeddings, params: CmlaParams) -> ForwardResult:
         logits, scores = attention_layer(h_seq, u, heads)
         if layer + 1 < params.layers:
             u = update_prototype(u, scores, h_seq, [head.proto_map for head in heads])
-    a, p = (HeadOutput(take_columns(logits, slice(3 * i, 3 * i + 3)), take_columns(scores, i))
-            for i in range(len(heads)))
-    return ForwardResult(aspect=a, opinion=p, hidden=h_seq)
+    return logits, scores
 
 
-def loss(logits_a: Tensor, logits_p: Tensor, gold_a: LabelSeq, gold_p: LabelSeq) -> Tensor:
-    """Mean per-token cross-entropy of each head, summed over the heads."""
-    heads = []   # (log-probabilities, one-hot gold, token count) per head
-    for logits, gold in ((logits_a, gold_a), (logits_p, gold_p)):
-        n = len(gold)
-        if logits.data.shape != (n, len(CLASS_ORDER)):
-            raise ValueError(f"logits of shape {logits.data.shape} for {n} gold labels")
-        shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        one_hot = np.zeros((n, len(CLASS_ORDER)))
-        one_hot[np.arange(n), [CLASS_INDEX[label] for label in gold.labels]] = 1.0
-        heads.append((log_probs, one_hot, n))
-    value = sum(-(one_hot * log_probs).sum() / n for log_probs, one_hot, n in heads)
-    return node(value, (logits_a, logits_p),
-                lambda g: tuple(g * (np.exp(lp) - oh) / n for lp, oh, n in heads))
+def loss(logits: Tensor, gold_a: LabelSeq, gold_p: LabelSeq) -> Tensor:
+    """Mean per-token cross-entropy of each head's (n, 3) block of the
+    (n, 6) logits, summed over the heads."""
+    n = len(gold_a)
+    if len(gold_p) != n or logits.data.shape != (n, 2 * len(CLASS_ORDER)):
+        raise ValueError(f"logits of shape {logits.data.shape} for {n} and {len(gold_p)} gold labels")
+    x = logits.data.reshape(n, 2, len(CLASS_ORDER))
+    shifted = x - x.max(axis=2, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
+    one_hot = np.zeros(x.shape)
+    for i, gold in enumerate((gold_a, gold_p)):
+        one_hot[np.arange(n), i, [CLASS_INDEX[label] for label in gold.labels]] = 1.0
+    # one contiguous row per head: numpy's pairwise sum then adds a head's
+    # terms in the order it adds them in that head's (n, 3) block alone
+    terms = (one_hot * log_probs).transpose(1, 0, 2).reshape(2, -1)
+    return node(sum(-terms.sum(axis=1) / n), (logits,),
+                lambda g: (g * (np.exp(log_probs) - one_hot).reshape(n, -1) / n,))
 
 
 def embed_sentence(sentence, table) -> list:
@@ -319,8 +299,8 @@ def embed_sentence(sentence, table) -> list:
 def sentence_loss(sentence, table, params: CmlaParams) -> Tensor:
     gold_a = bio.spans_to_labels(len(sentence.tokens), sentence.aspect_spans, ASPECT)
     gold_p = bio.spans_to_labels(len(sentence.tokens), sentence.opinion_spans, OPINION)
-    fwd = forward(embed_sentence(sentence, table), params)
-    return loss(fwd.aspect.logits, fwd.opinion.logits, gold_a, gold_p)
+    logits, _ = forward(embed_sentence(sentence, table), params)
+    return loss(logits, gold_a, gold_p)
 
 
 # ---------------------------------------------------------------------------
@@ -434,27 +414,21 @@ class Prediction:
 
 
 def predict(sentence, table, params: CmlaParams) -> Prediction:
-    """Label one tokenized sentence; OOV words go through the table policy."""
-    fwd = forward(embed_sentence(sentence, table), params)
-    seqs = {}
-    confidences = {}
-    for head, out in ((ASPECT, fwd.aspect), (OPINION, fwd.opinion)):
-        logits = out.logits.data
-        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
-        picks = probs.argmax(axis=1)
-        seqs[head] = LabelSeq([CLASS_ORDER[i] for i in picks], head)
-        confidences[head] = probs[np.arange(len(picks)), picks].tolist()
-
-    return Prediction(
-        aspect_spans=labels_to_spans(seqs[ASPECT]),
-        opinion_spans=labels_to_spans(seqs[OPINION]),
-        merged=merge_heads(seqs[ASPECT], seqs[OPINION], confidences[ASPECT], confidences[OPINION]),
-        aspect_logits=fwd.aspect.logits.data,
-        opinion_logits=fwd.opinion.logits.data,
-        aspect_attention=fwd.aspect.norm_scores.data,
-        opinion_attention=fwd.opinion.norm_scores.data,
-    )
+    """Label one tokenized sentence; OOV words go through the table policy.
+    An overflow or invalid operation raises FloatingPointError naming the sentence."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            logits, scores = (t.data for t in forward(embed_sentence(sentence, table), params))
+            x = logits.reshape(len(logits), 2, len(CLASS_ORDER))
+            probs = np.exp(x - x.max(axis=2, keepdims=True))
+            probs /= probs.sum(axis=2, keepdims=True)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc} in the forward pass of sentence {sentence.source_id}") from None
+    aspect, opinion = (LabelSeq([CLASS_ORDER[i] for i in picks], head)
+                       for picks, head in zip(probs.argmax(axis=2).T, (ASPECT, OPINION)))
+    return Prediction(labels_to_spans(aspect), labels_to_spans(opinion),
+                      merge_heads(aspect, opinion, *probs.max(axis=2).T.tolist()),
+                      logits[:, :3], logits[:, 3:], scores[:, 0], scores[:, 1])
 
 
 # ---------------------------------------------------------------------------

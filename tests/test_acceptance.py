@@ -56,8 +56,7 @@ def test_criterion_1_gradient_check():
         gold_p = LabelSeq([CLASS_ORDER[int(gen.integers(3))] for _ in range(length)], OPINION)
 
         def f():
-            fwd = forward(xs, params)
-            return loss(fwd.aspect.logits, fwd.opinion.logits, gold_a, gold_p)
+            return loss(forward(xs, params)[0], gold_a, gold_p)
 
         worst = max(worst, grad_check(f, params.all_tensors()))
     elapsed = time.perf_counter() - start
@@ -180,9 +179,9 @@ def test_criterion_5_attention_normalization():
             init_scale=float(gen.uniform(0.05, 1.5)),
         )
         xs = [constant(gen.uniform(-2, 2, size=dim)) for _ in range(length)]
-        fwd = forward(xs, params)
-        for head_out in (fwd.aspect, fwd.opinion):
-            worst = max(worst, abs(float(head_out.norm_scores.data.sum()) - 1.0))
+        _, scores = forward(xs, params)
+        for column in scores.data.T:   # one per head
+            worst = max(worst, abs(float(column.sum()) - 1.0))
     ok = worst <= 1e-9
     report(5, "attention-normalization", ok,
            f"1000 fuzzed forwards, worst |sum-1| = {worst:.3e}")

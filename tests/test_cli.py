@@ -1,4 +1,5 @@
 import io
+import json
 import re
 import sys
 
@@ -11,6 +12,11 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stdin_bytes(data: bytes):
+    """A stand-in for sys.stdin that carries `data` as its byte stream."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -372,7 +378,7 @@ def test_predict_report_pred_column_marks_printed_spans(workspace, capsys, monke
     assert code == 0
     lines = ["zeer goede ligging en prima terras", "het was een leuke dag en ik heb veel gedaan",
              "de kamer was mooie", "ik vond de service echt lekkere", "wat een saaie tuin zeg"]
-    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(("\n".join(lines) + "\n").encode("utf-8")))
     code, stdout, _ = run(
         capsys, "predict",
         "--checkpoint", str(tmp_path / "checkpoint.json"),
@@ -399,7 +405,7 @@ def test_predict_report_pred_column_marks_printed_spans(workspace, capsys, monke
 
 def test_predict_from_stdin(workspace, capsys, monkeypatch):
     data, run_dir = workspace
-    monkeypatch.setattr(sys, "stdin", io.StringIO("zeer goede ligging\n\n"))
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(b"zeer goede ligging\n\n"))
     code, stdout, _ = run(
         capsys, "predict",
         "--checkpoint", str(run_dir / "checkpoint.json"),
@@ -412,7 +418,7 @@ def test_predict_from_stdin(workspace, capsys, monkeypatch):
 
 def test_predict_empty_input_warns(workspace, capsys, monkeypatch):
     data, run_dir = workspace
-    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(b""))
     code, stdout, stderr = run(
         capsys, "predict",
         "--checkpoint", str(run_dir / "checkpoint.json"),
@@ -420,6 +426,73 @@ def test_predict_empty_input_warns(workspace, capsys, monkeypatch):
     )
     assert code == 0
     assert "no sentences" in stderr
+
+
+def test_predict_stdin_splits_lines_as_files_do(workspace, capsys, monkeypatch):
+    data, run_dir = workspace
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(b"zeer goede ligging\r\nde kamer\rmooie terras\n"))
+    code, stdout, _ = run(
+        capsys, "predict",
+        "--checkpoint", str(run_dir / "checkpoint.json"),
+        "--embeddings", str(data / "embeddings.txt"),
+    )
+    assert code == 0
+    assert re.findall(r"^sentence \d+: (.*)$", stdout, re.M) == ["zeer goede ligging", "de kamer", "mooie terras"]
+
+
+def test_predict_rejects_undecodable_stdin(workspace, capsys, monkeypatch):
+    data, run_dir = workspace
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(b"zeer goede ligging\nzeer caf\xe9 ligging\n"))
+    code, stdout, stderr = run(
+        capsys, "predict",
+        "--checkpoint", str(run_dir / "checkpoint.json"),
+        "--embeddings", str(data / "embeddings.txt"),
+    )
+    assert code == 2 and stdout == ""
+    assert "<stdin>: line 2: not UTF-8 text" in stderr
+
+
+def overflowing_checkpoint(run_dir, tmp_path, layers):
+    """The shared checkpoint at `layers` layers, with both classifiers set to
+    the finite values +-1.7e308, whose products overflow in the forward pass."""
+    payload = json.loads((run_dir / "checkpoint.json").read_text(encoding="utf-8"))
+    payload["layers"] = layers
+    for head in ("aspect", "opinion"):
+        entry = payload["tensors"][f"{head}.classifier"]
+        entry["values"] = [1.7e308 * (-1) ** i for i in range(len(entry["values"]))]
+    path = tmp_path / f"overflow{layers}.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_eval_overflowing_checkpoint_exits_two(workspace, capsys, tmp_path, layers):
+    data, run_dir = workspace
+    checkpoint = overflowing_checkpoint(run_dir, tmp_path, layers)
+    code, stdout, stderr = run(
+        capsys, "eval",
+        "--data", str(data / "corpus.xml"),
+        "--embeddings", str(data / "embeddings.txt"),
+        "--lexicon", str(data / "lexicon.txt"),
+        "--checkpoint", str(checkpoint),
+    )
+    assert code == 2 and stdout == ""   # no metrics table
+    (sentence_id,) = re.findall(rf"^cmla: {re.escape(str(checkpoint))}: .* of sentence (\S+)$", stderr, re.M)
+    assert f'id="{sentence_id}"' in (data / "corpus.xml").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_predict_overflowing_checkpoint_exits_two(workspace, capsys, monkeypatch, tmp_path, layers):
+    data, run_dir = workspace
+    checkpoint = overflowing_checkpoint(run_dir, tmp_path, layers)
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(b"zeer goede ligging\nde kamer was mooie\n"))
+    code, stdout, stderr = run(
+        capsys, "predict",
+        "--checkpoint", str(checkpoint),
+        "--embeddings", str(data / "embeddings.txt"),
+    )
+    assert code == 2 and stdout == ""   # nothing for the failing first sentence
+    assert re.fullmatch(rf"cmla: {re.escape(str(checkpoint))}: .* of sentence input-1\n", stderr)
 
 
 # --- inspect ----------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
 from cmla.bio import ASPECT, B, I, O, OPINION, LabelSeq, Span
-from cmla.data import DataFormatError, SynthConfig, generate_synthetic
+from cmla.data import DataFormatError, Sentence, SynthConfig, generate_synthetic, tokenize
 from cmla.gru import gru_run
 from cmla.model import (
     CLASS_INDEX,
@@ -35,7 +35,6 @@ from cmla.model import (
     predict,
     save_checkpoint,
     sentence_loss,
-    take_columns,
     train,
     update_prototype,
 )
@@ -206,8 +205,7 @@ def test_classify_gradcheck(n):
     gold_p = random_gold(n, OPINION, seed=n + 1)
 
     def f():
-        logits = classify(features, *classifiers)
-        return loss(take_columns(logits, slice(0, 3)), take_columns(logits, slice(3, 6)), gold_a, gold_p)
+        return loss(classify(features, *classifiers), gold_a, gold_p)
 
     assert grad_check(f, [features, *classifiers]) < 1e-6
 
@@ -304,19 +302,18 @@ def test_update_prototype_rejects_length_mismatch():
 
 def test_forward_single_token_distributions_sum_to_one():
     params = CmlaParams.init(dim=4, channels=2, rng=9)
-    fwd = forward(random_inputs(4, 1, seed=10), params)
-    for out in (fwd.aspect, fwd.opinion):
-        probs = np.exp(out.logits.data[0])
+    logits, scores = forward(random_inputs(4, 1, seed=10), params)
+    for head in range(2):
+        probs = np.exp(logits.data[0, 3 * head : 3 * head + 3])
         probs /= probs.sum()
         assert abs(probs.sum() - 1.0) <= 1e-12
-        assert abs(out.norm_scores.data.sum() - 1.0) <= 1e-12
+        assert abs(scores.data[:, head].sum() - 1.0) <= 1e-12
 
 
 def test_forward_norm_scores_sum_to_one_multi_token():
     params = CmlaParams.init(dim=5, channels=3, rng=11)
-    fwd = forward(random_inputs(5, 6, seed=12), params)
-    assert abs(fwd.aspect.norm_scores.data.sum() - 1.0) <= 1e-12
-    assert abs(fwd.opinion.norm_scores.data.sum() - 1.0) <= 1e-12
+    _, scores = forward(random_inputs(5, 6, seed=12), params)
+    assert np.all(np.abs(scores.data.sum(axis=0) - 1.0) <= 1e-12)
 
 
 def test_forward_single_layer_is_causal():
@@ -325,21 +322,18 @@ def test_forward_single_layer_is_causal():
     # the logits of the tokens before it
     params = CmlaParams.init(dim=4, channels=2, rng=13, layers=1)
     xs = random_inputs(4, 4, seed=14)
-    base = forward(xs, params)
-    extended = forward(xs + random_inputs(4, 1, seed=15), params)
-    for head in ("aspect", "opinion"):
-        for t in range(4):
-            assert np.array_equal(
-                getattr(base, head).logits.data[t], getattr(extended, head).logits.data[t]
-            )
+    base, _ = forward(xs, params)
+    extended, _ = forward(xs + random_inputs(4, 1, seed=15), params)
+    for t in range(4):   # both heads' logits
+        assert np.array_equal(base.data[t], extended.data[t])
 
 
 def test_forward_layer_count_changes_output():
     xs = random_inputs(4, 3, seed=16)
     one = CmlaParams.init(dim=4, channels=2, rng=17, layers=1)
     two = CmlaParams.init(dim=4, channels=2, rng=17, layers=2)
-    a = forward(xs, one).aspect.logits.data[0]
-    b = forward(xs, two).aspect.logits.data[0]
+    a = forward(xs, one)[0].data[0, :3]
+    b = forward(xs, two)[0].data[0, :3]
     assert not np.array_equal(a, b)
 
 
@@ -351,8 +345,7 @@ def test_forward_full_gradcheck_small():
     gp = random_gold(4, OPINION, seed=20)
 
     def f():
-        fwd = forward(xs, params)
-        return loss(fwd.aspect.logits, fwd.opinion.logits, ga, gp)
+        return loss(forward(xs, params)[0], ga, gp)
 
     assert grad_check(f, params.all_tensors(), max_coords_per_param=4, rng=21) < 1e-4
 
@@ -367,16 +360,14 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_forward.json").read_text(en
 def test_forward_and_gradients_match_golden(case):
     params = CmlaParams.init(dim=5, channels=3, rng=case["seed"], layers=case["layers"],
                              init_scale=case["init_scale"])
-    fwd = forward(np.array(case["inputs"]), params)
-    value = loss(fwd.aspect.logits, fwd.opinion.logits,
-                 LabelSeq(case["gold_aspect"], ASPECT), LabelSeq(case["gold_opinion"], OPINION))
+    logits, scores = forward(np.array(case["inputs"]), params)
+    value = loss(logits, LabelSeq(case["gold_aspect"], ASPECT), LabelSeq(case["gold_opinion"], OPINION))
     grads = backward(value)
     close = dict(rtol=0, atol=1e-12)
     np.testing.assert_allclose(value.item(), case["loss"], **close)
-    for head in (ASPECT, OPINION):
-        out = getattr(fwd, head)
-        np.testing.assert_allclose(out.logits.data, case[f"{head}_logits"], **close)
-        np.testing.assert_allclose(out.norm_scores.data, case[f"{head}_scores"], **close)
+    for i, head in enumerate((ASPECT, OPINION)):
+        np.testing.assert_allclose(logits.data[:, 3 * i : 3 * i + 3], case[f"{head}_logits"], **close)
+        np.testing.assert_allclose(scores.data[:, i], case[f"{head}_scores"], **close)
     named = {name: t for name, t in params.named_tensors().items() if t in grads}
     assert sorted(named) == sorted(case["grads"])   # one layer leaves proto_map unused
     for name, t in named.items():
@@ -389,10 +380,10 @@ def test_forward_and_gradients_match_golden(case):
 
 def test_loss_uniform_logits_is_two_ln_three():
     n = 5
-    logits = constant(np.zeros((n, 3)))
+    logits = constant(np.zeros((n, 6)))
     ga = LabelSeq([O] * n, ASPECT)
     gp = LabelSeq([O] * n, OPINION)
-    val = loss(logits, logits, ga, gp)
+    val = loss(logits, ga, gp)
     assert abs(val.item() - 2 * np.log(3)) < 1e-12
 
 
@@ -402,23 +393,23 @@ def test_loss_perfect_logits_tends_to_zero():
     rows = np.full((n, 3), -50.0)
     for t, lab in enumerate(gold):
         rows[t, CLASS_INDEX[lab]] = 50.0
-    strong = constant(rows)
-    val = loss(strong, strong, LabelSeq(gold, ASPECT), LabelSeq(gold, OPINION))
+    strong = constant(np.hstack([rows, rows]))
+    val = loss(strong, LabelSeq(gold, ASPECT), LabelSeq(gold, OPINION))
     assert val.item() < 1e-12
 
 
 def test_loss_matches_direct_oracle():
     gen = np.random.default_rng(22)
     n = 4
-    la = constant(gen.normal(size=(n, 3)))
-    lp = constant(gen.normal(size=(n, 3)))
+    la = gen.normal(size=(n, 3))
+    lp = gen.normal(size=(n, 3))
     ga = random_gold(n, ASPECT, seed=23)
     gp = random_gold(n, OPINION, seed=24)
-    val = loss(la, lp, ga, gp)
+    val = loss(constant(np.hstack([la, lp])), ga, gp)
 
     def head_nll(logits, gold):
         total = 0.0
-        for vec, lab in zip(logits.data, gold.labels):
+        for vec, lab in zip(logits, gold.labels):
             p = np.exp(vec) / np.exp(vec).sum()
             total -= np.log(p[CLASS_INDEX[lab]])
         return total / len(gold.labels)
@@ -429,11 +420,14 @@ def test_loss_matches_direct_oracle():
 
 
 def test_loss_length_mismatch():
-    logits = constant(np.zeros((1, 3)))
+    logits = constant(np.zeros((1, 6)))
     with pytest.raises(ValueError):
-        loss(logits, logits, LabelSeq([O, O], ASPECT), LabelSeq([O], OPINION))
+        loss(logits, LabelSeq([O, O], ASPECT), LabelSeq([O], OPINION))
     with pytest.raises(ValueError):
-        loss(constant(np.zeros(3)), logits, LabelSeq([O], ASPECT), LabelSeq([O], OPINION))
+        loss(logits, LabelSeq([O], ASPECT), LabelSeq([O, O], OPINION))
+    for bad in (np.zeros(6), np.zeros((1, 3))):   # one head's block alone
+        with pytest.raises(ValueError):
+            loss(constant(bad), LabelSeq([O], ASPECT), LabelSeq([O], OPINION))
 
 
 # --- training ---------------------------------------------------------------
@@ -515,6 +509,22 @@ def test_no_dead_parameters_on_fixture(tiny_corpus):
     names = params.named_tensors()
     for name, t in names.items():
         assert totals[t] > 0.0, f"parameter {name} never received gradient"
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 25])
+def test_training_step_builds_one_node_per_layer_operation(tiny_corpus, layers, n):
+    # the input block, the context GRU and the stacked prototypes; compose,
+    # attention GRU, classify and attend per layer; one prototype update
+    # between layers; the loss: 5 * layers + 3 tensors at any length
+    sents, table = tiny_corpus
+    words = [tok.surface for s in sents for tok in s.tokens][:n]
+    sentence = Sentence(" ".join(words), tokenize(" ".join(words)), [], [])
+    assert len(sentence.tokens) == n
+    params = CmlaParams.init(dim=6, channels=2, rng=layers, layers=layers)
+    before = Tensor(0.0).node_id
+    backward(sentence_loss(sentence, table, params))
+    assert Tensor(0.0).node_id - before - 1 == 5 * layers + 3
 
 
 def test_gradient_clipping_bounds_update(tiny_corpus):
@@ -851,23 +861,24 @@ def test_checkpoint_loads_integer_values_as_floats(tmp_path):
 def test_forward_accepts_vectors_or_tensors_alike():
     params = CmlaParams.init(dim=3, channels=2, rng=41)
     xs = random_inputs(3, 4, seed=42)
-    a = forward(xs, params)
-    b = forward([x.data for x in xs], params)
-    assert np.array_equal(a.aspect.logits.data, b.aspect.logits.data)
-    assert a.hidden.data.shape == (4, 3)
+    a_logits, a_scores = forward(xs, params)
+    b_logits, b_scores = forward([x.data for x in xs], params)
+    assert np.array_equal(a_logits.data, b_logits.data)
+    assert np.array_equal(a_scores.data, b_scores.data)
+    assert a_logits.data.shape == (4, 6) and a_scores.data.shape == (4, 2)
 
 
 def test_predict_token_scores_rows_match_head_arrays(tiny_corpus):
     sents, table = tiny_corpus
     params = CmlaParams.init(dim=6, channels=2, rng=43)
     pred = predict(sents[0], table, params)
-    fwd = forward(embed_sentence(sents[0], table), params)
+    logits, scores = (t.data for t in forward(embed_sentence(sents[0], table), params))
     rows = pred.token_scores
     assert [ts.token_index for ts in rows] == list(range(len(sents[0].tokens)))
     for i, ts in enumerate(rows):
-        assert np.array_equal(ts.aspect_logits, fwd.aspect.logits.data[i])
-        assert np.array_equal(ts.opinion_logits, fwd.opinion.logits.data[i])
-        assert ts.aspect_attention == fwd.aspect.norm_scores.data[i]
-        assert ts.opinion_attention == fwd.opinion.norm_scores.data[i]
+        assert np.array_equal(ts.aspect_logits, logits[i, :3])
+        assert np.array_equal(ts.opinion_logits, logits[i, 3:])
+        assert ts.aspect_attention == scores[i, 0]
+        assert ts.opinion_attention == scores[i, 1]
     rows[0].aspect_logits[:] = 0.0
-    assert np.array_equal(pred.token_scores[0].aspect_logits, fwd.aspect.logits.data[0])
+    assert np.array_equal(pred.token_scores[0].aspect_logits, logits[0, :3])
