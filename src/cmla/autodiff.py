@@ -138,20 +138,20 @@ def grad_check(f, params, eps=1e-5, rng=None, max_coords_per_param=None) -> floa
         analytic = grads.get(p)
         if analytic is None:
             analytic = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
         a_flat = np.asarray(analytic).reshape(-1)
-        n = flat.size
+        n = p.data.size
         if max_coords_per_param is not None and n > max_coords_per_param:
             coords = gen.choice(n, size=max_coords_per_param, replace=False)
         else:
             coords = range(n)
         for c in coords:
-            saved = flat[c]
-            flat[c] = saved + eps
+            at = np.unravel_index(c, p.data.shape)   # into p.data itself, which may be a strided view
+            saved = p.data[at]
+            p.data[at] = saved + eps
             hi = float(f().data)
-            flat[c] = saved - eps
+            p.data[at] = saved - eps
             lo = float(f().data)
-            flat[c] = saved
+            p.data[at] = saved
             numeric = (hi - lo) / (2.0 * eps)
             a = float(a_flat[c])
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)

@@ -10,10 +10,12 @@ blended by interpolation
 
 A run over a whole sequence is one graph node: the recurrence is stepped
 in numpy and its backward is hand-written backpropagation through time.
-Only state-dependent work stays in the step loops: W x + b is formed per
-row up front, and the backward forms its gate factors for all steps before
-its reverse loop. W x stays one product per row: an (n, input) GEMM sums
-differently with the row count, which would break bit-for-bit prefixes.
+A cell keeps its gates stacked, w = [W_z; W_r; W_h], u and b. Only
+state-dependent work stays in the step loops: W x + b is formed up front,
+one stacked matrix-vector product per row (a GEMM sums differently with
+the row count, breaking bit-for-bit prefixes); the z/r terms are halved
+once, so a step's sigmoid is 0.5 + 0.5 tanh of them; and the backward
+forms its gate factors for all steps before its reverse loop.
 
 Used twice in the tagger: once to fold sentence context into the word
 embeddings and once to smooth per-token composition vectors into
@@ -37,6 +39,11 @@ def sigmoid(x):
     return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
+def rowwise(m, x):
+    """m @ row for each row of x as one stacked matmul: no row's sum depends on another."""
+    return np.matmul(m, x.reshape(len(x), -1, 1)).reshape(len(x), -1)
+
+
 def init_tensor(name: str, shape, scale: float, gen) -> Tensor:
     """A fresh parameter: zeros for a bias (last name part `b_*`), else
     entries drawn from U(-scale, scale) with `gen`."""
@@ -47,9 +54,9 @@ def init_tensor(name: str, shape, scale: float, gen) -> Tensor:
 
 @dataclass
 class GruParams:
-    """Nine learnable tensors of one cell.
-
-    W_* are (hidden, input), U_* are (hidden, hidden), b_* are (hidden,).
+    """Nine learnable tensors of one cell: W_* (hidden, input), U_* (hidden,
+    hidden), b_* (hidden,). Construction copies them into the gate blocks
+    w = [W_z; W_r; W_h], u and b, and makes each tensor a view of its rows.
     """
 
     W_z: Tensor
@@ -61,6 +68,13 @@ class GruParams:
     b_z: Tensor
     b_r: Tensor
     b_h: Tensor
+
+    def __post_init__(self):
+        gates = [[getattr(self, name) for name in GRU_FIELDS[i : i + 3]] for i in (0, 3, 6)]
+        self.w, self.u, self.b = blocks = [np.concatenate((z.data, r.data, c.data)) for z, r, c in gates]
+        h = len(self.b) // 3
+        for (z, r, c), block in zip(gates, blocks):
+            z.data, r.data, c.data = block[:h], block[h : 2 * h], block[2 * h :]
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng, scale: float = 0.2):
@@ -107,26 +121,26 @@ def gru_run(xs: Tensor, *cells: GruParams) -> Tensor:
     x = xs.data
     if x.shape[0] == 0:
         raise ValueError("gru_run needs a nonempty sequence")
-    width = sum(p.input_dim for p in cells)
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ValueError(f"input has shape {x.shape}, expected (n, {width})")
-    n, k = x.shape[0], sum(p.hidden_dim for p in cells)
-    # gate g (z, r, h) of cell i: rows g*k + hid[i], input columns inp[i], state columns hid[i]
     hid, inp = spans([p.hidden_dim for p in cells]), spans([p.input_dim for p in cells])
-    gates = [[slice(g * k + h_at.start, g * k + h_at.stop) for g in range(3)] for h_at in hid]
-    w, u, b = np.zeros((3 * k, width)), np.zeros((3 * k, k)), np.empty(3 * k)
-    for p, at, h_at, x_at in zip(cells, gates, hid, inp):
-        ts = [v.data for v in p.tensors().values()]   # in GRU_FIELDS order
-        for g, rows in enumerate(at):
-            w[rows, x_at], u[rows, h_at], b[rows] = ts[g], ts[3 + g], ts[6 + g]
+    if x.ndim != 2 or x.shape[1] != inp[-1].stop:
+        raise ValueError(f"input has shape {x.shape}, expected (n, {inp[-1].stop})")
+    n, k = x.shape[0], hid[-1].stop
+    if len(cells) == 1:
+        w, u, b = cells[0].w, cells[0].u, cells[0].b
+    else:   # block-diagonal: cell i's gates in rows hid[i] of each (3, k, .) gate block
+        w, u, b = np.zeros((3, k, inp[-1].stop)), np.zeros((3, k, k)), np.zeros((3, k, 1))
+        for p, at, cols in zip(cells, hid, inp):
+            w[:, at, cols], u[:, at, at], b[:, at] = (a.reshape(3, p.hidden_dim, -1) for a in (p.w, p.u, p.b))
+        w, u, b = w.reshape(3 * k, -1), u.reshape(3 * k, -1), b.reshape(-1)
     u_zr, u_h = u[: 2 * k], u[2 * k :]
 
-    wxb = np.array([w @ row for row in x]) + b   # input terms of every step, rows as in w
-    wx_zr, wx_h = wxb[:, : 2 * k], wxb[:, 2 * k :]
+    wxb = rowwise(w, x) + b   # input terms of every step, rows as in w
+    # sigmoid(v) = 0.5 + 0.5 tanh(v / 2): the z/r terms are halved once, exactly
+    half_zr, half_u_zr, wx_h = 0.5 * wxb[:, : 2 * k], 0.5 * u_zr, wxb[:, 2 * k :]
     states = np.zeros((n + 1, k))   # states[t] is the state before step t
     zr, cand, h = np.empty((n, 2 * k)), np.empty((n, k)), states[0]
     for t in range(n):
-        s = zr[t] = sigmoid(wx_zr[t] + u_zr @ h)
+        s = zr[t] = 0.5 + 0.5 * np.tanh(half_zr[t] + half_u_zr @ h)
         c = cand[t] = np.tanh(wx_h[t] + u_h @ (s[k:] * h))
         h = states[t + 1] = h + s[:k] * (c - h)
 
@@ -143,10 +157,10 @@ def gru_run(xs: Tensor, *cells: GruParams) -> Tensor:
             pre[t, :k], pre[t, k : 2 * k], pre[t, 2 * k :] = dh * d_z[t], d_rh * d_r[t], p_h
             dh = dh * keep[t] + d_rh * r[t] + pre[t, : 2 * k] @ u_zr
         dx = pre @ w if xs.requires_grad else None
-        dw, db = pre.T @ x, pre.sum(axis=0)
-        du = np.concatenate([pre[:, : 2 * k].T @ prev, pre[:, 2 * k :].T @ (r * prev)])
+        dw, db = (pre.T @ x).reshape(3, k, -1), pre.sum(axis=0).reshape(3, k)
+        du = np.concatenate([pre[:, : 2 * k].T @ prev, pre[:, 2 * k :].T @ (r * prev)]).reshape(3, k, k)
         # only each cell's own blocks, in GRU_FIELDS order
-        return (dx, *(d for at, h_at, x_at in zip(gates, hid, inp)
-                      for d in [dw[a, x_at] for a in at] + [du[a, h_at] for a in at] + [db[a] for a in at]))
+        return (dx, *(d[gate] for h_at, x_at in zip(hid, inp)
+                      for d in (dw[:, h_at, x_at], du[:, h_at, h_at], db[:, h_at]) for gate in range(3)))
 
     return node(states[1:], (xs, *(t for p in cells for t in p.tensors().values())), backprop)

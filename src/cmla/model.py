@@ -24,7 +24,7 @@ from . import bio
 from .autodiff import Tensor, backward, constant, node
 from .bio import ASPECT, OPINION, LabelSeq, labels_to_spans, merge_heads
 from .data import DataFormatError, open_text
-from .gru import GRU_FIELDS, GruParams, gru_run, init_tensor, spans
+from .gru import GRU_FIELDS, GruParams, gru_run, init_tensor, rowwise, spans
 
 # class order shared by logits, gold indices and checkpointed classifiers
 CLASS_ORDER = (bio.B, bio.I, bio.O)
@@ -33,6 +33,9 @@ CLASS_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
 # prototypes always start in this band regardless of the init scale used
 # for the rest of the parameters
 PROTOTYPE_INIT = 0.2
+
+# rows of a (k*d, d) map the SGD update subtracts per product, so its temporary stays in cache
+UPDATE_ROWS = 512
 
 
 class TrainingDiverged(RuntimeError):
@@ -51,11 +54,9 @@ class HeadParams:
     proto_map: Tensor   # (dim, dim) feedback map for the prototype update
 
     def tensors(self) -> dict:
-        out = {"prototype": self.prototype, "comp": self.comp, "cross": self.cross}
-        out.update({f"att_gru.{k}": v for k, v in self.att_gru.tensors().items()})
-        out["classifier"] = self.classifier
-        out["proto_map"] = self.proto_map
-        return out
+        return {"prototype": self.prototype, "comp": self.comp, "cross": self.cross,
+                **{f"att_gru.{k}": v for k, v in self.att_gru.tensors().items()},
+                "classifier": self.classifier, "proto_map": self.proto_map}
 
 
 @dataclass
@@ -87,10 +88,8 @@ class CmlaParams:
         return cls.from_named(tensors, layers)
 
     def named_tensors(self) -> dict:
-        out = {f"ctx_gru.{k}": v for k, v in self.ctx_gru.tensors().items()}
-        out.update({f"aspect.{k}": v for k, v in self.aspect.tensors().items()})
-        out.update({f"opinion.{k}": v for k, v in self.opinion.tensors().items()})
-        return out
+        parts = {"ctx_gru": self.ctx_gru, "aspect": self.aspect, "opinion": self.opinion}
+        return {f"{prefix}.{k}": v for prefix, part in parts.items() for k, v in part.tensors().items()}
 
     def all_tensors(self) -> list:
         return list(self.named_tensors().values())
@@ -140,12 +139,10 @@ class FactoredGrad:
     def __mul__(self, scale):
         return FactoredGrad(self.a * scale, self.b)
 
-    def _dense(self, a):
-        """sum_l outer(a[l, c], b[l]) for every c, as one (k*d, L) x (L, d) product."""
-        return (a.reshape(len(self.b), -1).T @ self.b).reshape(a.shape[1:] + self.b.shape[1:])
-
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self._dense(self.a), dtype=dtype)
+        """sum_l outer(a[l, c], b[l]) for every c, as one (k*d, L) x (L, d) product."""
+        dense = self.a.reshape(len(self.b), -1).T @ self.b
+        return np.asarray(dense.reshape(self.a.shape[1:] + self.b.shape[1:]), dtype=dtype)
 
     def squared_norm(self) -> float:
         """The dense array's squared L2 norm, from the factors' Gram matrices."""
@@ -153,7 +150,9 @@ class FactoredGrad:
         return float(np.vdot(a @ a.T, self.b @ self.b.T))
 
     def subtract_from(self, param, lr: float):
-        param -= self._dense(lr * self.a)
+        a, p = (lr * self.a).reshape(len(self.b), -1), param.reshape(-1, self.b.shape[1])
+        for r in range(0, len(p), UPDATE_ROWS):
+            p[r : r + UPDATE_ROWS] -= a[:, r : r + UPDATE_ROWS].T @ self.b
 
 
 def compose(h_seq: Tensor, u: Tensor, heads) -> Tensor:
@@ -169,9 +168,8 @@ def compose(h_seq: Tensor, u: Tensor, heads) -> Tensor:
     maps = [t for head in heads for t in (head.comp, head.cross)]
     protos = [j for i in range(len(heads)) for j in (i, len(heads) - 1 - i)]   # u row of each map
     mu = np.concatenate([m.data @ us[j] for m, j in zip(maps, protos)])
-    # an unoptimised einsum sums every row the same way however many rows
-    # there are, so appending a token never changes an earlier row's bits
-    y = np.tanh(np.einsum("ni,ki->nk", h, mu))
+    # one product per row, so appending a token never changes an earlier row's bits
+    y = np.tanh(rowwise(mu, h))
 
     def backprop(g):
         gp = g * (1.0 - y * y)
@@ -192,8 +190,8 @@ def classify(features: Tensor, *classifiers: Tensor) -> Tensor:
     w = np.zeros((at[-1][0].stop, at[-1][1].stop))
     for c, a in zip(cs, at):
         w[a] = c
-    # unoptimised einsum for bitwise prefix causality, as in compose
-    return node(np.einsum("nk,ck->nc", f, w), (features, *classifiers),
+    # one product per row for bitwise prefix causality, as in compose
+    return node(rowwise(w, f), (features, *classifiers),
                 lambda g: (g @ w, *map((g.T @ f).__getitem__, at)))
 
 
@@ -203,17 +201,15 @@ def attend(logits: Tensor) -> Tensor:
 
     The max's gradient goes to the B logit when B and I tie.
     """
-    x = logits.data
-    first = np.arange(0, x.shape[1], len(CLASS_ORDER))   # each head's B column
-    rows, cols = np.arange(x.shape[0])[:, None], first + np.argmax(x[:, first[:, None] + [0, 1]], axis=2)
-    raw = x[rows, cols]
+    x = logits.data.reshape(len(logits.data), -1, len(CLASS_ORDER))   # (n, heads, B/I/O)
+    raw, pick_b = np.maximum(x[:, :, 0], x[:, :, 1]), x[:, :, 0] >= x[:, :, 1]
     e = np.exp(raw - raw.max(axis=0))
     w = e / e.sum(axis=0)
 
     def backprop(g):
-        out = np.zeros(x.shape)
-        out[rows, cols] = (g - (g * w).sum(axis=0)) * w
-        return (out,)
+        gw, out = (g - (g * w).sum(axis=0)) * w, np.zeros(x.shape)
+        out[:, :, 0], out[:, :, 1] = np.where(pick_b, gw, 0.0), np.where(pick_b, 0.0, gw)
+        return (out.reshape(len(x), -1),)
 
     return node(w, (logits,), backprop)
 

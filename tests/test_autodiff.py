@@ -276,6 +276,23 @@ def test_reduce_max_rows_value_and_gradcheck():
     assert grad_check(lambda: dot(w, attend(t)), [t]) < 1e-6
 
 
+def test_attend_matches_argmax_oracle_with_ties():
+    # each head's B or I pick as an argmax over the pair, which takes B on a tie
+    gen = np.random.default_rng(61)
+    x = gen.integers(-2, 3, size=(9, 6)).astype(float)
+    out = attend(Tensor(x, requires_grad=True))
+    triples = x.reshape(9, 2, 3)
+    pick = np.argmax(triples[:, :, :2], axis=2)[:, :, None]
+    raw = np.take_along_axis(triples, pick, axis=2)[:, :, 0]
+    e = np.exp(raw - raw.max(axis=0))
+    w = e / e.sum(axis=0)
+    assert np.array_equal(out.data, w)
+    g = gen.uniform(-1, 1, size=(9, 2))
+    expected = np.zeros((9, 2, 3))
+    np.put_along_axis(expected, pick, ((g - (g * w).sum(axis=0)) * w)[:, :, None], axis=2)
+    assert np.array_equal(out._backprop(g)[0], expected.reshape(9, 6))
+
+
 # --- backward -------------------------------------------------------------
 
 
@@ -365,3 +382,14 @@ def test_tanh_sigmoid_ranges(values):
     assert np.all(np.abs(out) <= 1.0)
     s = sigmoid(np.array(values))
     assert np.all((s >= 0.0) & (s <= 1.0))
+
+
+def test_grad_check_perturbs_a_strided_view_parameter():
+    # parameters may be views of a shared block; a flattened copy of a
+    # strided view would be perturbed instead, leaving a numeric gradient of 0
+    block = np.arange(12.0).reshape(3, 4) / 10.0
+    p = Tensor(np.zeros((3, 2)), requires_grad=True)
+    p.data = block[:, 1:3]
+    f = lambda: node(float((p.data * p.data).sum()), (p,), lambda g: (2.0 * g * p.data,))
+    assert grad_check(f, [p]) < 1e-8
+    assert np.array_equal(block, np.arange(12.0).reshape(3, 4) / 10.0)

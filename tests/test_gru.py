@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmla.autodiff import backward, constant, grad_check, init_uniform, node, zeros
+from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
 from cmla.gru import GRU_FIELDS, GruParams, gru_run, sigmoid
 from cmla.model import CmlaParams
 
@@ -239,3 +239,87 @@ def test_check_shapes_catches_corruption():
     params.aspect.att_gru.U_h = zeros((3, 3), requires_grad=True)
     with pytest.raises(ValueError, match="aspect.att_gru.U_h"):
         params.check_shapes()
+
+
+def test_cell_tensors_are_row_views_of_its_gate_blocks():
+    p = GruParams.init(3, 2, rng=50)
+    for block, names in ((p.w, GRU_FIELDS[:3]), (p.u, GRU_FIELDS[3:6]), (p.b, GRU_FIELDS[6:])):
+        assert block.shape[0] == 6 and block.flags.c_contiguous
+        for gate, name in enumerate(names):
+            t = getattr(p, name)
+            assert np.shares_memory(t.data, block), name
+            assert np.array_equal(block[2 * gate : 2 * gate + 2], t.data), name
+
+
+def test_in_place_change_reaches_the_next_run():
+    # a run reads the blocks, so an SGD-style write into one tensor must
+    # show in the next run of the cell alone and of the cell beside another
+    gen = np.random.default_rng(51)
+    pa, pb = random_cell(3, 2, gen), random_cell(3, 2, gen)
+    xs, both = rows(gen, 4, 3), rows(gen, 4, 6)
+    before, before_both = gru_run(xs, pa).data, gru_run(both, pa, pb).data
+    pa.W_r.data[1, 2] += 0.5
+    fresh = GruParams(**{name: Tensor(t.data.copy(), requires_grad=True) for name, t in pa.tensors().items()})
+    after, after_both = gru_run(xs, pa).data, gru_run(both, pa, pb).data
+    assert not np.array_equal(before, after) and not np.array_equal(before_both, after_both)
+    assert np.array_equal(after, gru_run(xs, fresh).data)
+    assert np.array_equal(after_both, gru_run(both, fresh, pb).data)
+
+
+def test_rows_prefix_stable_at_blas_blocking_sizes():
+    # the context GRU's and the two attention cells' shapes at dim 100 and
+    # 20 channels: every prefix of up to 40 rows reproduces the full run
+    gen = np.random.default_rng(52)
+    ctx = GruParams.init(100, 100, rng=gen)
+    pa, pb = GruParams.init(40, 20, rng=gen), GruParams.init(40, 20, rng=gen)
+    x, feats = gen.uniform(-1, 1, size=(40, 100)), gen.uniform(-1, 1, size=(40, 80))
+    full_ctx, full_att = gru_run(constant(x), ctx).data, gru_run(constant(feats), pa, pb).data
+    for n in range(1, 41):
+        assert np.array_equal(gru_run(constant(x[:n]), ctx).data, full_ctx[:n]), n
+        assert np.array_equal(gru_run(constant(feats[:n]), pa, pb).data, full_att[:n]), n
+
+
+def gate_by_gate_run(x, p, g):
+    """Oracle for one cell: the states, and the gradients of x and of the
+    nine tensors in GRU_FIELDS order for output gradient g, computed with
+    the weights copied gate by gate into fresh arrays, one w @ row product
+    per row and the sigmoid of each unhalved pre-activation."""
+    ts, (n, k) = [t.data for t in p.tensors().values()], (len(x), p.hidden_dim)
+    gates = [slice(gate * k, (gate + 1) * k) for gate in range(3)]
+    w, u, b = np.zeros((3 * k, x.shape[1])), np.zeros((3 * k, k)), np.empty(3 * k)
+    for gate, at in enumerate(gates):
+        w[at], u[at], b[at] = ts[gate], ts[3 + gate], ts[6 + gate]
+    wxb = np.array([w @ row for row in x]) + b
+    states = np.zeros((n + 1, k))
+    zr, cand, h = np.empty((n, 2 * k)), np.empty((n, k)), states[0]
+    for t in range(n):
+        s = zr[t] = sigmoid(wxb[t, : 2 * k] + u[: 2 * k] @ h)
+        c = cand[t] = np.tanh(wxb[t, 2 * k :] + u[2 * k :] @ (s[k:] * h))
+        h = states[t + 1] = h + s[:k] * (c - h)
+    prev, z, r = states[:-1], zr[:, :k], zr[:, k:]
+    d_c, d_z = z * (1.0 - cand * cand), (cand - prev) * z * (1.0 - z)
+    d_r, keep = prev * r * (1.0 - r), 1.0 - z
+    pre, dh = np.empty((n, 3 * k)), np.zeros(k)
+    for t in range(n - 1, -1, -1):
+        dh = dh + g[t]
+        d_rh = (p_h := dh * d_c[t]) @ u[2 * k :]
+        pre[t, :k], pre[t, k : 2 * k], pre[t, 2 * k :] = dh * d_z[t], d_rh * d_r[t], p_h
+        dh = dh * keep[t] + d_rh * r[t] + pre[t, : 2 * k] @ u[: 2 * k]
+    dw, db = pre.T @ x, pre.sum(axis=0)
+    du = np.concatenate([pre[:, : 2 * k].T @ prev, pre[:, 2 * k :].T @ (r * prev)])
+    return states[1:], [pre @ w] + [dw[at] for at in gates] + [du[at] for at in gates] + [db[at] for at in gates]
+
+
+@pytest.mark.parametrize("input_dim, hidden_dim, n", [(3, 5, 1), (12, 12, 7), (40, 20, 40), (100, 100, 23)])
+def test_single_cell_run_matches_gate_by_gate_oracle_bitwise(input_dim, hidden_dim, n):
+    gen = np.random.default_rng(53 + n)
+    p = random_cell(input_dim, hidden_dim, gen)
+    xs = init_uniform((n, input_dim), -1, 1, gen)
+    g = gen.uniform(-1, 1, size=(n, hidden_dim))
+    out = gru_run(xs, p)
+    states, grads = gate_by_gate_run(xs.data, p, g)
+    assert np.array_equal(out.data, states)
+    got = out._backprop(g)
+    assert len(got) == len(grads) == 10
+    for name, a, b in zip(("x",) + GRU_FIELDS, got, grads):
+        assert a.shape == b.shape and np.array_equal(a, b), name

@@ -22,6 +22,7 @@ from cmla.model import (
     CmlaParams,
     FactoredGrad,
     TrainConfig,
+    UPDATE_ROWS,
     TrainingDiverged,
     attend,
     attention_layer,
@@ -328,6 +329,30 @@ def test_forward_single_layer_is_causal():
         assert np.array_equal(base.data[t], extended.data[t])
 
 
+def test_forward_single_layer_logits_prefix_stable_at_dim_100():
+    # every row product is its own matrix-vector product, so at the
+    # benchmark's dim-100, 20-channel shape a prefix of up to 40 tokens
+    # reproduces the full sentence's logits bit for bit
+    params = CmlaParams.init(dim=100, channels=20, rng=54, layers=1)
+    xs = list(np.random.default_rng(55).uniform(-1, 1, size=(40, 100)))
+    full, _ = forward(xs, params)
+    for n in range(1, 41):
+        assert np.array_equal(forward(xs[:n], params)[0].data, full.data[:n]), n
+
+
+def test_classify_and_compose_raise_on_overflow():
+    # finite terms whose row sums overflow: the row products report it
+    big = constant(np.full((3, 4), 1.7e308))
+    m = np.zeros((1, 2, 2))
+    m[:, :, 0] = 1.7e308
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            classify(constant(np.full((2, 8), 0.9)), big, big)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            compose(constant(np.full((2, 2), 0.9)), constant([[1.0, 0.0], [1.0, 0.0]]),
+                    heads_of(*[constant(m)] * 4))
+
+
 def test_forward_layer_count_changes_output():
     xs = random_inputs(4, 3, seed=16)
     one = CmlaParams.init(dim=4, channels=2, rng=17, layers=1)
@@ -473,6 +498,19 @@ def test_train_nan_loss_aborts_naming_sentence(tiny_corpus):
     params = CmlaParams.init(dim=6, channels=2, rng=28)
     with pytest.raises(TrainingDiverged, match="sentence index"):
         train(sents[:3], table=poisoned, params=params, config=TrainConfig(epochs=1))
+
+
+def test_train_reports_classifier_overflow_as_divergence(tiny_corpus):
+    # saturated attention features near 1 make every logit 2 * 1.7e308; the
+    # step stops there, not at a later NaN in the attention weights
+    sents, table = tiny_corpus
+    params = CmlaParams.init(dim=6, channels=2, rng=28)
+    for head in (params.aspect, params.opinion):
+        head.att_gru.b_z.data[:] = 20.0
+        head.att_gru.b_h.data[:] = 20.0
+        head.classifier.data[:] = 1.7e308
+    with pytest.raises(TrainingDiverged, match="overflow encountered in matmul at epoch 0"):
+        train(sents[:3], table, params, TrainConfig(epochs=1))
 
 
 def test_train_rejects_empty_dataset(tiny_corpus):
@@ -630,6 +668,17 @@ def test_factored_grad_matches_its_dense_form(pair, scale, lr):
     assert np.all(np.abs(param - expected) <= 1e-12 * (np.abs(expected) + lr * mx))
 
 
+def test_factored_update_covers_every_row_block():
+    # a (k*d, d) map of more than two UPDATE_ROWS blocks, the last one partial
+    gen = np.random.default_rng(56)
+    k, d = 2 * UPDATE_ROWS // 50 + 1, 100
+    x = FactoredGrad(gen.standard_normal((2, k, d)), gen.standard_normal((2, d)))
+    param = gen.standard_normal((k, d, d))
+    expected = param - 0.07 * np.asarray(x)
+    x.subtract_from(param, 0.07)
+    assert np.all(np.abs(param - expected) <= 1e-12 * (np.abs(expected) + 0.07 * magnitude(x)))
+
+
 # --- predict ----------------------------------------------------------------
 
 
@@ -693,6 +742,16 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     path2 = tmp_path / "model2.json"
     save_checkpoint(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_v1_loads_and_saves_back_to_identical_bytes(tmp_path):
+    # checkpoint_v1.json was written before the GRU tensors became views of
+    # gate blocks; the format and the bytes must not change
+    fixture = Path(__file__).parent / "checkpoint_v1.json"
+    params = load_checkpoint(fixture)
+    assert np.shares_memory(params.ctx_gru.U_r.data, params.ctx_gru.u)
+    save_checkpoint(tmp_path / "again.json", params)
+    assert (tmp_path / "again.json").read_bytes() == fixture.read_bytes()
 
 
 def test_checkpoint_bytes_are_sorted_json_of_whole_payload(tmp_path):
