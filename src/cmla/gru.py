@@ -10,7 +10,8 @@ blended by interpolation
 
 A run over a whole sequence is one graph node: the recurrence is stepped
 in numpy and its backward is hand-written backpropagation through time.
-A cell keeps its gates stacked, w = [W_z; W_r; W_h], u and b. Only
+A cell's tensors and its stacked gates w = [W_z; W_r; W_h], u and b are
+views of one vector (in a model, a stretch of its parameter vector). Only
 state-dependent work stays in the step loops: W x + b is formed up front,
 one stacked matrix-vector product per row (a GEMM sums differently with
 the row count, breaking bit-for-bit prefixes); the z/r terms are halved
@@ -25,7 +26,7 @@ attention features, with both heads' cells run as one block-diagonal cell.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -52,12 +53,11 @@ def init_tensor(name: str, shape, scale: float, gen) -> Tensor:
     return init_uniform(shape, -scale, scale, gen)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GruParams:
-    """Nine learnable tensors of one cell: W_* (hidden, input), U_* (hidden,
-    hidden), b_* (hidden,). Construction copies them into the gate blocks
-    w = [W_z; W_r; W_h], u and b, and makes each tensor a view of its rows.
-    """
+    """Nine learnable tensors of one cell, W_* (hidden, input), U_* (hidden,
+    hidden), b_* (hidden,), and its gates w = [W_z; W_r; W_h], u, b view one
+    vector in GRU_FIELDS order: `flat`, which holds their values, or a copy."""
 
     W_z: Tensor
     W_r: Tensor
@@ -68,11 +68,13 @@ class GruParams:
     b_z: Tensor
     b_r: Tensor
     b_h: Tensor
+    flat: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        gates = [[getattr(self, name) for name in GRU_FIELDS[i : i + 3]] for i in (0, 3, 6)]
-        self.w, self.u, self.b = blocks = [np.concatenate((z.data, r.data, c.data)) for z, r, c in gates]
-        h = len(self.b) // 3
+    def __post_init__(self, flat):
+        gates, h = [[getattr(self, f) for f in GRU_FIELDS[i : i + 3]] for i in (0, 3, 6)], self.hidden_dim
+        flat = np.concatenate([t.data for gate in gates for t in gate], axis=None) if flat is None else flat
+        w, u, b = (flat[at] for at in spans((3 * h * self.input_dim, 3 * h * h, 3 * h)))
+        self.__dict__.update(zip("wub", blocks := (w.reshape(3 * h, -1), u.reshape(3 * h, h), b)))   # frozen
         for (z, r, c), block in zip(gates, blocks):
             z.data, r.data, c.data = block[:h], block[h : 2 * h], block[2 * h :]
 

@@ -10,13 +10,16 @@ attention-weighted summary of the sentence, so the second pass attends
 with sharper templates. Both heads run each layer as one pass: the
 prototypes are the rows of one array, the two GRUs and classifiers run as
 one block-diagonal cell and one block-diagonal map, and the loss and the
-decoder read both heads' logits as one (n, 6) block.
+decoder read both heads' logits as one (n, 6) block. Every parameter but
+the four map stacks is a view of one vector, which an SGD step updates whole.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,7 +45,7 @@ class TrainingDiverged(RuntimeError):
     """Loss left the finite floats; message names epoch and sentence."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeadParams:
     """Learnable state of one tagging head."""
 
@@ -53,17 +56,16 @@ class HeadParams:
     classifier: Tensor  # (3, channels) B/I/O logits from attention features
     proto_map: Tensor   # (dim, dim) feedback map for the prototype update
 
-    def tensors(self) -> dict:
-        return {"prototype": self.prototype, "comp": self.comp, "cross": self.cross,
-                **{f"att_gru.{k}": v for k, v in self.att_gru.tensors().items()},
-                "classifier": self.classifier, "proto_map": self.proto_map}
 
-
-@dataclass
+@dataclass(frozen=True)
 class CmlaParams:
+    """Every tensor but the four map stacks (FLAT_NAMES, in named_tensors()
+    order) is a view of `flat`. Frozen: tensors are written in place, never swapped."""
+
     ctx_gru: GruParams
     aspect: HeadParams
     opinion: HeadParams
+    flat: np.ndarray = field(repr=False, compare=False)
     layers: int = 2
 
     @property
@@ -88,8 +90,11 @@ class CmlaParams:
         return cls.from_named(tensors, layers)
 
     def named_tensors(self) -> dict:
-        parts = {"ctx_gru": self.ctx_gru, "aspect": self.aspect, "opinion": self.opinion}
-        return {f"{prefix}.{k}": v for prefix, part in parts.items() for k, v in part.tensors().items()}
+        return dict(self._named)
+
+    @cached_property
+    def _named(self) -> dict:   # built once: the containers are frozen
+        return {name: attrgetter(name)(self) for name in self.shapes(1, 1)}
 
     def all_tensors(self) -> list:
         return list(self.named_tensors().values())
@@ -106,23 +111,26 @@ class CmlaParams:
             out.update({f"{head}.classifier": (3, channels), f"{head}.proto_map": (dim, dim)})
         return out
 
+    FLAT_NAMES = tuple(name for name, shape in shapes(1, 1).items() if len(shape) < 3)
+
     @classmethod
     def from_named(cls, tensors: dict, layers: int):
-        """Parameters made of `tensors`, keyed as named_tensors() keys them."""
+        """Parameters made of `tensors`, keyed as named_tensors() keys them.
+        Each tensor but the maps is copied into `flat` and made a view of it."""
+        flat = np.concatenate([tensors[name].data for name in cls.FLAT_NAMES], axis=None)
+        at = dict(zip(cls.FLAT_NAMES, spans([tensors[name].data.size for name in cls.FLAT_NAMES])))
+        for name in [name for name in cls.FLAT_NAMES if "_gru." not in name]:   # a cell places its own
+            tensors[name].data = flat[at[name]].reshape(tensors[name].data.shape)
+
         def gru(prefix):
-            return GruParams(**{f: tensors[f"{prefix}.{f}"] for f in GRU_FIELDS})
+            return GruParams(**{f: tensors[f"{prefix}.{f}"] for f in GRU_FIELDS},
+                             flat=flat[at[f"{prefix}.W_z"].start : at[f"{prefix}.b_h"].stop])
 
         def head(name):
             fields = ("prototype", "comp", "cross", "classifier", "proto_map")
             return HeadParams(att_gru=gru(f"{name}.att_gru"), **{f: tensors[f"{name}.{f}"] for f in fields})
 
-        return cls(ctx_gru=gru("ctx_gru"), aspect=head(ASPECT), opinion=head(OPINION), layers=layers)
-
-    def check_shapes(self):
-        expected = self.shapes(self.dim, self.channels)
-        for name, t in self.named_tensors().items():
-            if t.data.shape != expected[name]:
-                raise ValueError(f"{name} has shape {t.data.shape}, expected {expected[name]}")
+        return cls(gru("ctx_gru"), head(ASPECT), head(OPINION), flat, layers)
 
 
 class FactoredGrad:
@@ -319,19 +327,16 @@ class TrainConfig:
             raise ValueError(f"clip threshold must be positive, got {self.clip}")
 
 
-def clip_gradients(grads: dict, tensors, threshold: float) -> float:
-    """Scale the whole gradient so its global L2 norm is at most threshold."""
-    sq = 0.0
-    for t in tensors:
-        g = grads.get(t)
-        if g is not None:
-            sq += g.squared_norm() if isinstance(g, FactoredGrad) else float(np.vdot(g, g))
-    norm = float(np.sqrt(sq))
+def clip_gradients(flat_grad, map_grads: list, threshold: float) -> float:
+    """Scale `flat_grad` in place and the FactoredGrads in `map_grads` to a global
+    L2 norm of at most threshold; return the norm. A non-finite one raises FloatingPointError."""
+    norm = float(np.sqrt(np.vdot(flat_grad, flat_grad) + sum(g.squared_norm() for g in map_grads)))
+    if not np.isfinite(norm):   # BLAS's vdot overflows to inf without raising
+        raise FloatingPointError(f"non-finite gradient norm {norm!r}")
     if norm > threshold:
         factor = threshold / norm
-        for t in tensors:
-            if t in grads:
-                grads[t] = grads[t] * factor
+        flat_grad *= factor
+        map_grads[:] = [g * factor for g in map_grads]
     return norm
 
 
@@ -347,8 +352,11 @@ def train(sentences, table, params: CmlaParams, config: TrainConfig) -> list:
     sentences = list(sentences)
     if not sentences:
         raise ValueError("training needs at least one sentence")
-    params.check_shapes()
-    tensors = params.all_tensors()
+    named, flat = params.named_tensors(), params.flat
+    maps = [named.pop(f"{head}.{m}") for head in (ASPECT, OPINION) for m in ("comp", "cross")]
+    for name, t in named.items():
+        if t.data.base is not flat:
+            raise ValueError(f"{name} is no longer a view of the parameter vector")
     order_gen = np.random.default_rng(config.seed)
 
     trace = []
@@ -362,13 +370,13 @@ def train(sentences, table, params: CmlaParams, config: TrainConfig) -> list:
                     if not np.isfinite(value.data):
                         raise FloatingPointError("non-finite loss")
                     grads = backward(value)
-                    clip_gradients(grads, tensors, config.clip)
-                    for t in tensors:
-                        g = grads.get(t)
-                        if isinstance(g, FactoredGrad):
-                            g.subtract_from(t.data, config.lr)
-                        elif g is not None:
-                            t.data -= config.lr * g
+                    g = np.concatenate([grads[t] if t in grads else np.zeros(t.data.size)
+                                        for t in named.values()], axis=None)
+                    map_grads = [grads[t] for t in maps]
+                    clip_gradients(g, map_grads, config.clip)
+                    flat -= config.lr * g
+                    for t, mg in zip(maps, map_grads):
+                        mg.subtract_from(t.data, config.lr)
             except FloatingPointError as exc:
                 raise TrainingDiverged(f"{exc} at epoch {epoch}, sentence index {int(idx)}") from None
             epoch_total += value.item()

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
+from cmla.data import SynthConfig, generate_synthetic
 from cmla.gru import GRU_FIELDS, GruParams, gru_run, sigmoid
-from cmla.model import CmlaParams
+from cmla.model import CmlaParams, TrainConfig, train
 
 
 def dot(a, b):
@@ -233,12 +236,19 @@ def test_output_stays_in_convex_hull_of_tanh_band_and_h0():
     assert np.all(np.abs(out.data) < 1.0)
 
 
-def test_check_shapes_catches_corruption():
-    # a model's shape check covers every tensor of its GRU cells
+def test_params_are_frozen_and_train_rejects_a_detached_tensor():
+    # gru_run reads a cell's gate blocks and train steps the parameter vector,
+    # so a swapped field or a rebound tensor would silently drop out of both
+    sents, table = generate_synthetic(SynthConfig(n_sentences=3, dim=3))
     params = CmlaParams.init(dim=3, channels=2, rng=10)
-    params.aspect.att_gru.U_h = zeros((3, 3), requires_grad=True)
+    for owner, field in ((params.aspect.att_gru, "U_h"), (params.aspect, "classifier"), (params, "aspect")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(owner, field, zeros((2, 2), requires_grad=True))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.layers = 3
+    params.aspect.att_gru.U_h.data = np.zeros((2, 2))
     with pytest.raises(ValueError, match="aspect.att_gru.U_h"):
-        params.check_shapes()
+        train(sents, table, params, TrainConfig(epochs=1))
 
 
 def test_cell_tensors_are_row_views_of_its_gate_blocks():

@@ -41,6 +41,9 @@ from cmla.model import (
 )
 
 
+MAP_NAMES = ("aspect.comp", "aspect.cross", "opinion.comp", "opinion.cross")
+
+
 @pytest.fixture(scope="module")
 def tiny_corpus():
     return generate_synthetic(SynthConfig(dim=6))
@@ -66,7 +69,7 @@ def random_gold(n, head, seed=0):
 
 def test_init_shapes_and_prototype_band():
     params = CmlaParams.init(dim=5, channels=3, rng=0, init_scale=0.7)
-    params.check_shapes()
+    assert {name: t.data.shape for name, t in params.named_tensors().items()} == CmlaParams.shapes(5, 3)
     assert params.dim == 5 and params.channels == 3 and params.layers == 2
     for head in (params.aspect, params.opinion):
         assert np.all(np.abs(head.prototype.data) <= 0.2)
@@ -569,12 +572,88 @@ def test_gradient_clipping_bounds_update(tiny_corpus):
     sents, table = tiny_corpus
     params = CmlaParams.init(dim=6, channels=2, rng=31)
     grads = backward(sentence_loss(sents[0], table, params))
-    tensors = params.all_tensors()
-    dense = sum(float((np.asarray(grads[t]) ** 2).sum()) for t in tensors if t in grads)
+    dense = sum(float((np.asarray(grads[t]) ** 2).sum()) for t in params.all_tensors())
+    # as train passes it: the 33 dense gradients as one vector, the maps' FactoredGrads
+    named = params.named_tensors()
+    map_grads = [grads[named.pop(name)] for name in MAP_NAMES]
+    flat = np.concatenate([grads[t] for t in named.values()], axis=None)
     # the comp and cross terms come from FactoredGrad.squared_norm
-    assert clip_gradients(grads, tensors, 0.01) == pytest.approx(np.sqrt(dense), rel=1e-12, abs=0)
-    total = sum(float((np.asarray(grads[t]) ** 2).sum()) for t in tensors if t in grads)
+    assert clip_gradients(flat, map_grads, 0.01) == pytest.approx(np.sqrt(dense), rel=1e-12, abs=0)
+    total = float((flat ** 2).sum()) + sum(float((np.asarray(g) ** 2).sum()) for g in map_grads)
     assert np.sqrt(total) <= 0.01 + 1e-12
+
+
+def test_clip_gradients_raises_on_a_norm_that_overflows():
+    # BLAS's vdot returns inf here without raising, even under np.errstate;
+    # clipping by threshold / inf would zero the step and skip it silently
+    g = np.array([1e200, 1.0])
+    with pytest.raises(FloatingPointError, match="non-finite gradient norm inf"):
+        clip_gradients(g, [], 5.0)
+    assert np.array_equal(g, [1e200, 1.0])
+    huge_map = FactoredGrad(np.full((1, 1, 1), 1e100), np.full((1, 1), 1e100))   # Gram matrices finite
+    with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
+        clip_gradients(np.zeros(3), [huge_map], 5.0)
+
+
+def test_train_reports_an_overflowing_gradient_norm_as_divergence(tiny_corpus):
+    # at this classifier scale the forward and the backward stay finite but
+    # the squared norm of the gradient does not
+    sents, table = tiny_corpus
+    params = CmlaParams.init(dim=6, channels=2, rng=28)
+    params.aspect.classifier.data[:] = np.array([[3e154], [0.0], [-3e154]])
+    with pytest.raises(TrainingDiverged, match=r"^non-finite gradient norm inf at epoch 0, sentence index \d$"):
+        train(sents[:3], table, params, TrainConfig(epochs=1))
+
+
+# --- the SGD step -----------------------------------------------------------
+
+
+def per_tensor_sgd_step(grads, tensors, lr, threshold):
+    """The step as train made it before the parameter vector, as a reference:
+    the squared norm summed tensor by tensor, then every gradient scaled and
+    subtracted on its own. Returns the norm."""
+    sq = 0.0
+    for t in tensors:
+        g = grads.get(t)
+        if g is not None:
+            sq += g.squared_norm() if isinstance(g, FactoredGrad) else float(np.vdot(g, g))
+    norm = float(np.sqrt(sq))
+    if norm > threshold:
+        factor = threshold / norm
+        for t in tensors:
+            if t in grads:
+                grads[t] = grads[t] * factor
+    for t in tensors:
+        g = grads.get(t)
+        if isinstance(g, FactoredGrad):
+            g.subtract_from(t.data, lr)
+        elif g is not None:
+            t.data -= lr * g
+    return norm
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("clip", [1e-3, 1e6])
+def test_sgd_step_matches_the_per_tensor_update(tiny_corpus, layers, clip):
+    # per element both compute p - lr * (g * f); only the summation order of
+    # the norm, and so f when clipping fires, may differ
+    sents, table = tiny_corpus
+    config = TrainConfig(lr=0.3, epochs=1, clip=clip)
+    stepped, reference = (CmlaParams.init(dim=6, channels=3, rng=42, layers=layers) for _ in range(2))
+    start = {name: t.data.copy() for name, t in stepped.named_tensors().items()}
+    train([sents[1]], table, stepped, config)
+    grads = backward(sentence_loss(sents[1], table, reference))
+    norm = per_tensor_sgd_step(grads, reference.all_tensors(), config.lr, config.clip)
+    assert (norm > clip) == (clip < 1)   # the small threshold clips, the large one does not
+    want = reference.named_tensors()
+    unused = {"aspect.proto_map", "opinion.proto_map"} if layers == 1 else set()
+    assert len(want) == 37
+    for name, t in stepped.named_tensors().items():
+        assert np.array_equal(t.data, start[name]) == (name in unused), name
+        if clip > 1:
+            assert np.array_equal(t.data, want[name].data), name
+        else:
+            np.testing.assert_allclose(t.data, want[name].data, rtol=1e-15, atol=0, err_msg=name)
 
 
 # --- factored map gradients -------------------------------------------------
@@ -582,13 +661,8 @@ def test_gradient_clipping_bounds_update(tiny_corpus):
 
 def dense_sgd_step(sentence, table, params, config):
     """One SGD step with every gradient made dense first; returns the norm."""
-    tensors = params.all_tensors()
     grads = {t: np.asarray(g) for t, g in backward(sentence_loss(sentence, table, params)).items()}
-    norm = clip_gradients(grads, tensors, config.clip)
-    for t in tensors:
-        if t in grads:
-            t.data -= config.lr * grads[t]
-    return norm
+    return per_tensor_sgd_step(grads, params.all_tensors(), config.lr, config.clip)
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -596,8 +670,7 @@ def dense_sgd_step(sentence, table, params, config):
 def test_factored_update_matches_dense_update(tiny_corpus, layers, clip):
     sents, table = tiny_corpus
     config = TrainConfig(lr=0.3, epochs=1, clip=clip)
-    factored = CmlaParams.init(dim=6, channels=3, rng=40, layers=layers)
-    dense = copy.deepcopy(factored)
+    factored, dense = (CmlaParams.init(dim=6, channels=3, rng=40, layers=layers) for _ in range(2))
     start = copy.deepcopy(factored.named_tensors())
     grads = backward(sentence_loss(sents[1], table, factored))
     maps = [t for h in (factored.aspect, factored.opinion) for t in (h.comp, h.cross)]
@@ -744,14 +817,47 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+CHECKPOINT_V1 = Path(__file__).parent / "checkpoint_v1.json"
+
+
 def test_checkpoint_v1_loads_and_saves_back_to_identical_bytes(tmp_path):
     # checkpoint_v1.json was written before the GRU tensors became views of
-    # gate blocks; the format and the bytes must not change
-    fixture = Path(__file__).parent / "checkpoint_v1.json"
-    params = load_checkpoint(fixture)
+    # gate blocks and of the parameter vector; the format and the bytes must not change
+    params = load_checkpoint(CHECKPOINT_V1)
     assert np.shares_memory(params.ctx_gru.U_r.data, params.ctx_gru.u)
+    assert params.ctx_gru.u.base is params.flat
     save_checkpoint(tmp_path / "again.json", params)
-    assert (tmp_path / "again.json").read_bytes() == fixture.read_bytes()
+    assert (tmp_path / "again.json").read_bytes() == CHECKPOINT_V1.read_bytes()
+
+
+@pytest.mark.parametrize("source", ["init", "from_named", "load_checkpoint", "checkpoint_v1"])
+def test_every_tensor_but_the_maps_is_a_view_of_the_parameter_vector(tmp_path, source):
+    params = CmlaParams.init(dim=4, channels=3, rng=60, layers=3)
+    if source == "from_named":
+        copies = {name: Tensor(t.data, requires_grad=True) for name, t in params.named_tensors().items()}
+        params = CmlaParams.from_named(copies, 3)
+        assert all(params.named_tensors()[name] is t for name, t in copies.items())
+    elif source == "load_checkpoint":
+        save_checkpoint(tmp_path / "model.json", params)
+        params = load_checkpoint(tmp_path / "model.json")
+    elif source == "checkpoint_v1":
+        params = load_checkpoint(CHECKPOINT_V1)
+    named = params.named_tensors()
+    dense = [t.data for name, t in named.items() if name not in MAP_NAMES]
+    assert len(dense) == 33 and params.flat.base is None and params.flat.ndim == 1
+    assert np.array_equal(params.flat, np.concatenate(dense, axis=None))
+    for name, t in named.items():
+        assert (t.data.base is params.flat) == (name not in MAP_NAMES), name
+        assert np.shares_memory(t.data, params.flat) == (name not in MAP_NAMES), name
+    cells = (params.ctx_gru, params.aspect.att_gru, params.opinion.att_gru)
+    assert all(block.base is params.flat for cell in cells for block in (cell.w, cell.u, cell.b))
+    # distinct values in the vector show each tensor's place in it, biases too
+    params.flat[:] = np.arange(params.flat.size)
+    assert np.array_equal(np.concatenate(dense, axis=None), np.arange(params.flat.size))
+    for cell in cells:
+        gates = [t.data for t in cell.tensors().values()]
+        for block, rows in ((cell.w, gates[:3]), (cell.u, gates[3:6]), (cell.b, gates[6:])):
+            assert np.array_equal(block, np.concatenate(rows))
 
 
 def test_checkpoint_bytes_are_sorted_json_of_whole_payload(tmp_path):
