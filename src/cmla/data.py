@@ -6,6 +6,7 @@ accepts already-normalized text; there is no spell correction here.
 
 from __future__ import annotations
 
+import itertools
 import re
 import xml.etree.ElementTree as ET
 import zlib
@@ -224,8 +225,19 @@ class EmbeddingTable:
 
 def load_embeddings(path, oov: OovPolicy = OovPolicy()) -> EmbeddingTable:
     """Load the text embedding format: 'vocab dim' header, then one word
-    plus dim space-separated reals per line. Duplicate words keep the last
-    vector and bump the table's duplicate counter."""
+    plus dim whitespace-separated reals per line; blank lines are skipped.
+    Duplicate words keep the last vector and bump the table's duplicate
+    counter.
+
+    All values are parsed in one pass by numpy's C text reader
+    (`np.loadtxt`), and each vector is a row view of the resulting array.
+    It reads ASCII decimal literals: integers, decimals and exponents with
+    an optional sign, and nan/inf/infinity in any case (rejected here as
+    non-finite). Unlike Python's `float`, it refuses digit-group
+    underscores (`1_0`) and non-ASCII digits. On any fault the file is read
+    again line by line with the same reader, so the error names the first
+    faulty line.
+    """
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -237,33 +249,56 @@ def load_embeddings(path, oov: OovPolicy = OovPolicy()) -> EmbeddingTable:
         if vocab_size < 0 or dim <= 0:
             raise DataFormatError(f"{path}: line 1: bad sizes {vocab_size} {dim}")
 
-        vectors = {}
-        duplicates = 0
-        count = 0
+        words = []
+
+        def value_text():   # the text after each word; a word-only line yields nothing
+            for line in fh:
+                parts = line.split(None, 1)
+                if parts:
+                    words.append(parts[0])
+                    yield from parts[1:]
+
+        rows = value_text()
+        first = next(rows, None)   # loadtxt warns on input without data
+        try:
+            values = np.empty((0, dim)) if first is None else _parse_values(itertools.chain((first,), rows))
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            values = None
+    if values is None or values.shape != (len(words), dim) or not np.isfinite(values).all():
+        raise DataFormatError(f"{path}: {_first_faulty_line(path, dim)}")
+    if len(words) != vocab_size:
+        raise DataFormatError(
+            f"{path}: header declares {vocab_size} entries but file has {len(words)}"
+        )
+    vectors = dict(zip(words, values))
+    return EmbeddingTable(dim=dim, vectors=vectors, oov=oov, duplicates=len(words) - len(vectors))
+
+
+def _parse_values(lines) -> np.ndarray:
+    """numpy's C text reader over lines of whitespace-separated reals."""
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _first_faulty_line(path, dim: int) -> str:
+    """Message for the first entry line of an embedding file whose values
+    are miscounted, unparsable or non-finite, each line parsed on its own."""
+    with open_text(path) as fh:
+        fh.readline()
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
             parts = line.split()
+            if not parts:
+                continue
             if len(parts) != dim + 1:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected {dim} values, got {len(parts) - 1}"
-                )
-            word = parts[0]
+                return f"line {lineno}: expected {dim} values, got {len(parts) - 1}"
             try:
-                vec = np.array(list(map(float, parts[1:])))
+                vec = _parse_values([line.split(None, 1)[1]])
             except ValueError:
-                raise DataFormatError(f"{path}: line {lineno}: non-numeric value") from None
+                return f"line {lineno}: non-numeric value"
             if not np.isfinite(vec).all():
-                raise DataFormatError(f"{path}: line {lineno}: non-finite value")
-            if word in vectors:
-                duplicates += 1
-            vectors[word] = vec
-            count += 1
-        if count != vocab_size:
-            raise DataFormatError(
-                f"{path}: header declares {vocab_size} entries but file has {count}"
-            )
-    return EmbeddingTable(dim=dim, vectors=vectors, oov=oov, duplicates=duplicates)
+                return f"line {lineno}: non-finite value"
+    return "no faulty line on a second read; the file changed while it was loaded"
 
 
 def save_embeddings(path, table: EmbeddingTable):

@@ -92,6 +92,12 @@ class CmlaParams:
     def named_tensors(self) -> dict:
         return dict(self._named)
 
+    def __deepcopy__(self, memo):
+        """Copies of the tensors, rebuilt by from_named so that they view the
+        copy's own `flat` (a plain deep copy gives every view its own array)."""
+        return self.from_named({name: Tensor(t.data, requires_grad=t.requires_grad)
+                                for name, t in self._named.items()}, self.layers)
+
     @cached_property
     def _named(self) -> dict:   # built once: the containers are frozen
         return {name: attrgetter(name)(self) for name in self.shapes(1, 1)}
@@ -357,12 +363,13 @@ def train(sentences, table, params: CmlaParams, config: TrainConfig) -> list:
     for name, t in named.items():
         if t.data.base is not flat:
             raise ValueError(f"{name} is no longer a view of the parameter vector")
-    order_gen = np.random.default_rng(config.seed)
+    # one sentence has one order, so it needs no generator (seeding one costs ~15 µs a call)
+    order_gen = np.random.default_rng(config.seed) if len(sentences) > 1 else None
 
     trace = []
     for epoch in range(config.epochs):
         epoch_total = 0.0
-        for idx in order_gen.permutation(len(sentences)):
+        for idx in order_gen.permutation(len(sentences)) if order_gen else range(1):
             try:
                 # the first overflow or invalid operation of the step raises
                 with np.errstate(over="raise", invalid="raise"):

@@ -185,6 +185,16 @@ def test_nan_embeddings_exit_two(workspace, capsys, tmp_path):
     assert f"{bad}: line 2: non-finite value" in stderr
 
 
+@pytest.mark.parametrize("literal", ["1_0", "٣"])
+def test_embedding_literal_outside_the_c_reader_exits_two(capsys, tmp_path, literal):
+    """Python's float reads these; the embedding loader's C reader does not."""
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"2 2\nhond 1 2\nkat 0.5 {literal}\n", encoding="utf-8")
+    code, _, stderr = run(capsys, "inspect", "--embeddings", str(path), "hond")
+    assert code == 2
+    assert stderr == f"cmla: {path}: line 3: non-numeric value\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")   # the overflow must not leak as a warning
 def test_diverging_training_exits_three(workspace, capsys, tmp_path):
     data, _ = workspace

@@ -1,10 +1,12 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cmla.data as data_module
 from cmla.bio import ASPECT, OPINION, Span, spans_to_labels
 from cmla.data import (
     DEFAULT_ASPECT_WORDS,
@@ -21,6 +23,7 @@ from cmla.data import (
     generate_synthetic,
     load_embeddings,
     load_lexicon,
+    open_text,
     parse_semeval_xml,
     save_embeddings,
     save_lexicon,
@@ -335,6 +338,175 @@ def test_save_load_roundtrip_exact(tmp_path):
     loaded = load_embeddings(path)
     for word, vec in vectors.items():
         assert np.array_equal(loaded.lookup(word), vec)
+
+
+# --- embeddings: numpy's C reader against the per-line parser -------------
+
+
+def reference_load_embeddings(path):
+    """The per-line parser the C reader replaced, kept as the oracle: Python's
+    split and float on each line, checked in file order."""
+    with open_text(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise DataFormatError(f"{path}: line 1: header must be 'vocab_size dim'")
+        try:
+            vocab_size, dim = int(header[0]), int(header[1])
+        except ValueError:
+            raise DataFormatError(f"{path}: line 1: non-integer header fields") from None
+        if vocab_size < 0 or dim <= 0:
+            raise DataFormatError(f"{path}: line 1: bad sizes {vocab_size} {dim}")
+        vectors, duplicates, count = {}, 0, 0
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != dim + 1:
+                raise DataFormatError(f"{path}: line {lineno}: expected {dim} values, got {len(parts) - 1}")
+            try:
+                vec = np.array(list(map(float, parts[1:])))
+            except ValueError:
+                raise DataFormatError(f"{path}: line {lineno}: non-numeric value") from None
+            if not np.isfinite(vec).all():
+                raise DataFormatError(f"{path}: line {lineno}: non-finite value")
+            duplicates += parts[0] in vectors
+            vectors[parts[0]] = vec
+            count += 1
+        if count != vocab_size:
+            raise DataFormatError(f"{path}: header declares {vocab_size} entries but file has {count}")
+    return EmbeddingTable(dim=dim, vectors=vectors, duplicates=duplicates)
+
+
+def load_outcome(loader, path):
+    """The error message, or the table as dim, duplicates and (word, vector bytes) in order."""
+    try:
+        table = loader(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return table.dim, table.duplicates, [(w, v.tobytes()) for w, v in table.vectors.items()]
+
+
+LOADER_PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+WORD = st.text(alphabet='hondkaté#"-1ß', min_size=1, max_size=4)
+VALUE = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map("{:e}".format),
+    st.sampled_from(["-0.0", "+0", "-0", ".5", "5.", "1E5", "+2.5e+3", "-1e-300", "4.9e-324", "1e308"]),
+)
+SEPARATOR = st.sampled_from([" ", "  ", "\t", " \t", "\xa0", "　"])
+BLANK_LINE = st.sampled_from(["", " ", "\t ", "\xa0", "　"])
+# one fault per file, as (kind, replacement): the line keeps its other values
+FAULTS = st.sampled_from([
+    ("drop", None), ("extra", "1.0"), ("word only", None), ("value", "x"), ("value", "nan"),
+    ("value", "-Infinity"), ("value", "1e999"), ("value", "1.0.0"), ("header", None),
+])
+
+
+@st.composite
+def embedding_files(draw, faulty=False):
+    """(file bytes, fault): entries over a small word pool, so words repeat,
+    among blank lines, with mixed separators and LF or CRLF endings."""
+    dim, pool = draw(st.integers(1, 4)), draw(st.lists(WORD, min_size=1, max_size=4))
+    entries = [[draw(st.sampled_from(pool)), *draw(st.lists(VALUE, min_size=dim, max_size=dim))]
+               for _ in range(draw(st.integers(1 if faulty else 0, 6)))]
+    declared = len(entries)
+    fault = draw(FAULTS) if faulty else None
+    if fault:
+        kind, replacement = fault
+        fields = draw(st.sampled_from(entries))
+        if kind == "drop":
+            fields.pop()
+        elif kind == "extra":
+            fields.append(replacement)
+        elif kind == "word only":
+            del fields[1:]
+        elif kind == "value":
+            fields[draw(st.integers(1, dim))] = replacement
+        else:
+            declared += draw(st.sampled_from([-1, 1]))
+    lines = [f"{declared} {dim}"]
+    for fields in entries:
+        lines += draw(st.lists(BLANK_LINE, max_size=1))
+        lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(lead + "".join(f + draw(SEPARATOR) for f in fields[:-1]) + fields[-1] + trail)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return (newline.join(lines) + newline).encode("utf-8"), fault
+
+
+@pytest.fixture(scope="module")
+def embeddings_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("embeddings")
+
+
+@LOADER_PROPERTY
+@given(embedding_files())
+def test_load_embeddings_matches_the_reference_bitwise(embeddings_dir, case):
+    path = embeddings_dir / "valid.txt"
+    path.write_bytes(case[0])
+    expected = load_outcome(reference_load_embeddings, path)
+    assert not isinstance(expected, str), expected
+    assert load_outcome(load_embeddings, path) == expected
+
+
+@LOADER_PROPERTY
+@given(embedding_files(faulty=True))
+def test_load_embeddings_names_the_faulty_line_as_the_reference_does(embeddings_dir, case):
+    path = embeddings_dir / "faulty.txt"
+    path.write_bytes(case[0])
+    expected = load_outcome(reference_load_embeddings, path)
+    assert isinstance(expected, str) and expected.startswith(f"{path}: "), expected
+    assert load_outcome(load_embeddings, path) == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 3\nhond 1 2\nkat 1 2 3\n", "line 2: expected 3 values, got 2"),
+    ("3 3\nhond 1 2 3\n\nkat 1 2\nvis 1 2 3\n", "line 4: expected 3 values, got 2"),
+    ("2 3\nhond 1 2 3\nkat 1 2 3 4\n", "line 3: expected 3 values, got 4"),
+    ("2 3\nhond 1 2 3\nkat\n", "line 3: expected 3 values, got 0"),
+    ("1 3\nkat \n", "line 2: expected 3 values, got 0"),
+    ("2 3\nhond 1 2 3\nkat 1 x 3\n", "line 3: non-numeric value"),
+    ("2 3\nhond 1 2 3\nkat 1 nan 3\n", "line 3: non-finite value"),
+    ("2 3\nhond 1 2 3\nkat -Infinity 2 3\n", "line 3: non-finite value"),
+    ("2 3\nhond 1 2 3\nkat 1 2 1e999\n", "line 3: non-finite value"),
+    ("3 3\nhond 1 2 3\nkat 1 2 3\n", "header declares 3 entries but file has 2"),
+    ("1 3\nhond 1 2 3\nkat 1 2 3\n", "header declares 1 entries but file has 2"),
+])
+def test_load_embeddings_error_matches_the_reference(tmp_path, text, message):
+    path = write_embeddings(tmp_path, text)
+    assert load_outcome(reference_load_embeddings, path) == f"{path}: {message}"
+    assert load_outcome(load_embeddings, path) == f"{path}: {message}"
+
+
+def test_load_embeddings_rejects_a_file_mended_between_its_two_reads(tmp_path, monkeypatch):
+    path = write_embeddings(tmp_path, "1 3\nhond 1 x 3\n")
+    first_faulty_line = data_module._first_faulty_line
+
+    def mend_then_search(*args):
+        path.write_text("1 3\nhond 1 2 3\n", encoding="utf-8")
+        return first_faulty_line(*args)
+
+    monkeypatch.setattr(data_module, "_first_faulty_line", mend_then_search)
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: no faulty line on a second read")):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("text", ["0 3", "0 3\n", "0 3\n\n \t\n\r\n\n"])
+def test_load_embeddings_without_entries_is_an_empty_table(tmp_path, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = load_embeddings(write_embeddings(tmp_path, text))
+    assert (table.dim, table.vectors, table.duplicates) == (3, {}, 0)
+
+
+@pytest.mark.parametrize("literal", ["1_0", "٣", "１"])
+def test_load_embeddings_takes_ascii_literals_only(tmp_path, literal):
+    """Python's float reads these; numpy's C reader does not."""
+    path = write_embeddings(tmp_path, f"2 2\nhond 1 2\nkat 0.5 {literal}\n")
+    assert isinstance(load_outcome(reference_load_embeddings, path), tuple)
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 3: non-numeric value")):
+        load_embeddings(path)
 
 
 # --- lexicon ----------------------------------------------------------------

@@ -486,6 +486,34 @@ def test_train_two_runs_identical(tiny_corpus):
         assert np.array_equal(state_a[name], state_b[name])
 
 
+def test_train_visits_sentences_in_the_seeded_permutation_order(tiny_corpus, monkeypatch):
+    sents, table = tiny_corpus
+    visited = []
+
+    def recording_loss(sentence, *args):
+        visited.append(sents.index(sentence))
+        return sentence_loss(sentence, *args)
+
+    monkeypatch.setattr("cmla.model.sentence_loss", recording_loss)
+    train(sents[:5], table, CmlaParams.init(dim=6, channels=2, rng=28), TrainConfig(lr=0.1, epochs=3, seed=7))
+    gen = np.random.default_rng(7)
+    assert visited == [int(i) for _ in range(3) for i in gen.permutation(5)]
+
+
+def test_train_on_one_sentence_seeds_no_generator(tiny_corpus, monkeypatch):
+    sents, table = tiny_corpus
+    start = CmlaParams.init(dim=6, channels=2, rng=29)
+
+    def run(seed):
+        params = copy.deepcopy(start)
+        trace = train(sents[2:3], table, params, TrainConfig(lr=0.3, epochs=3, seed=seed))
+        return trace, params.flat.tobytes(), [params.named_tensors()[m].data.tobytes() for m in MAP_NAMES]
+
+    expected = run(0)
+    monkeypatch.setattr(np.random, "default_rng", None)   # calling it would raise TypeError
+    assert run(0) == expected and run(123) == expected
+
+
 def test_train_reduces_loss_on_tiny_set(tiny_corpus):
     sents, table = tiny_corpus
     params = CmlaParams.init(dim=6, channels=2, rng=27)
@@ -830,7 +858,24 @@ def test_checkpoint_v1_loads_and_saves_back_to_identical_bytes(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == CHECKPOINT_V1.read_bytes()
 
 
-@pytest.mark.parametrize("source", ["init", "from_named", "load_checkpoint", "checkpoint_v1"])
+def test_deep_copy_trains_on_its_own_parameter_vector(tiny_corpus):
+    sents, table = tiny_corpus
+    original = CmlaParams.init(dim=6, channels=2, rng=61)
+    before = {name: t.data.tobytes() for name, t in original.named_tensors().items()}
+    twin = copy.deepcopy(original)
+    assert not np.shares_memory(twin.flat, original.flat) and twin.layers == original.layers
+    for s in sents[:3]:
+        a, b = predict(s, table, original), predict(s, table, twin)
+        assert a.merged == b.merged
+        assert np.array_equal(np.hstack([a.aspect_logits, a.opinion_logits]),
+                              np.hstack([b.aspect_logits, b.opinion_logits]))
+    trace = train(sents[:3], table, twin, TrainConfig(lr=0.3, epochs=2, seed=1))
+    assert len(trace) == 2 and np.isfinite(trace).all()
+    assert {name: t.data.tobytes() for name, t in original.named_tensors().items()} == before
+    assert twin.flat.tobytes() != original.flat.tobytes()
+
+
+@pytest.mark.parametrize("source", ["init", "from_named", "load_checkpoint", "checkpoint_v1", "deepcopy"])
 def test_every_tensor_but_the_maps_is_a_view_of_the_parameter_vector(tmp_path, source):
     params = CmlaParams.init(dim=4, channels=3, rng=60, layers=3)
     if source == "from_named":
@@ -842,6 +887,8 @@ def test_every_tensor_but_the_maps_is_a_view_of_the_parameter_vector(tmp_path, s
         params = load_checkpoint(tmp_path / "model.json")
     elif source == "checkpoint_v1":
         params = load_checkpoint(CHECKPOINT_V1)
+    elif source == "deepcopy":
+        params = copy.deepcopy(params)
     named = params.named_tensors()
     dense = [t.data for name, t in named.items() if name not in MAP_NAMES]
     assert len(dense) == 33 and params.flat.base is None and params.flat.ndim == 1
