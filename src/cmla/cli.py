@@ -113,7 +113,8 @@ _INPUT_PATH_KEYS = ("data", "embeddings", "lexicon", "checkpoint", "input")
 # numeric option -> the values it accepts, checked before any file is read
 # or written; `not test(v)` rejects NaN as well
 _RANGES = {
-    "positive": (lambda v: v > 0, ("lr", "clip", "channels", "layers", "buckets", "sentences", "dim")),
+    "positive": (lambda v: v > 0, ("clip", "channels", "layers", "buckets", "sentences", "dim")),
+    "positive and finite": (lambda v: 0 < v < float("inf"), ("lr",)),
     # init_uniform draws from [-v, v], whose width 2 v must be finite
     f"positive and at most {sys.float_info.max / 2!r}": (
         lambda v: 0 < v <= sys.float_info.max / 2, ("init_scale",)),
@@ -141,7 +142,7 @@ def _read_config_file(path, schema) -> dict:
     if not os.path.isfile(path):
         raise UsageError(f"config file not found: {path}")
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

@@ -78,6 +78,12 @@ class GruParams:
         for (z, r, c), block in zip(gates, blocks):
             z.data, r.data, c.data = block[:h], block[h : 2 * h], block[2 * h :]
 
+    def __deepcopy__(self, memo):
+        """A cell of copies of the nine tensors, whose gates view the copy's own
+        vector (a plain deep copy gives every view an array of its own)."""
+        return GruParams(**{name: Tensor(t.data, requires_grad=t.requires_grad)
+                            for name, t in self.tensors().items()})
+
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng, scale: float = 0.2):
         """Uniform(-scale, scale) weights, zero biases, drawn in shapes() order."""

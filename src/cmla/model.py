@@ -40,6 +40,9 @@ PROTOTYPE_INIT = 0.2
 # rows of a (k*d, d) map the SGD update subtracts per product, so its temporary stays in cache
 UPDATE_ROWS = 512
 
+# values per json.dumps call when a checkpoint is saved
+SAVE_SLICE = 4096
+
 
 class TrainingDiverged(RuntimeError):
     """Loss left the finite floats; message names epoch and sentence."""
@@ -325,8 +328,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if not self.clip > 0:
@@ -457,8 +460,8 @@ def save_checkpoint(path, params: CmlaParams):
     float64 bit for bit, and JSON carries no timestamps, so identical
     parameters always produce identical bytes (unlike zip containers).
     The bytes are json.dumps(payload, sort_keys=True) of the whole
-    payload, encoded one tensor at a time so that neither the float lists
-    nor the text of all tensors are held in memory at once.
+    payload, encoded SAVE_SLICE values at a time so that only one slice's
+    floats and text are held in memory at once.
     """
     header = {
         "format": CHECKPOINT_FORMAT,
@@ -472,17 +475,40 @@ def save_checkpoint(path, params: CmlaParams):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head + '"tensors": {')
         for i, (name, t) in enumerate(sorted(params.named_tensors().items())):
-            entry = {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
-            fh.write((", " if i else "") + json.dumps({name: entry}, sort_keys=True)[1:-1])
+            shape, values = json.dumps(t.data.shape), t.data.reshape(-1)
+            fh.write(f'{", " if i else ""}{json.dumps(name)}: {{"shape": {shape}, "values": [')
+            for at in range(0, values.size, SAVE_SLICE):
+                fh.write((", " if at else "") + json.dumps(values[at : at + SAVE_SLICE].tolist())[1:-1])
+            fh.write("]}")
         fh.write("}" + tail + "\n")
+
+
+class JsonFloats(np.ndarray):
+    """A "values" list of JSON floats, read into an array as soon as it is
+    parsed. Its repr is the list's, so a message that quotes a malformed
+    header or shape holding one reads as if the list had been kept."""
+
+    def __repr__(self):
+        return repr(self.tolist())
+
+
+def _values_to_array(obj: dict) -> dict:
+    """json object_hook: an object's "values" list of JSON floats becomes a
+    JsonFloats array, so one tensor's Python floats exist at a time."""
+    raw = obj.get("values")
+    if type(raw) is list and set(map(type, raw)) <= {float}:
+        obj["values"] = np.array(raw, dtype=np.float64).view(JsonFloats)
+    return obj
 
 
 def load_checkpoint(path) -> CmlaParams:
     """Read a checkpoint back; every stored tensor is checked against the
-    shape its header implies before the parameters are built from them."""
+    shape its header implies before the parameters are built from them.
+    Each tensor's floats become an array while the text is parsed, so the
+    load holds the text plus one tensor's Python floats at a time."""
     try:
         with open_text(path) as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_hook=_values_to_array)
     except DataFormatError:
         raise
     except (ValueError, RecursionError) as exc:   # ValueError: also a too-long integer
@@ -516,10 +542,14 @@ def load_checkpoint(path) -> CmlaParams:
         dims, raw = entry["shape"], entry["values"]
         if not isinstance(dims, list) or any(type(d) is not int for d in dims) or dims != list(shape):
             raise DataFormatError(f"{path}: tensor {name} has shape {dims!r}, expected {list(shape)}")
-        values = np.array(raw) if isinstance(raw, list) and set(map(type, raw)) <= {int, float} else None
-        if values is None or values.dtype.kind not in "if" or not np.isfinite(values).all():
+        # a list of numbers here holds ints: the hook made every list of floats an array
+        values = np.array(raw) if isinstance(raw, list) and set(map(type, raw)) <= {int, float} else raw
+        if not isinstance(values, np.ndarray) or values.dtype.kind not in "if" or not np.isfinite(values).all():
             raise DataFormatError(f"{path}: tensor {name} values are not a list of finite numbers")
         if values.size != np.prod(shape):
             raise DataFormatError(f"{path}: tensor {name} has {values.size} values")
-        tensors[name] = Tensor(values.reshape(shape), requires_grad=True)
+        # the parsed array becomes the tensor's data: copies would sit in the heap
+        # above the freed parsed arrays and keep their space resident
+        tensors[name] = tensor = Tensor(0.0, requires_grad=True)
+        tensor.data = np.asarray(values, dtype=np.float64).reshape(shape)
     return CmlaParams.from_named(tensors, layers)

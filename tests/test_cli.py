@@ -101,9 +101,10 @@ def test_missing_input_file_exits_one(workspace, capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--lr", "-1"), ("--lr", "nan"), ("--epochs", "-1"), ("--clip", "0"), ("--clip", "nan"),
-     ("--channels", "0"), ("--layers", "0"), ("--init-scale", "0"), ("--init-scale", "inf"),
-     ("--init-scale", "1e308"), ("--seed", "-1"), ("--buckets", "0")],
+    [("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "1e400"), ("--epochs", "-1"),
+     ("--clip", "0"), ("--clip", "nan"), ("--channels", "0"), ("--layers", "0"),
+     ("--init-scale", "0"), ("--init-scale", "inf"), ("--init-scale", "1e308"), ("--seed", "-1"),
+     ("--buckets", "0")],
 )
 def test_invalid_training_hyperparameter_exits_one(workspace, capsys, tmp_path, flag, value):
     data, _ = workspace
@@ -282,6 +283,31 @@ def test_config_malformed_line_exits_one(capsys, tmp_path):
     code, _, stderr = run(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path))
     assert code == 1
     assert "line 1" in stderr
+
+
+def test_config_non_finite_lr_exits_one(workspace, capsys, tmp_path):
+    data, _ = workspace
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("lr = 1e400\n", encoding="utf-8")
+    code, _, stderr = run(
+        capsys, "train", "--config", str(cfg),
+        "--data", str(data / "corpus.xml"),
+        "--embeddings", str(data / "embeddings.txt"),
+        "--lexicon", str(data / "lexicon.txt"),
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert stderr == "cmla: --lr must be positive and finite, got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_not_utf8_exits_two_naming_file_and_line(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 3\ndim = \xff4\n")
+    code, stdout, stderr = run(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2 and stdout == ""
+    assert stderr == f"cmla: {cfg}: line 2: not UTF-8 text (invalid start byte)\n"
+    assert not (tmp_path / "out").exists()
 
 
 # --- eval -------------------------------------------------------------------

@@ -12,8 +12,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cmla.bio import ASPECT, spans_to_labels
-from cmla.data import DataFormatError, parse_semeval_xml
-from cmla.model import CmlaParams, load_checkpoint, save_checkpoint
+from cmla.autodiff import Tensor
+from cmla.data import DataFormatError, open_text, parse_semeval_xml
+from cmla.model import (
+    CHECKPOINT_FORMAT,
+    CHECKPOINT_VERSION,
+    CmlaParams,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -160,3 +167,85 @@ def test_load_checkpoint_mangled(fuzz_dir, valid_payload, data):
         CmlaParams.shapes(params.dim, params.channels)
     assert params.layers >= 1
     assert all(np.isfinite(t.data).all() for t in params.all_tensors())
+
+
+def reference_load_checkpoint(path) -> CmlaParams:
+    """load_checkpoint as it was before the values were read into arrays during
+    the parse: every tensor's Python floats alive until the whole text is parsed."""
+    try:
+        with open_text(path) as fh:
+            payload = json.load(fh)
+    except DataFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        raise DataFormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    version = payload.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise DataFormatError(f"{path}: unsupported version {version!r}")
+    header = [payload.get(key) for key in ("dim", "channels", "layers")]
+    if not all(type(v) is int and v >= 1 for v in header):
+        raise DataFormatError(f"{path}: malformed checkpoint: dim, channels and layers "
+                              f"must be positive integers, got {header}")
+    dim, channels, layers = header
+    stored = payload.get("tensors")
+    if not isinstance(stored, dict):
+        raise DataFormatError(f"{path}: malformed checkpoint: tensors is not an object")
+    shapes = CmlaParams.shapes(dim, channels)
+    missing = sorted(set(shapes) - set(stored))
+    extra = sorted(set(stored) - set(shapes))
+    if missing or extra:
+        raise DataFormatError(f"{path}: tensor names mismatch (missing {missing}, extra {extra})")
+    tensors = {}
+    for name, shape in shapes.items():
+        entry = stored[name]
+        if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
+            raise DataFormatError(f"{path}: tensor {name} is not an object with shape and values")
+        dims, raw = entry["shape"], entry["values"]
+        if not isinstance(dims, list) or any(type(d) is not int for d in dims) or dims != list(shape):
+            raise DataFormatError(f"{path}: tensor {name} has shape {dims!r}, expected {list(shape)}")
+        values = np.array(raw) if isinstance(raw, list) and set(map(type, raw)) <= {int, float} else None
+        if values is None or values.dtype.kind not in "if" or not np.isfinite(values).all():
+            raise DataFormatError(f"{path}: tensor {name} values are not a list of finite numbers")
+        if values.size != np.prod(shape):
+            raise DataFormatError(f"{path}: tensor {name} has {values.size} values")
+        tensors[name] = Tensor(values.reshape(shape), requires_grad=True)
+    return CmlaParams.from_named(tensors, layers)
+
+
+def load_outcome(loader, path):
+    """The DataFormatError message, or the layers and every tensor's bytes."""
+    try:
+        params = loader(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return params.layers, [(name, t.data.dtype, t.data.shape, t.data.tobytes())
+                           for name, t in params.named_tensors().items()]
+
+
+@FUZZ
+@given(st.data())
+def test_load_checkpoint_matches_reference_loader(fuzz_dir, valid_payload, data):
+    path = fuzz_dir / "parity.json"
+    path.write_bytes(data.draw(mangled_checkpoint(valid_payload)))
+    assert load_outcome(load_checkpoint, path) == load_outcome(reference_load_checkpoint, path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("dim", {"values": [0.5, -0.0, 1e-310]}), ("version", {"values": []}),
+     ("layers", [{"values": [1, 0.5]}]), ("shape", {"shape": [2], "values": [2.0]})],
+)
+def test_messages_quote_values_lists_as_written(fuzz_dir, valid_payload, key, value):
+    # a "values" list of floats is an array once parsed; a message quoting it shows the list
+    payload = json.loads(json.dumps(valid_payload))
+    if key == "shape":
+        payload["tensors"]["aspect.prototype"]["shape"] = value
+    else:
+        payload[key] = value
+    path = fuzz_dir / "quoted.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    message = load_outcome(load_checkpoint, path)
+    assert repr(value) in message
+    assert message == load_outcome(reference_load_checkpoint, path)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -259,6 +260,25 @@ def test_cell_tensors_are_row_views_of_its_gate_blocks():
             t = getattr(p, name)
             assert np.shares_memory(t.data, block), name
             assert np.array_equal(block[2 * gate : 2 * gate + 2], t.data), name
+
+
+@pytest.mark.parametrize("source", ["cell", "head"])
+def test_deep_copy_of_a_cell_views_its_own_gate_blocks(source):
+    params = CmlaParams.init(dim=3, channels=2, rng=52)
+    original = params.ctx_gru if source == "cell" else params.aspect.att_gru
+    twin = copy.deepcopy(original) if source == "cell" else copy.deepcopy(params.aspect).att_gru
+    twin_blocks = (twin.w, twin.u, twin.b)
+    for name, t in twin.tensors().items():
+        assert any(np.shares_memory(t.data, block) for block in twin_blocks), name
+        assert np.array_equal(t.data, getattr(original, name).data), name
+        assert not np.shares_memory(t.data, params.flat), name
+    assert not any(np.shares_memory(block, params.flat) for block in twin_blocks)
+    xs = rows(np.random.default_rng(53), 4, original.input_dim)
+    before = gru_run(xs, original).data
+    assert np.array_equal(gru_run(xs, twin).data, before)
+    twin.W_z.data[0, 0] += 0.5
+    assert not np.array_equal(gru_run(xs, twin).data, before)
+    assert np.array_equal(gru_run(xs, original).data, before)
 
 
 def test_in_place_change_reaches_the_next_run():

@@ -554,6 +554,9 @@ def test_train_rejects_empty_dataset(tiny_corpus):
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
+    for lr in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+            TrainConfig(lr=lr)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
@@ -908,15 +911,45 @@ def test_every_tensor_but_the_maps_is_a_view_of_the_parameter_vector(tmp_path, s
 
 
 def test_checkpoint_bytes_are_sorted_json_of_whole_payload(tmp_path):
-    params = CmlaParams.init(dim=3, channels=2, rng=44, layers=3)
+    # at dim 24 and 8 channels each map holds 4,608 values: a whole save slice and part of one
+    for dim, channels, layers in ((3, 2, 3), (24, 8, 2)):
+        params = CmlaParams.init(dim=dim, channels=channels, rng=44, layers=layers)
+        comp = params.aspect.comp.data.reshape(-1)
+        comp[[0, -1]] = [-0.0, 5e-324]
+        if comp.size > 4096:
+            comp[[4095, 4096]] = [-2.5e-310, 1e300]
+        params.ctx_gru.b_z.data[:2] = [-0.0, 2.2250738585072014e-308]
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params)
+        payload = {
+            "format": "cmla-checkpoint", "version": 1, "dim": dim, "channels": channels, "layers": layers,
+            "tensors": {name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
+                        for name, t in params.named_tensors().items()},
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True) + "\n"
+        assert load_checkpoint(path).aspect.comp.data.tobytes() == params.aspect.comp.data.tobytes()
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_save_and_load_hold_little_beyond_the_text(tmp_path):
+    # dim 60, 10 channels: a 3.76 MB file. Saving a slice at a time holds about
+    # 0.16x the file; loading holds the text (bytes and str) plus one tensor's
+    # floats, about 2.0x. Keeping every tensor's floats took 1.34x and 2.52x.
+    params = CmlaParams.init(dim=60, channels=10, rng=48)
     path = tmp_path / "model.json"
-    save_checkpoint(path, params)
-    payload = {
-        "format": "cmla-checkpoint", "version": 1, "dim": 3, "channels": 2, "layers": 3,
-        "tensors": {name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
-                    for name, t in params.named_tensors().items()},
-    }
-    assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True) + "\n"
+    save_peak = traced_peak(save_checkpoint, path, params)
+    size = path.stat().st_size
+    load_peak = traced_peak(load_checkpoint, path)
+    assert save_peak < 0.5 * size
+    assert load_peak < 2.25 * size
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
