@@ -19,9 +19,11 @@ LABELS = (B, I, O)
 
 # merged five-category tags, per head
 _MERGED = {ASPECT: {B: "B-ASP", I: "I-ASP"}, OPINION: {B: "B-OP", I: "I-OP"}}
+# the begin tag of each merged inside tag
+_BEGIN_OF = {tags[I]: tags[B] for tags in _MERGED.values()}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Span:
     """Token-indexed chunk [start, end) of one kind."""
 
@@ -129,7 +131,8 @@ def merge_heads(la: LabelSeq, lp: LabelSeq, conf_a, conf_p) -> list:
 
     prev = O
     for i, tag in enumerate(merged):
-        if tag.startswith("I-") and prev != tag and prev != "B-" + tag[2:]:
-            merged[i] = "B-" + tag[2:]
+        begin = _BEGIN_OF.get(tag)
+        if begin and prev != tag and prev != begin:
+            merged[i] = begin
         prev = merged[i]
     return merged

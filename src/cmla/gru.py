@@ -1,4 +1,4 @@
-"""Gated recurrent unit over autodiff tensors.
+"""Gated recurrent unit over autodiff tensors or plain arrays.
 
 Standard Cho-style cell: update gate z, reset gate r, candidate state
 blended by interpolation
@@ -8,8 +8,9 @@ blended by interpolation
     c = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * c
 
-A run over a whole sequence is one graph node: the recurrence is stepped
-in numpy and its backward is hand-written backpropagation through time.
+The recurrence is a plain numpy kernel, `gru_states`. A run over a Tensor
+wraps it as one graph node whose backward is hand-written backpropagation
+through time; a run over a plain array returns its states, with no graph.
 A cell's tensors and its stacked gates w = [W_z; W_r; W_h], u and b are
 views of one vector (in a model, a stretch of its parameter vector). Only
 state-dependent work stays in the step loops: W x + b is formed up front,
@@ -118,39 +119,62 @@ def spans(sizes) -> list:
     return [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
 
 
-def gru_run(xs: Tensor, *cells: GruParams) -> Tensor:
-    """Run the cells from a zero state over the rows of an (n, input) Tensor.
-
-    Returns the (n, hidden) state sequence as one node. Several cells run
-    as one cell with block-diagonal weights, their inputs and states side by
-    side. Every step is computed from its own row and the previous state
-    only, so row t depends only on inputs <= t, bit for bit.
-    """
-    x = xs.data
-    if x.shape[0] == 0:
-        raise ValueError("gru_run needs a nonempty sequence")
-    hid, inp = spans([p.hidden_dim for p in cells]), spans([p.input_dim for p in cells])
-    if x.ndim != 2 or x.shape[1] != inp[-1].stop:
-        raise ValueError(f"input has shape {x.shape}, expected (n, {inp[-1].stop})")
-    n, k = x.shape[0], hid[-1].stop
+def gru_blocks(*cells: GruParams) -> tuple:
+    """The gates (w, u, b) of the cells run as one cell: a single cell's own
+    blocks, or block-diagonal ones, cell i's gates in the rows of its hidden
+    units and the columns of its inputs of each (3, k, .) gate block."""
     if len(cells) == 1:
-        w, u, b = cells[0].w, cells[0].u, cells[0].b
-    else:   # block-diagonal: cell i's gates in rows hid[i] of each (3, k, .) gate block
-        w, u, b = np.zeros((3, k, inp[-1].stop)), np.zeros((3, k, k)), np.zeros((3, k, 1))
-        for p, at, cols in zip(cells, hid, inp):
-            w[:, at, cols], u[:, at, at], b[:, at] = (a.reshape(3, p.hidden_dim, -1) for a in (p.w, p.u, p.b))
-        w, u, b = w.reshape(3 * k, -1), u.reshape(3 * k, -1), b.reshape(-1)
-    u_zr, u_h = u[: 2 * k], u[2 * k :]
+        return cells[0].w, cells[0].u, cells[0].b
+    hid, inp = spans([p.hidden_dim for p in cells]), spans([p.input_dim for p in cells])
+    k = hid[-1].stop
+    w, u, b = np.zeros((3, k, inp[-1].stop)), np.zeros((3, k, k)), np.zeros((3, k, 1))
+    for p, at, cols in zip(cells, hid, inp):
+        w[:, at, cols], u[:, at, at], b[:, at] = (a.reshape(3, p.hidden_dim, -1) for a in (p.w, p.u, p.b))
+    return w.reshape(3 * k, -1), u.reshape(3 * k, -1), b.reshape(-1)
 
+
+def gru_states(x, w, u, b, keep=False) -> tuple:
+    """The recurrence of cell (w, u, b) from a zero state over the rows of x:
+    states (n + 1, k), states[t] the state before step t, and with `keep`
+    the gate values zr (n, 2k) and candidates (n, k) that BPTT reads (else
+    None for both)."""
+    n, k = len(x), len(b) // 3
     wxb = rowwise(w, x) + b   # input terms of every step, rows as in w
     # sigmoid(v) = 0.5 + 0.5 tanh(v / 2): the z/r terms are halved once, exactly
-    half_zr, half_u_zr, wx_h = 0.5 * wxb[:, : 2 * k], 0.5 * u_zr, wxb[:, 2 * k :]
-    states = np.zeros((n + 1, k))   # states[t] is the state before step t
-    zr, cand, h = np.empty((n, 2 * k)), np.empty((n, k)), states[0]
-    for t in range(n):
-        s = zr[t] = 0.5 + 0.5 * np.tanh(half_zr[t] + half_u_zr @ h)
-        c = cand[t] = np.tanh(wx_h[t] + u_h @ (s[k:] * h))
+    half_zr, half_u_zr, wx_h, u_h = 0.5 * wxb[:, : 2 * k], 0.5 * u[: 2 * k], wxb[:, 2 * k :], u[2 * k :]
+    states = np.zeros((n + 1, k))
+    zr, cand = (np.empty((n, 2 * k)), np.empty((n, k))) if keep else (None, None)
+    h = states[0]
+    for t in range(n):   # ndarray.dot: the BLAS matrix-vector product without matmul's dispatch
+        s = 0.5 + 0.5 * np.tanh(half_zr[t] + half_u_zr.dot(h))
+        c = np.tanh(wx_h[t] + u_h.dot(s[k:] * h))
         h = states[t + 1] = h + s[:k] * (c - h)
+        if keep:
+            zr[t], cand[t] = s, c
+    return states, zr, cand
+
+
+def gru_run(xs, *cells: GruParams, blocks=None):
+    """Run the cells from a zero state over the rows of an (n, input) block.
+
+    Several cells run as one cell with block-diagonal weights, their inputs
+    and states side by side; `blocks` is gru_blocks(*cells) if the caller
+    built it already. A Tensor in gives the (n, hidden) states as one node;
+    a plain array in gives them as a plain array, with no graph and no
+    gates kept for a backward. Every step is computed from its own row and
+    the previous state only, so row t depends only on inputs <= t, bit for bit.
+    """
+    x = xs.data if isinstance(xs, Tensor) else xs
+    if x.shape[0] == 0:
+        raise ValueError("gru_run needs a nonempty sequence")
+    w, u, b = blocks or gru_blocks(*cells)
+    if x.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ValueError(f"input has shape {x.shape}, expected (n, {w.shape[1]})")
+    if not isinstance(xs, Tensor):
+        return gru_states(x, w, u, b)[0][1:]
+    states, zr, cand = gru_states(x, w, u, b, keep=True)
+    n, k = cand.shape
+    u_zr, u_h = u[: 2 * k], u[2 * k :]
 
     def backprop(g):
         prev, z, r = states[:-1], zr[:, :k], zr[:, k:]
@@ -161,13 +185,14 @@ def gru_run(xs: Tensor, *cells: GruParams) -> Tensor:
         dh = np.zeros(k)
         for t in range(n - 1, -1, -1):
             dh = dh + g[t]
-            d_rh = (p_h := dh * d_c[t]) @ u_h
+            d_rh = (p_h := dh * d_c[t]).dot(u_h)
             pre[t, :k], pre[t, k : 2 * k], pre[t, 2 * k :] = dh * d_z[t], d_rh * d_r[t], p_h
-            dh = dh * keep[t] + d_rh * r[t] + pre[t, : 2 * k] @ u_zr
+            dh = dh * keep[t] + d_rh * r[t] + pre[t, : 2 * k].dot(u_zr)
         dx = pre @ w if xs.requires_grad else None
         dw, db = (pre.T @ x).reshape(3, k, -1), pre.sum(axis=0).reshape(3, k)
         du = np.concatenate([pre[:, : 2 * k].T @ prev, pre[:, 2 * k :].T @ (r * prev)]).reshape(3, k, k)
         # only each cell's own blocks, in GRU_FIELDS order
+        hid, inp = spans([p.hidden_dim for p in cells]), spans([p.input_dim for p in cells])
         return (dx, *(d[gate] for h_at, x_at in zip(hid, inp)
                       for d in (dw[:, h_at, x_at], du[:, h_at, h_at], db[:, h_at]) for gate in range(3)))
 

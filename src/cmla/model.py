@@ -12,6 +12,8 @@ prototypes are the rows of one array, the two GRUs and classifiers run as
 one block-diagonal cell and one block-diagonal map, and the loss and the
 decoder read both heads' logits as one (n, 6) block. Every parameter but
 the four map stacks is a view of one vector, which an SGD step updates whole.
+Each layer op is a plain numpy kernel that its autodiff node wraps; `predict`
+runs the kernels on plain arrays, with no graph.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import bio
 from .autodiff import Tensor, backward, constant, node
 from .bio import ASPECT, OPINION, LabelSeq, labels_to_spans, merge_heads
 from .data import DataFormatError, open_text
-from .gru import GRU_FIELDS, GruParams, gru_run, init_tensor, rowwise, spans
+from .gru import GRU_FIELDS, GruParams, gru_blocks, gru_run, init_tensor, rowwise, spans
 
 # class order shared by logits, gold indices and checkpointed classifiers
 CLASS_ORDER = (bio.B, bio.I, bio.O)
@@ -172,21 +174,30 @@ class FactoredGrad:
             p[r : r + UPDATE_ROWS] -= a[:, r : r + UPDATE_ROWS].T @ self.b
 
 
-def compose(h_seq: Tensor, u: Tensor, heads) -> Tensor:
+def bilinear(h, us, maps, protos) -> tuple:
+    """compose's kernel on arrays: y (n, rows of the maps) and mu, each map
+    stack contracted with prototype row us[protos[i]], which its backward reads."""
+    mu = np.concatenate([m @ us[j] for m, j in zip(maps, protos)])
+    # one product per row, so appending a token never changes an earlier row's bits
+    return np.tanh(rowwise(mu, h)), mu
+
+
+def compose(h_seq, u, heads):
     """Composition vectors of a sentence, (n, 2*channels per head) in (-1, 1).
 
     Head i's block: tanh of the bilinear form of each hidden state against
     its own prototype u[i] through its comp maps, one entry per channel, then
     against the other head's u[-1 - i] through its cross maps, which is what
     couples the heads. The maps are contracted with the prototypes first, so
-    the per-token cost is one (d,) x (d, 2*channels*heads) product.
+    the per-token cost is one (d,) x (d, 2*channels*heads) product. Tensors
+    in give a node; plain arrays in give a plain array.
     """
-    h, us = h_seq.data, u.data
     maps = [t for head in heads for t in (head.comp, head.cross)]
     protos = [j for i in range(len(heads)) for j in (i, len(heads) - 1 - i)]   # u row of each map
-    mu = np.concatenate([m.data @ us[j] for m, j in zip(maps, protos)])
-    # one product per row, so appending a token never changes an earlier row's bits
-    y = np.tanh(rowwise(mu, h))
+    if not isinstance(h_seq, Tensor):
+        return bilinear(h_seq, u, [m.data for m in maps], protos)[0]
+    h, us = h_seq.data, u.data
+    y, mu = bilinear(h, us, [m.data for m in maps], protos)
 
     def backprop(g):
         gp = g * (1.0 - y * y)
@@ -199,31 +210,54 @@ def compose(h_seq: Tensor, u: Tensor, heads) -> Tensor:
     return node(y, (h_seq, u, *maps), backprop)
 
 
-def classify(features: Tensor, *classifiers: Tensor) -> Tensor:
+def block_diagonal(*blocks):
+    """The 2-D arrays as the diagonal blocks of one zero-filled array."""
+    at = list(zip(spans([len(c) for c in blocks]), spans([c.shape[1] for c in blocks])))
+    out = np.zeros((at[-1][0].stop, at[-1][1].stop))
+    for c, a in zip(blocks, at):
+        out[a] = c
+    return out
+
+
+def classify(features, *classifiers: Tensor, block=None):
     """(n, 3 per head) B/I/O logits in CLASS_ORDER from (n, channels per head)
-    features, through one block-diagonal classifier."""
-    f, cs = features.data, [c.data for c in classifiers]
-    at = list(zip(spans([len(c) for c in cs]), spans([c.shape[1] for c in cs])))
-    w = np.zeros((at[-1][0].stop, at[-1][1].stop))
-    for c, a in zip(cs, at):
-        w[a] = c
-    # one product per row for bitwise prefix causality, as in compose
-    return node(rowwise(w, f), (features, *classifiers),
-                lambda g: (g @ w, *map((g.T @ f).__getitem__, at)))
+    features, through one block-diagonal classifier; `block` is it if the
+    caller built it already. Tensors in give a node; plain arrays a plain array."""
+    w = block_diagonal(*(c.data for c in classifiers)) if block is None else block
+    if not isinstance(features, Tensor):
+        return rowwise(w, features)   # one product per row for bitwise prefix causality, as in compose
+    f = features.data
+
+    def backprop(g):
+        cs = [c.data for c in classifiers]
+        at = zip(spans([len(c) for c in cs]), spans([c.shape[1] for c in cs]))
+        return (g @ w, *map((g.T @ f).__getitem__, at))
+
+    return node(rowwise(w, f), (features, *classifiers), backprop)
 
 
-def attend(logits: Tensor) -> Tensor:
+def attention_weights(logits):
+    """attend's kernel on an (n, 3 per head) array: (n, heads) weights."""
+    x = logits.reshape(len(logits), -1, len(CLASS_ORDER))   # (n, heads, B/I/O)
+    raw = np.maximum(x[:, :, 0], x[:, :, 1])
+    e = np.exp(raw - raw.max(axis=0))
+    return e / e.sum(axis=0)
+
+
+def attend(logits):
     """Attention weights, (n, heads): per head's B/I/O column triple, the
-    softmax over the sentence of each token's max(B, I).
+    softmax over the sentence of each token's max(B, I). A Tensor in gives
+    a node; a plain array in gives a plain array.
 
     The max's gradient goes to the B logit when B and I tie.
     """
-    x = logits.data.reshape(len(logits.data), -1, len(CLASS_ORDER))   # (n, heads, B/I/O)
-    raw, pick_b = np.maximum(x[:, :, 0], x[:, :, 1]), x[:, :, 0] >= x[:, :, 1]
-    e = np.exp(raw - raw.max(axis=0))
-    w = e / e.sum(axis=0)
+    if not isinstance(logits, Tensor):
+        return attention_weights(logits)
+    w = attention_weights(logits.data)
 
     def backprop(g):
+        x = logits.data.reshape(len(w), -1, len(CLASS_ORDER))
+        pick_b = x[:, :, 0] >= x[:, :, 1]
         gw, out = (g - (g * w).sum(axis=0)) * w, np.zeros(x.shape)
         out[:, :, 0], out[:, :, 1] = np.where(pick_b, gw, 0.0), np.where(pick_b, 0.0, gw)
         return (out.reshape(len(x), -1),)
@@ -231,17 +265,27 @@ def attend(logits: Tensor) -> Tensor:
     return node(w, (logits,), backprop)
 
 
-def attention_layer(h_seq: Tensor, u: Tensor, heads) -> tuple:
-    """One layer of every head: (n, 3 per head) logits, (n, heads) weights."""
-    features = gru_run(compose(h_seq, u, heads), *(head.att_gru for head in heads))
-    logits = classify(features, *(head.classifier for head in heads))
+def head_blocks(heads) -> tuple:
+    """The heads' block-diagonal attention cell and classifier, which every
+    layer of a sentence shares."""
+    return (gru_blocks(*(head.att_gru for head in heads)),
+            block_diagonal(*(head.classifier.data for head in heads)))
+
+
+def attention_layer(h_seq, u, heads, blocks=None) -> tuple:
+    """One layer of every head: (n, 3 per head) logits, (n, heads) weights.
+    `blocks` is head_blocks(heads) if the caller built it already. Tensors
+    in give nodes; plain arrays in give plain arrays."""
+    cell, classifier = blocks or head_blocks(heads)
+    features = gru_run(compose(h_seq, u, heads), *(head.att_gru for head in heads), blocks=cell)
+    logits = classify(features, *(head.classifier for head in heads), block=classifier)
     return logits, attend(logits)
 
 
-def update_prototype(u: Tensor, norm_scores: Tensor, h_seq: Tensor, proto_maps) -> Tensor:
-    """Attention-weighted feedback on the (heads, dim) prototypes:
-    u'[i] = u[i] + proto_maps[i] (w[:, i]^T H)."""
-    w, h, us, maps = norm_scores.data, h_seq.data, u.data, [m.data for m in proto_maps]
+def prototype_feedback(us, w, h, maps) -> tuple:
+    """update_prototype's kernel on arrays: the updated prototypes and the
+    pooled states w^T H its backward reads. Shapes, finiteness and the
+    weight sums are checked first."""
     n = h.shape[0]
     if w.shape != (n, len(maps)):
         raise ValueError(f"{n} hidden states and {len(maps)} heads but scores of shape {w.shape}")
@@ -254,13 +298,38 @@ def update_prototype(u: Tensor, norm_scores: Tensor, h_seq: Tensor, proto_maps) 
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weight-sum violation beyond 1e-9: weights sum to {total!r}")
     pooled = w.T @ h
+    return us + np.array([m @ p for m, p in zip(maps, pooled)]), pooled
+
+
+def update_prototype(u, norm_scores, h_seq, proto_maps):
+    """Attention-weighted feedback on the (heads, dim) prototypes:
+    u'[i] = u[i] + proto_maps[i] (w[:, i]^T H). Tensors in give a node;
+    plain arrays in (the maps stay Tensors) give a plain array."""
+    maps = [m.data for m in proto_maps]
+    if not isinstance(u, Tensor):
+        return prototype_feedback(u, norm_scores, h_seq, maps)[0]
+    w, h = norm_scores.data, h_seq.data
+    out, pooled = prototype_feedback(u.data, w, h, maps)
 
     def backprop(g):
         mg = np.array([m.T @ gi for m, gi in zip(maps, g)])
         return (g, h @ mg.T, w @ mg, *map(np.outer, g, pooled))
 
-    return node(us + np.array([m @ p for m, p in zip(maps, pooled)]),
-                (u, norm_scores, h_seq, *proto_maps), backprop)
+    return node(out, (u, norm_scores, h_seq, *proto_maps), backprop)
+
+
+def run_layers(x, u, params: CmlaParams) -> tuple:
+    """The layer stack over (n, dim) embeddings x from (heads, dim)
+    prototypes u: the final layer's logits and attention weights. Tensors in
+    give nodes and plain arrays plain arrays, from the same kernels."""
+    heads = (params.aspect, params.opinion)
+    h_seq = gru_run(x, params.ctx_gru)
+    blocks = head_blocks(heads)
+    for layer in range(params.layers):
+        logits, scores = attention_layer(h_seq, u, heads, blocks)
+        if layer + 1 < params.layers:
+            u = update_prototype(u, scores, h_seq, [head.proto_map for head in heads])
+    return logits, scores
 
 
 def forward(embeddings, params: CmlaParams) -> tuple:
@@ -275,15 +344,10 @@ def forward(embeddings, params: CmlaParams) -> tuple:
     answer, so a trailing update would be unobservable.
     """
     xs = constant(np.array([x.data if isinstance(x, Tensor) else x for x in embeddings]))
-    h_seq = gru_run(xs, params.ctx_gru)
     heads = (params.aspect, params.opinion)
     # the prototypes as the rows of one node; row i's gradient goes to head i
     u = node(np.array([head.prototype.data for head in heads]), [head.prototype for head in heads], tuple)
-    for layer in range(params.layers):
-        logits, scores = attention_layer(h_seq, u, heads)
-        if layer + 1 < params.layers:
-            u = update_prototype(u, scores, h_seq, [head.proto_map for head in heads])
-    return logits, scores
+    return run_layers(xs, u, params)
 
 
 def loss(logits: Tensor, gold_a: LabelSeq, gold_p: LabelSeq) -> Tensor:
@@ -407,7 +471,7 @@ class TokenScores:
     opinion_attention: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Prediction:
     aspect_spans: list
     opinion_spans: list
@@ -432,14 +496,16 @@ def predict(sentence, table, params: CmlaParams) -> Prediction:
     An overflow or invalid operation raises FloatingPointError naming the sentence."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            logits, scores = (t.data for t in forward(embed_sentence(sentence, table), params))
+            # the kernels on plain arrays: no graph, no state kept for a backward
+            u = np.array([params.aspect.prototype.data, params.opinion.prototype.data])
+            logits, scores = run_layers(np.array(embed_sentence(sentence, table)), u, params)
             x = logits.reshape(len(logits), 2, len(CLASS_ORDER))
             probs = np.exp(x - x.max(axis=2, keepdims=True))
             probs /= probs.sum(axis=2, keepdims=True)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc} in the forward pass of sentence {sentence.source_id}") from None
     aspect, opinion = (LabelSeq([CLASS_ORDER[i] for i in picks], head)
-                       for picks, head in zip(probs.argmax(axis=2).T, (ASPECT, OPINION)))
+                       for picks, head in zip(probs.argmax(axis=2).T.tolist(), (ASPECT, OPINION)))
     return Prediction(labels_to_spans(aspect), labels_to_spans(opinion),
                       merge_heads(aspect, opinion, *probs.max(axis=2).T.tolist()),
                       logits[:, :3], logits[:, 3:], scores[:, 0], scores[:, 1])

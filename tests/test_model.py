@@ -7,13 +7,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
 from cmla.bio import ASPECT, B, I, O, OPINION, LabelSeq, Span
-from cmla.data import DataFormatError, Sentence, SynthConfig, generate_synthetic, tokenize
+from cmla.data import (DataFormatError, EmbeddingTable, OovPolicy, Sentence, SynthConfig,
+                       generate_synthetic, tokenize)
 from cmla.gru import gru_run
 from cmla.model import (
     CLASS_INDEX,
@@ -827,6 +828,62 @@ def test_predict_empty_spans_is_valid(tiny_corpus):
     pred = predict(sents[0], table, params)
     assert pred.aspect_spans == [] and pred.opinion_spans == []
     assert all(tag == "O" for tag in pred.merged)
+
+
+
+def sentence_of(words, source_id="s"):
+    text = " ".join(words)
+    return Sentence(text, tokenize(text), [], [], source_id=source_id)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 6), channels=st.integers(1, 3), layers=st.integers(1, 3),
+       n=st.one_of(st.integers(1, 30), st.just(200)), known=st.sampled_from([0.0, 0.5, 1.0]),
+       hashed=st.booleans(), seed=st.integers(0, 2**16))
+@example(dim=1, channels=1, layers=1, n=1, known=1.0, hashed=False, seed=0)
+@example(dim=1, channels=2, layers=3, n=200, known=0.5, hashed=False, seed=1)
+@example(dim=4, channels=2, layers=3, n=7, known=0.0, hashed=False, seed=2)   # all OOV, zero vectors
+@example(dim=3, channels=2, layers=1, n=200, known=0.0, hashed=True, seed=3)   # all OOV, bucket vectors
+def test_predict_runs_the_forward_kernels_without_a_graph(dim, channels, layers, n, known, hashed, seed):
+    # predict's logits and attention are forward's, bit for bit, and it
+    # creates no autodiff node: probes before and after differ by one id
+    gen = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(10)]
+    vectors = {w: gen.uniform(-1, 1, size=dim) for w in vocab[: round(known * len(vocab))]}
+    table = EmbeddingTable(dim, vectors, OovPolicy("hash_bucket", 3) if hashed else OovPolicy())
+    sentence = sentence_of([vocab[i] for i in gen.integers(0, len(vocab), size=n)])
+    params = CmlaParams.init(dim=dim, channels=channels, rng=seed, layers=layers, init_scale=0.8)
+    before = Tensor(0.0).node_id
+    pred = predict(sentence, table, params)
+    assert Tensor(0.0).node_id - before == 1
+    logits, scores = (t.data for t in forward(embed_sentence(sentence, table), params))
+    got = (pred.aspect_logits, pred.opinion_logits, pred.aspect_attention, pred.opinion_attention)
+    want = (logits[:, :3], logits[:, 3:], scores[:, 0], scores[:, 1])
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_predict_rejects_a_sentence_without_tokens(tiny_corpus):
+    _, table = tiny_corpus
+    params = CmlaParams.init(dim=6, channels=2, rng=36)
+    with pytest.raises(ValueError, match="nonempty sequence"):
+        predict(Sentence("   ", [], [], [], source_id="blank"), table, params)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_predict_names_the_sentence_whose_forward_pass_overflows(tiny_corpus, layers):
+    # features all about 0.38 after the first step, so each logit row sums
+    # four products of about 0.38 * 1.7e308 and overflows; no outer errstate:
+    # predict's own turns the overflow into the error
+    sents, table = tiny_corpus
+    params = CmlaParams.init(dim=6, channels=4, rng=37, layers=layers)
+    for head in (params.aspect, params.opinion):
+        for t in head.att_gru.tensors().values():
+            t.data[:] = 0.0
+        head.att_gru.b_h.data[:] = 1.0
+        head.classifier.data[:] = 1.7e308
+    with pytest.raises(FloatingPointError, match=rf"^overflow .* in the forward pass of sentence {sents[0].source_id}$"):
+        predict(sents[0], table, params)
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -41,5 +41,14 @@ def test_benchmark_hooks_see_a_train_step_and_a_prediction(monkeypatch):
     names = {rec[tracing.NAME] for rec in tracer.spans}
     assert {"model.clip_gradients", "autodiff.backward", "model.loss", "gru.ctx", "gru.att"} <= names
     assert "gru.unregistered" not in names
+    # predict enters every layer through the hooked names, and builds no graph
+    (op,) = [i for i, rec in enumerate(tracer.spans) if rec[tracing.NAME] == tracing.PREDICT_OP]
+    under, parents = set(), {op}
+    for i, rec in enumerate(tracer.spans):
+        if rec[tracing.PARENT] in parents:
+            parents.add(i)
+            under.add(rec[tracing.NAME])
+    assert {"gru.ctx", "gru.att", "model.compose", "model.attention_layer", "model.update_prototype"} <= under
+    assert tracer.spans[op][tracing.NODES] == 0
     metrics, _ = tracing.layer_metrics(tracer.spans, tracing.TRAIN_OP)
     assert metrics["model.clip_us_per_tok"] > 0 and metrics["autodiff.backward_us_per_tok"] > 0
