@@ -3,7 +3,9 @@
 The engine is small on purpose: each layer of the model is one node that
 `node` wraps around a numpy forward result and a hand-written backward,
 so a two-layer forward pass and its loss are 13 nodes whatever the
-sentence length, and the engine has no generic primitives. Tensors are
+sentence length, and the engine has no generic primitives. `node` also
+makes every op's graph-or-array choice: an op whose first input is a
+plain array gets its plain result back and builds no graph. Tensors are
 plain row-major numpy arrays. The graph is rebuilt for every loss;
 creation order doubles as a topological order, so backward() just sweeps
 reachable tensors in reverse creation order.
@@ -66,12 +68,20 @@ def init_uniform(shape, lo: float, hi: float, rng) -> Tensor:
     return Tensor(gen.uniform(lo, hi, size=dims), requires_grad=True)
 
 
-def node(data, parents, backprop) -> Tensor:
-    """Wrap an op result; constants in, constant out (graph pruning).
+def value(x) -> np.ndarray:
+    """The data of a Tensor, or x itself if it is a plain array."""
+    return x.data if isinstance(x, Tensor) else x
+
+
+def node(data, parents, backprop):
+    """Wrap an op result; constants in, constant out (graph pruning), and
+    a plain array as the first parent gives `data` back, with no Tensor.
 
     `backprop` maps the output gradient to one gradient per parent; it may
     return None for a parent that needs no gradient.
     """
+    if not isinstance(parents[0], Tensor):
+        return data
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True

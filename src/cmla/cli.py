@@ -10,6 +10,7 @@ results to stdout or the declared output directory.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import io
 import os
@@ -21,6 +22,7 @@ from .bio import ASPECT, OPINION
 from .data import (
     DataFormatError,
     DEFAULT_OPINION_WORDS,
+    OOV_KINDS,
     EmbeddingTable,
     OovPolicy,
     OpinionLexicon,
@@ -110,9 +112,10 @@ _SCHEMAS = {
 
 _INPUT_PATH_KEYS = ("data", "embeddings", "lexicon", "checkpoint", "input")
 
-# numeric option -> the values it accepts, checked before any file is read
-# or written; `not test(v)` rejects NaN as well
+# option -> the values it accepts, checked before any file is read or
+# written; `not test(v)` rejects NaN as well
 _RANGES = {
+    " or ".join(OOV_KINDS): (lambda v: v in OOV_KINDS, ("oov",)),
     "positive": (lambda v: v > 0, ("clip", "channels", "layers", "buckets", "sentences", "dim")),
     "positive and finite": (lambda v: 0 < v < float("inf"), ("lr",)),
     # init_uniform draws from [-v, v], whose width 2 v must be finite
@@ -186,12 +189,6 @@ def _merge_options(args, schema) -> dict:
     return merged
 
 
-def _oov_policy(cfg) -> OovPolicy:
-    if cfg["oov"] not in ("zero_vector", "hash_bucket"):
-        raise UsageError(f"unknown OOV policy {cfg['oov']!r}")
-    return OovPolicy(cfg["oov"], buckets=cfg["buckets"])
-
-
 def _load_corpus(cfg):
     """Parse, filter and opinion-annotate the XML corpus named in cfg."""
     result = parse_semeval_xml(cfg["data"])
@@ -226,7 +223,7 @@ def _cmd_synth(cfg) -> int:
 
 
 def _cmd_train(cfg) -> int:
-    table = load_embeddings(cfg["embeddings"], oov=_oov_policy(cfg))
+    table = load_embeddings(cfg["embeddings"], oov=OovPolicy(cfg["oov"], buckets=cfg["buckets"]))
     sentences = _load_corpus(cfg)
     params = CmlaParams.init(
         dim=table.dim, channels=cfg["channels"], rng=cfg["seed"],
@@ -247,7 +244,7 @@ def _cmd_train(cfg) -> int:
 
 
 def _load_model(cfg):
-    table = load_embeddings(cfg["embeddings"], oov=_oov_policy(cfg))
+    table = load_embeddings(cfg["embeddings"], oov=OovPolicy(cfg["oov"], buckets=cfg["buckets"]))
     params = load_checkpoint(cfg["checkpoint"])
     if params.dim != table.dim:
         raise DataFormatError(f"{cfg['checkpoint']}: checkpoint dimension {params.dim} != "
@@ -265,8 +262,9 @@ def _checkpoint_overflow(cfg):
 
 
 def _read_stdin_lines() -> list:
-    """Standard input's lines, read as UTF-8 and split as open() splits them."""
-    raw = sys.stdin.buffer.read()
+    """Standard input's lines, read as UTF-8 and split as open() splits them.
+    One leading byte order mark is cut off first, so error offsets count past it."""
+    raw = sys.stdin.buffer.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -24,10 +24,10 @@ class DataFormatError(ValueError):
 
 @contextmanager
 def open_text(path):
-    """Open `path` for reading as UTF-8; undecodable bytes raise a
-    DataFormatError naming the first line that holds them."""
+    """Open `path` for reading as UTF-8 after one leading byte order mark;
+    undecodable bytes raise a DataFormatError naming the first line that holds them."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         with open(path, "rb") as fh:
@@ -178,6 +178,7 @@ def parse_semeval_xml(path) -> ParseResult:
 
 ZERO_VECTOR = "zero_vector"
 HASH_BUCKET = "hash_bucket"
+OOV_KINDS = (ZERO_VECTOR, HASH_BUCKET)
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ class OovPolicy:
     buckets: int = 0
 
     def __post_init__(self):
-        if self.kind not in (ZERO_VECTOR, HASH_BUCKET):
+        if self.kind not in OOV_KINDS:
             raise ValueError(f"unknown OOV policy {self.kind!r}")
         if self.kind == HASH_BUCKET and self.buckets <= 0:
             raise ValueError("hash_bucket policy needs a positive bucket count")
@@ -203,13 +204,16 @@ class EmbeddingTable:
         self._bucket_cache = {}
 
     def __contains__(self, word: str) -> bool:
-        return word in self.vectors or word.lower() in self.vectors
+        return self.find(word) is not None
+
+    def find(self, word: str) -> np.ndarray | None:
+        """The vector of the word's exact form, else of its lowercase form, else None."""
+        vec = self.vectors.get(word)
+        return self.vectors.get(word.lower()) if vec is None else vec
 
     def lookup(self, word: str) -> np.ndarray:
-        """Total lookup: exact form, then lowercase, then the OOV policy."""
-        vec = self.vectors.get(word)
-        if vec is None:
-            vec = self.vectors.get(word.lower())
+        """Total lookup: the word's own vector (find), else the OOV policy."""
+        vec = self.find(word)
         if vec is not None:
             return vec
         if self.oov.kind == ZERO_VECTOR:
@@ -311,7 +315,7 @@ def save_embeddings(path, table: EmbeddingTable):
 
 def cosine_neighbors(table: EmbeddingTable, word: str, top: int = 5):
     """Top-k cosine neighbors of a vocabulary word, the word itself included."""
-    query = table.vectors.get(word, table.vectors.get(word.lower()))
+    query = table.find(word)
     if query is None:
         return None
     qn = float(np.linalg.norm(query))

@@ -8,9 +8,10 @@ blended by interpolation
     c = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * c
 
-The recurrence is a plain numpy kernel, `gru_states`. A run over a Tensor
-wraps it as one graph node whose backward is hand-written backpropagation
-through time; a run over a plain array returns its states, with no graph.
+A run over a Tensor is one graph node whose backward is hand-written
+backpropagation through time; a run over a plain array returns its
+states, with no graph. `autodiff.node` makes that choice from the input;
+`gru_run` only decides whether to keep the gate values BPTT reads.
 A cell's tensors and its stacked gates w = [W_z; W_r; W_h], u and b are
 views of one vector (in a model, a stretch of its parameter vector). Only
 state-dependent work stays in the step loops: W x + b is formed up front,
@@ -31,7 +32,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, node, init_uniform, zeros
+from .autodiff import Tensor, init_uniform, node, value, zeros
 
 GRU_FIELDS = ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h")
 
@@ -133,48 +134,37 @@ def gru_blocks(*cells: GruParams) -> tuple:
     return w.reshape(3 * k, -1), u.reshape(3 * k, -1), b.reshape(-1)
 
 
-def gru_states(x, w, u, b, keep=False) -> tuple:
-    """The recurrence of cell (w, u, b) from a zero state over the rows of x:
-    states (n + 1, k), states[t] the state before step t, and with `keep`
-    the gate values zr (n, 2k) and candidates (n, k) that BPTT reads (else
-    None for both)."""
-    n, k = len(x), len(b) // 3
-    wxb = rowwise(w, x) + b   # input terms of every step, rows as in w
-    # sigmoid(v) = 0.5 + 0.5 tanh(v / 2): the z/r terms are halved once, exactly
-    half_zr, half_u_zr, wx_h, u_h = 0.5 * wxb[:, : 2 * k], 0.5 * u[: 2 * k], wxb[:, 2 * k :], u[2 * k :]
-    states = np.zeros((n + 1, k))
-    zr, cand = (np.empty((n, 2 * k)), np.empty((n, k))) if keep else (None, None)
-    h = states[0]
-    for t in range(n):   # ndarray.dot: the BLAS matrix-vector product without matmul's dispatch
-        s = 0.5 + 0.5 * np.tanh(half_zr[t] + half_u_zr.dot(h))
-        c = np.tanh(wx_h[t] + u_h.dot(s[k:] * h))
-        h = states[t + 1] = h + s[:k] * (c - h)
-        if keep:
-            zr[t], cand[t] = s, c
-    return states, zr, cand
-
-
 def gru_run(xs, *cells: GruParams, blocks=None):
     """Run the cells from a zero state over the rows of an (n, input) block.
 
     Several cells run as one cell with block-diagonal weights, their inputs
     and states side by side; `blocks` is gru_blocks(*cells) if the caller
     built it already. A Tensor in gives the (n, hidden) states as one node;
-    a plain array in gives them as a plain array, with no graph and no
-    gates kept for a backward. Every step is computed from its own row and
-    the previous state only, so row t depends only on inputs <= t, bit for bit.
+    a plain array in gives them as a plain array, with no gates kept for a
+    backward. Every step is computed from its own row and the previous
+    state only, so row t depends only on inputs <= t, bit for bit.
     """
-    x = xs.data if isinstance(xs, Tensor) else xs
+    x = value(xs)
     if x.shape[0] == 0:
         raise ValueError("gru_run needs a nonempty sequence")
     w, u, b = blocks or gru_blocks(*cells)
     if x.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ValueError(f"input has shape {x.shape}, expected (n, {w.shape[1]})")
-    if not isinstance(xs, Tensor):
-        return gru_states(x, w, u, b)[0][1:]
-    states, zr, cand = gru_states(x, w, u, b, keep=True)
-    n, k = cand.shape
+    graph = isinstance(xs, Tensor)   # a graph needs the gate values BPTT reads
+    n, k = len(x), len(b) // 3
+    wxb = rowwise(w, x) + b   # input terms of every step, rows as in w
     u_zr, u_h = u[: 2 * k], u[2 * k :]
+    # sigmoid(v) = 0.5 + 0.5 tanh(v / 2): the z/r terms are halved once, exactly
+    half_zr, half_u_zr, wx_h = 0.5 * wxb[:, : 2 * k], 0.5 * u_zr, wxb[:, 2 * k :]
+    states = np.zeros((n + 1, k))   # states[t] is the state before step t
+    zr, cand = (np.empty((n, 2 * k)), np.empty((n, k))) if graph else (None, None)
+    h = states[0]
+    for t in range(n):   # ndarray.dot: the BLAS matrix-vector product without matmul's dispatch
+        s = 0.5 + 0.5 * np.tanh(half_zr[t] + half_u_zr.dot(h))
+        c = np.tanh(wx_h[t] + u_h.dot(s[k:] * h))
+        h = states[t + 1] = h + s[:k] * (c - h)
+        if graph:
+            zr[t], cand[t] = s, c
 
     def backprop(g):
         prev, z, r = states[:-1], zr[:, :k], zr[:, k:]
@@ -196,4 +186,6 @@ def gru_run(xs, *cells: GruParams, blocks=None):
         return (dx, *(d[gate] for h_at, x_at in zip(hid, inp)
                       for d in (dw[:, h_at, x_at], du[:, h_at, h_at], db[:, h_at]) for gate in range(3)))
 
-    return node(states[1:], (xs, *(t for p in cells for t in p.tensors().values())), backprop)
+    # on arrays node reads only xs, so the cells' tensors are not gathered
+    parents = (xs, *(t for p in cells for t in p.tensors().values())) if graph else (xs,)
+    return node(states[1:], parents, backprop)

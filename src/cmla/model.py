@@ -12,8 +12,9 @@ prototypes are the rows of one array, the two GRUs and classifiers run as
 one block-diagonal cell and one block-diagonal map, and the loss and the
 decoder read both heads' logits as one (n, 6) block. Every parameter but
 the four map stacks is a view of one vector, which an SGD step updates whole.
-Each layer op is a plain numpy kernel that its autodiff node wraps; `predict`
-runs the kernels on plain arrays, with no graph.
+Each layer op is written once and hands its result to `autodiff.node`,
+which makes a graph node for Tensor inputs and passes plain arrays through,
+so `predict` runs the same ops on plain arrays, with no graph.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import bio
-from .autodiff import Tensor, backward, constant, node
+from .autodiff import Tensor, backward, constant, node, value
 from .bio import ASPECT, OPINION, LabelSeq, labels_to_spans, merge_heads
 from .data import DataFormatError, open_text
 from .gru import GRU_FIELDS, GruParams, gru_blocks, gru_run, init_tensor, rowwise, spans
@@ -174,14 +175,6 @@ class FactoredGrad:
             p[r : r + UPDATE_ROWS] -= a[:, r : r + UPDATE_ROWS].T @ self.b
 
 
-def bilinear(h, us, maps, protos) -> tuple:
-    """compose's kernel on arrays: y (n, rows of the maps) and mu, each map
-    stack contracted with prototype row us[protos[i]], which its backward reads."""
-    mu = np.concatenate([m @ us[j] for m, j in zip(maps, protos)])
-    # one product per row, so appending a token never changes an earlier row's bits
-    return np.tanh(rowwise(mu, h)), mu
-
-
 def compose(h_seq, u, heads):
     """Composition vectors of a sentence, (n, 2*channels per head) in (-1, 1).
 
@@ -189,15 +182,14 @@ def compose(h_seq, u, heads):
     its own prototype u[i] through its comp maps, one entry per channel, then
     against the other head's u[-1 - i] through its cross maps, which is what
     couples the heads. The maps are contracted with the prototypes first, so
-    the per-token cost is one (d,) x (d, 2*channels*heads) product. Tensors
-    in give a node; plain arrays in give a plain array.
+    the per-token cost is one (d,) x (d, 2*channels*heads) product.
     """
     maps = [t for head in heads for t in (head.comp, head.cross)]
     protos = [j for i in range(len(heads)) for j in (i, len(heads) - 1 - i)]   # u row of each map
-    if not isinstance(h_seq, Tensor):
-        return bilinear(h_seq, u, [m.data for m in maps], protos)[0]
-    h, us = h_seq.data, u.data
-    y, mu = bilinear(h, us, [m.data for m in maps], protos)
+    h, us = value(h_seq), value(u)
+    mu = np.concatenate([m.data @ us[j] for m, j in zip(maps, protos)])
+    # one product per row, so appending a token never changes an earlier row's bits
+    y = np.tanh(rowwise(mu, h))
 
     def backprop(g):
         gp = g * (1.0 - y * y)
@@ -219,44 +211,33 @@ def block_diagonal(*blocks):
     return out
 
 
-def classify(features, *classifiers: Tensor, block=None):
+def classify(features, *classifiers: Tensor, block):
     """(n, 3 per head) B/I/O logits in CLASS_ORDER from (n, channels per head)
-    features, through one block-diagonal classifier; `block` is it if the
-    caller built it already. Tensors in give a node; plain arrays a plain array."""
-    w = block_diagonal(*(c.data for c in classifiers)) if block is None else block
-    if not isinstance(features, Tensor):
-        return rowwise(w, features)   # one product per row for bitwise prefix causality, as in compose
-    f = features.data
+    features, through `block`, the classifiers' block-diagonal map."""
+    f = value(features)
 
     def backprop(g):
         cs = [c.data for c in classifiers]
         at = zip(spans([len(c) for c in cs]), spans([c.shape[1] for c in cs]))
-        return (g @ w, *map((g.T @ f).__getitem__, at))
+        return (g @ block, *map((g.T @ f).__getitem__, at))
 
-    return node(rowwise(w, f), (features, *classifiers), backprop)
-
-
-def attention_weights(logits):
-    """attend's kernel on an (n, 3 per head) array: (n, heads) weights."""
-    x = logits.reshape(len(logits), -1, len(CLASS_ORDER))   # (n, heads, B/I/O)
-    raw = np.maximum(x[:, :, 0], x[:, :, 1])
-    e = np.exp(raw - raw.max(axis=0))
-    return e / e.sum(axis=0)
+    # one product per row for bitwise prefix causality, as in compose
+    return node(rowwise(block, f), (features, *classifiers), backprop)
 
 
 def attend(logits):
     """Attention weights, (n, heads): per head's B/I/O column triple, the
-    softmax over the sentence of each token's max(B, I). A Tensor in gives
-    a node; a plain array in gives a plain array.
+    softmax over the sentence of each token's max(B, I).
 
     The max's gradient goes to the B logit when B and I tie.
     """
-    if not isinstance(logits, Tensor):
-        return attention_weights(logits)
-    w = attention_weights(logits.data)
+    x = value(logits)
+    x = x.reshape(len(x), -1, len(CLASS_ORDER))   # (n, heads, B/I/O)
+    raw = np.maximum(x[:, :, 0], x[:, :, 1])
+    e = np.exp(raw - raw.max(axis=0))
+    w = e / e.sum(axis=0)
 
     def backprop(g):
-        x = logits.data.reshape(len(w), -1, len(CLASS_ORDER))
         pick_b = x[:, :, 0] >= x[:, :, 1]
         gw, out = (g - (g * w).sum(axis=0)) * w, np.zeros(x.shape)
         out[:, :, 0], out[:, :, 1] = np.where(pick_b, gw, 0.0), np.where(pick_b, 0.0, gw)
@@ -272,20 +253,20 @@ def head_blocks(heads) -> tuple:
             block_diagonal(*(head.classifier.data for head in heads)))
 
 
-def attention_layer(h_seq, u, heads, blocks=None) -> tuple:
+def attention_layer(h_seq, u, heads, blocks) -> tuple:
     """One layer of every head: (n, 3 per head) logits, (n, heads) weights.
-    `blocks` is head_blocks(heads) if the caller built it already. Tensors
-    in give nodes; plain arrays in give plain arrays."""
-    cell, classifier = blocks or head_blocks(heads)
+    `blocks` is head_blocks(heads)."""
+    cell, classifier = blocks
     features = gru_run(compose(h_seq, u, heads), *(head.att_gru for head in heads), blocks=cell)
     logits = classify(features, *(head.classifier for head in heads), block=classifier)
     return logits, attend(logits)
 
 
-def prototype_feedback(us, w, h, maps) -> tuple:
-    """update_prototype's kernel on arrays: the updated prototypes and the
-    pooled states w^T H its backward reads. Shapes, finiteness and the
+def update_prototype(u, norm_scores, h_seq, proto_maps):
+    """Attention-weighted feedback on the (heads, dim) prototypes:
+    u'[i] = u[i] + proto_maps[i] (w[:, i]^T H). Shapes, finiteness and the
     weight sums are checked first."""
+    us, w, h, maps = value(u), value(norm_scores), value(h_seq), [m.data for m in proto_maps]
     n = h.shape[0]
     if w.shape != (n, len(maps)):
         raise ValueError(f"{n} hidden states and {len(maps)} heads but scores of shape {w.shape}")
@@ -298,18 +279,7 @@ def prototype_feedback(us, w, h, maps) -> tuple:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weight-sum violation beyond 1e-9: weights sum to {total!r}")
     pooled = w.T @ h
-    return us + np.array([m @ p for m, p in zip(maps, pooled)]), pooled
-
-
-def update_prototype(u, norm_scores, h_seq, proto_maps):
-    """Attention-weighted feedback on the (heads, dim) prototypes:
-    u'[i] = u[i] + proto_maps[i] (w[:, i]^T H). Tensors in give a node;
-    plain arrays in (the maps stay Tensors) give a plain array."""
-    maps = [m.data for m in proto_maps]
-    if not isinstance(u, Tensor):
-        return prototype_feedback(u, norm_scores, h_seq, maps)[0]
-    w, h = norm_scores.data, h_seq.data
-    out, pooled = prototype_feedback(u.data, w, h, maps)
+    out = us + np.array([m @ p for m, p in zip(maps, pooled)])
 
     def backprop(g):
         mg = np.array([m.T @ gi for m, gi in zip(maps, g)])
@@ -320,8 +290,8 @@ def update_prototype(u, norm_scores, h_seq, proto_maps):
 
 def run_layers(x, u, params: CmlaParams) -> tuple:
     """The layer stack over (n, dim) embeddings x from (heads, dim)
-    prototypes u: the final layer's logits and attention weights. Tensors in
-    give nodes and plain arrays plain arrays, from the same kernels."""
+    prototypes u: the final layer's logits and attention weights, as nodes
+    for Tensors in and as plain arrays for plain arrays in."""
     heads = (params.aspect, params.opinion)
     h_seq = gru_run(x, params.ctx_gru)
     blocks = head_blocks(heads)
@@ -343,7 +313,7 @@ def forward(embeddings, params: CmlaParams) -> tuple:
     between layers only; the final layer's attention output is the model's
     answer, so a trailing update would be unobservable.
     """
-    xs = constant(np.array([x.data if isinstance(x, Tensor) else x for x in embeddings]))
+    xs = constant(np.array([value(x) for x in embeddings]))
     heads = (params.aspect, params.opinion)
     # the prototypes as the rows of one node; row i's gradient goes to head i
     u = node(np.array([head.prototype.data for head in heads]), [head.prototype for head in heads], tuple)
@@ -496,7 +466,7 @@ def predict(sentence, table, params: CmlaParams) -> Prediction:
     An overflow or invalid operation raises FloatingPointError naming the sentence."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            # the kernels on plain arrays: no graph, no state kept for a backward
+            # the ops on plain arrays: no graph, no state kept for a backward
             u = np.array([params.aspect.prototype.data, params.opinion.prototype.data])
             logits, scores = run_layers(np.array(embed_sentence(sentence, table)), u, params)
             x = logits.reshape(len(logits), 2, len(CLASS_ORDER))

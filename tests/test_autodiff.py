@@ -55,6 +55,21 @@ def test_init_uniform_rejects_bad_shapes_and_intervals():
         init_uniform((2,), -1e308, 1e308, 0)
 
 
+# --- node: graph node, constant or plain array ------------------------------
+
+
+def test_node_returns_plain_result_for_plain_first_input():
+    x, out, p = np.ones(3), np.arange(3.0), randt((3,))
+    before = Tensor(0.0).node_id
+    assert node(out, (x, p), lambda g: (g, g)) is out
+    assert Tensor(0.0).node_id - before == 1   # the two probes are adjacent: no Tensor made
+    t = node(out, (constant(x), p), lambda g: (g, g))
+    assert isinstance(t, Tensor) and t.requires_grad and np.array_equal(t.data, out)
+    assert backward(dot(t, constant(np.ones(3))))[p].tolist() == [1.0, 1.0, 1.0]
+    c = node(out, (constant(x), constant(x)), lambda g: (g, g))
+    assert isinstance(c, Tensor) and not c.requires_grad and c._parents == ()
+
+
 # --- the matrix-vector products of update_prototype: u[i] + M_i (w[:, i]^T H)
 
 

@@ -1,3 +1,4 @@
+import codecs
 import io
 import json
 import re
@@ -310,6 +311,32 @@ def test_config_not_utf8_exits_two_naming_file_and_line(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_file_with_bom_reads_as_without(capsys, tmp_path):
+    text = b"sentences = 4\ndim = 5\n"
+    results = []
+    for name, raw in (("plain", text), ("marked", codecs.BOM_UTF8 + text)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(raw)
+        code, stdout, stderr = run(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / name))
+        results.append((code, stdout.replace(name, ""), stderr, (tmp_path / name / "embeddings.txt").read_bytes()))
+    assert results[0] == results[1] and results[0][0] == 0
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_unknown_oov_policy_exits_one(workspace, capsys, tmp_path, via_config):
+    data, run_dir = workspace
+    cfg = tmp_path / "predict.cfg"
+    cfg.write_text("oov = bogus\n", encoding="utf-8")
+    code, stdout, stderr = run(
+        capsys, "predict",
+        "--checkpoint", str(run_dir / "checkpoint.json"),
+        "--embeddings", str(data / "embeddings.txt"),
+        *(["--config", str(cfg)] if via_config else ["--oov", "bogus"]),
+    )
+    assert code == 1 and stdout == ""
+    assert stderr == "cmla: --oov must be zero_vector or hash_bucket, got 'bogus'\n"
+
+
 # --- eval -------------------------------------------------------------------
 
 
@@ -476,6 +503,24 @@ def test_predict_stdin_splits_lines_as_files_do(workspace, capsys, monkeypatch):
     assert re.findall(r"^sentence \d+: (.*)$", stdout, re.M) == ["zeer goede ligging", "de kamer", "mooie terras"]
 
 
+@pytest.mark.parametrize("source", ["input", "stdin"])
+def test_predict_input_with_bom_reads_as_without(workspace, capsys, monkeypatch, tmp_path, source):
+    data, run_dir = workspace
+    text = "\u00e9\u00e9n goede ligging\nde kamer\n".encode("utf-8")
+    results = []
+    for raw in (text, codecs.BOM_UTF8 + text):
+        (tmp_path / "in.txt").write_bytes(raw)
+        monkeypatch.setattr(sys, "stdin", stdin_bytes(raw))
+        results.append(run(
+            capsys, "predict",
+            "--checkpoint", str(run_dir / "checkpoint.json"),
+            "--embeddings", str(data / "embeddings.txt"),
+            *(["--input", str(tmp_path / "in.txt")] if source == "input" else []),
+        ))
+    assert results[0] == results[1] and results[0][0] == 0
+    assert "sentence 1: \u00e9\u00e9n goede ligging\n" in results[1][1]
+
+
 def test_predict_rejects_undecodable_stdin(workspace, capsys, monkeypatch):
     data, run_dir = workspace
     monkeypatch.setattr(sys, "stdin", stdin_bytes(b"zeer goede ligging\nzeer caf\xe9 ligging\n"))
@@ -486,6 +531,19 @@ def test_predict_rejects_undecodable_stdin(workspace, capsys, monkeypatch):
     )
     assert code == 2 and stdout == ""
     assert "<stdin>: line 2: not UTF-8 text" in stderr
+
+
+def test_predict_undecodable_stdin_after_bom_names_line(workspace, capsys, monkeypatch):
+    # a mark cut off before decoding leaves the byte offsets, and so the line, right
+    data, run_dir = workspace
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(codecs.BOM_UTF8 + b"goede\n\xe9 ligging\n"))
+    code, stdout, stderr = run(
+        capsys, "predict",
+        "--checkpoint", str(run_dir / "checkpoint.json"),
+        "--embeddings", str(data / "embeddings.txt"),
+    )
+    assert code == 2 and stdout == ""
+    assert stderr == "cmla: <stdin>: line 2: not UTF-8 text (invalid continuation byte)\n"
 
 
 def overflowing_checkpoint(run_dir, tmp_path, layers):

@@ -1,3 +1,4 @@
+import codecs
 import re
 import warnings
 
@@ -555,6 +556,22 @@ def test_non_utf8_input_names_file_and_line(tmp_path, loader, data):
     path.write_bytes(data)
     with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 2: not UTF-8")):
         loader(path)
+
+
+def test_leading_bom_is_dropped(tmp_path):
+    for loader, text in ((load_lexicon, "goede\nprima\n"), (load_embeddings, "2 2\nGoede 1 2\nterras 3 4\n")):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        a, b = loader(plain), loader(marked)
+        if loader is load_lexicon:
+            assert a == b and "goede" in b.words
+        else:
+            assert list(b.vectors) == ["Goede", "terras"]
+            assert all(np.array_equal(a.vectors[w], b.vectors[w]) for w in a.vectors)
+    marked.write_bytes(codecs.BOM_UTF8 + b"prima\nw\xe9\n")
+    with pytest.raises(DataFormatError, match=re.escape(f"{marked}: line 2: not UTF-8")):
+        load_lexicon(marked)
 
 
 def test_annotate_opinions_figure_sentence():

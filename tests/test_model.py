@@ -27,11 +27,13 @@ from cmla.model import (
     TrainingDiverged,
     attend,
     attention_layer,
+    block_diagonal,
     classify,
     clip_gradients,
     compose,
     embed_sentence,
     forward,
+    head_blocks,
     load_checkpoint,
     loss,
     predict,
@@ -172,7 +174,8 @@ def test_compose_matches_loop_oracle():
 def test_attention_single_token_score_is_one():
     params = CmlaParams.init(dim=4, channels=2, rng=1)
     h_seq = random_rows(4, 1, seed=2)
-    _, scores = attention_layer(h_seq, stacked_prototypes(params), (params.aspect, params.opinion))
+    heads = (params.aspect, params.opinion)
+    _, scores = attention_layer(h_seq, stacked_prototypes(params), heads, head_blocks(heads))
     assert scores.data.shape == (1, 2)
     assert np.all(np.abs(scores.data - 1.0) <= 1e-12)
 
@@ -182,7 +185,8 @@ def test_attention_zero_params_uniform_scores():
     for t in params.all_tensors():
         t.data[:] = 0.0
     h_seq = random_rows(4, 5, seed=3)
-    _, scores = attention_layer(h_seq, stacked_prototypes(params), (params.aspect, params.opinion))
+    heads = (params.aspect, params.opinion)
+    _, scores = attention_layer(h_seq, stacked_prototypes(params), heads, head_blocks(heads))
     assert np.allclose(scores.data, np.full((5, 2), 0.2), atol=1e-15)
 
 
@@ -190,7 +194,7 @@ def test_attention_outputs_per_token():
     params = CmlaParams.init(dim=4, channels=2, rng=4)
     heads = (params.aspect, params.opinion)
     h_seq, u = random_rows(4, 3, seed=5), stacked_prototypes(params)
-    logits, scores = attention_layer(h_seq, u, heads)
+    logits, scores = attention_layer(h_seq, u, heads, head_blocks(heads))
     assert logits.data.shape == (3, 6) and scores.data.shape == (3, 2)
     features = gru_run(compose(h_seq, u, heads), params.aspect.att_gru, params.opinion.att_gru).data
     for i, head in enumerate(heads):
@@ -210,7 +214,8 @@ def test_classify_gradcheck(n):
     gold_p = random_gold(n, OPINION, seed=n + 1)
 
     def f():
-        return loss(classify(features, *classifiers), gold_a, gold_p)
+        block = block_diagonal(*(c.data for c in classifiers))   # rebuilt: grad_check moves the data
+        return loss(classify(features, *classifiers, block=block), gold_a, gold_p)
 
     assert grad_check(f, [features, *classifiers]) < 1e-6
 
@@ -227,7 +232,9 @@ def test_rows_unchanged_by_appended_row():
         full = compose(constant(h), u, heads).data
         assert np.array_equal(compose(constant(h[:n]), u, heads).data, full[:n])
         w = [constant(gen.uniform(-1, 1, size=(3, c))) for c in (d - d // 2, d // 2) if c]
-        assert np.array_equal(classify(constant(h[:n]), *w).data, classify(constant(h), *w).data[:n])
+        block = block_diagonal(*(c.data for c in w))
+        assert np.array_equal(classify(constant(h[:n]), *w, block=block).data,
+                              classify(constant(h), *w, block=block).data[:n])
 
 
 # --- update_prototype -------------------------------------------------------
@@ -351,7 +358,7 @@ def test_classify_and_compose_raise_on_overflow():
     m[:, :, 0] = 1.7e308
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
-            classify(constant(np.full((2, 8), 0.9)), big, big)
+            classify(constant(np.full((2, 8), 0.9)), big, big, block=block_diagonal(big.data, big.data))
         with pytest.raises(FloatingPointError, match="overflow"):
             compose(constant(np.full((2, 2), 0.9)), constant([[1.0, 0.0], [1.0, 0.0]]),
                     heads_of(*[constant(m)] * 4))
