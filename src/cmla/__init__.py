@@ -1,80 +1,3 @@
 """Coupled multi-layer attention tagger for aspect and opinion extraction."""
 
-from .autodiff import Tensor, backward, grad_check
-from .bio import ASPECT, OPINION, LabelSeq, Span, labels_to_spans, merge_heads, spans_to_labels
-from .data import (
-    DataFormatError,
-    EmbeddingTable,
-    OovPolicy,
-    OpinionLexicon,
-    Sentence,
-    SynthConfig,
-    Token,
-    annotate_opinions,
-    generate_synthetic,
-    load_embeddings,
-    load_lexicon,
-    parse_semeval_xml,
-    showcase_sentences,
-    tokenize,
-)
-from .evaluation import ChunkMetrics, CorpusReport, attention_tsv, score_chunks, score_corpus
-from .gru import GruParams, gru_run
-from .model import (
-    CmlaParams,
-    HeadParams,
-    Prediction,
-    TrainConfig,
-    TrainingDiverged,
-    forward,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-    train,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ASPECT",
-    "OPINION",
-    "ChunkMetrics",
-    "CmlaParams",
-    "CorpusReport",
-    "DataFormatError",
-    "EmbeddingTable",
-    "GruParams",
-    "HeadParams",
-    "LabelSeq",
-    "OovPolicy",
-    "OpinionLexicon",
-    "Prediction",
-    "Sentence",
-    "Span",
-    "SynthConfig",
-    "Tensor",
-    "Token",
-    "TrainConfig",
-    "TrainingDiverged",
-    "annotate_opinions",
-    "attention_tsv",
-    "backward",
-    "forward",
-    "generate_synthetic",
-    "grad_check",
-    "gru_run",
-    "labels_to_spans",
-    "load_checkpoint",
-    "load_embeddings",
-    "load_lexicon",
-    "merge_heads",
-    "parse_semeval_xml",
-    "predict",
-    "save_checkpoint",
-    "score_chunks",
-    "score_corpus",
-    "showcase_sentences",
-    "spans_to_labels",
-    "tokenize",
-    "train",
-]

@@ -30,7 +30,6 @@ from .data import (
     SynthConfig,
     annotate_opinions,
     cosine_neighbors,
-    dataset_stats,
     generate_synthetic,
     load_embeddings,
     load_lexicon,
@@ -217,7 +216,10 @@ def _cmd_synth(cfg) -> int:
         os.path.join(cfg["out"], "lexicon.txt"),
         OpinionLexicon(frozenset(DEFAULT_OPINION_WORDS)),
     )
-    print(dataset_stats(sentences).describe())
+    print(f"sentences: {len(sentences)}")
+    print(f"tokens: {sum(len(s.tokens) for s in sentences)}")
+    print(f"aspect spans: {sum(len(s.aspect_spans) for s in sentences)}")
+    print(f"opinion spans: {sum(len(s.opinion_spans) for s in sentences)}")
     print(f"wrote corpus.xml, embeddings.txt, lexicon.txt to {cfg['out']}")
     return 0
 
@@ -297,11 +299,12 @@ def _cmd_predict(cfg) -> int:
     n = 0
     for raw in lines:
         text = raw.strip()
-        if not text:
+        tokens = tokenize(text)
+        if not tokens:   # blank, or format characters only
             continue
         n += 1
         sentence = Sentence(
-            raw_text=text, tokens=tokenize(text),
+            raw_text=text, tokens=tokens,
             aspect_spans=[], opinion_spans=[], source_id=f"input-{n}",
         )
         with _checkpoint_overflow(cfg):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import unicodedata
 import xml.etree.ElementTree as ET
 import zlib
 from contextlib import contextmanager
@@ -59,12 +60,15 @@ class Sentence:
         return self.raw_text[first.start : last.end]
 
 
-# maximal alnum runs are tokens, every other non-space char stands alone
+# maximal alnum runs are tokens, every other non-space char stands alone,
+# except a format character (category Cf: soft hyphen, zero-width space, BOM),
+# which is never alnum and so only ever matches alone
 _TOKEN_RE = re.compile(r"[^\W_]+|\S", re.UNICODE)
 
 
 def tokenize(text: str) -> list:
-    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)
+            if unicodedata.category(m.group()[0]) != "Cf"]
 
 
 def align_spans(char_spans, tokens, kind: str):
@@ -333,7 +337,9 @@ def cosine_neighbors(table: EmbeddingTable, word: str, top: int = 5):
 
 
 def _is_lexicon_word(word: str) -> bool:
-    return bool(word) and word == word.lower() and not any(c.isspace() for c in word)
+    # no token holds a format character (Cf), so an entry with one could never match
+    return bool(word) and word == word.lower() and not any(
+        c.isspace() or unicodedata.category(c) == "Cf" for c in word)
 
 
 @dataclass(frozen=True)
@@ -505,27 +511,3 @@ def write_semeval_xml(path, sentences):
     ET.indent(root)
     ET.ElementTree(root).write(path, encoding="utf-8", xml_declaration=True)
 
-
-@dataclass
-class DatasetStats:
-    n_sentences: int
-    n_tokens: int
-    n_aspect_spans: int
-    n_opinion_spans: int
-
-    def describe(self) -> str:
-        return (
-            f"sentences: {self.n_sentences}\n"
-            f"tokens: {self.n_tokens}\n"
-            f"aspect spans: {self.n_aspect_spans}\n"
-            f"opinion spans: {self.n_opinion_spans}"
-        )
-
-
-def dataset_stats(sentences) -> DatasetStats:
-    return DatasetStats(
-        n_sentences=len(sentences),
-        n_tokens=sum(len(s.tokens) for s in sentences),
-        n_aspect_spans=sum(len(s.aspect_spans) for s in sentences),
-        n_opinion_spans=sum(len(s.opinion_spans) for s in sentences),
-    )

@@ -108,9 +108,6 @@ class CmlaParams:
     def _named(self) -> dict:   # built once: the containers are frozen
         return {name: attrgetter(name)(self) for name in self.shapes(1, 1)}
 
-    def all_tensors(self) -> list:
-        return list(self.named_tensors().values())
-
     @staticmethod
     def shapes(dim: int, channels: int) -> dict:
         """Shape of every named tensor of a dim x channels model."""

@@ -479,6 +479,22 @@ def test_predict_from_stdin(workspace, capsys, monkeypatch):
     assert stdout.count("sentence ") == 1
 
 
+def test_predict_skips_a_line_of_format_characters_as_a_blank_one(workspace, capsys, monkeypatch):
+    # a line that is only zero-width space, soft hyphen and word joiner has no tokens
+    data, run_dir = workspace
+    outputs = []
+    for middle in ("\u200b \u00ad\u2060", ""):
+        raw = f"zeer goede ligging\n{middle}\nde kamer\n".encode("utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin_bytes(raw))
+        outputs.append(run(
+            capsys, "predict",
+            "--checkpoint", str(run_dir / "checkpoint.json"),
+            "--embeddings", str(data / "embeddings.txt"),
+        ))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert re.findall(r"^sentence \d+: (.*)$", outputs[0][1], re.M) == ["zeer goede ligging", "de kamer"]
+
+
 def test_predict_empty_input_warns(workspace, capsys, monkeypatch):
     data, run_dir = workspace
     monkeypatch.setattr(sys, "stdin", stdin_bytes(b""))

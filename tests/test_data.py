@@ -1,5 +1,6 @@
 import codecs
 import re
+import unicodedata
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cmla.data as data_module
+from cmla import cli
 from cmla.bio import ASPECT, OPINION, Span, spans_to_labels
 from cmla.data import (
     DEFAULT_ASPECT_WORDS,
@@ -20,7 +22,6 @@ from cmla.data import (
     SynthConfig,
     align_spans,
     annotate_opinions,
-    dataset_stats,
     generate_synthetic,
     load_embeddings,
     load_lexicon,
@@ -78,6 +79,13 @@ def test_tokenize_punctuation_isolated():
     assert [t.surface for t in toks] == ["Goed", ",", "maar", "duur", "!"]
 
 
+def test_tokenize_drops_format_characters():
+    toks = tokenize("a\u200bb \ufeffc")
+    assert [(t.surface, t.start, t.end) for t in toks] == [("a", 0, 1), ("b", 2, 3), ("c", 5, 6)]
+    assert [t.surface for t in tokenize("ge\u00adeerd")] == ["ge", "eerd"]
+    assert tokenize("\u200b\u2060 \u00ad") == []
+
+
 @given(st.text(min_size=0, max_size=40))
 def test_tokenize_offsets_reconstruct_text(text):
     toks = tokenize(text)
@@ -85,7 +93,7 @@ def test_tokenize_offsets_reconstruct_text(text):
         assert text[t.start : t.end] == t.surface
     for a, b in zip(toks, toks[1:]):
         assert a.end <= b.start
-        assert text[a.end : b.start].strip() == ""
+        assert all(c.isspace() or unicodedata.category(c) == "Cf" for c in text[a.end : b.start])
     # gaps plus surfaces rebuild the original string
     rebuilt = []
     pos = 0
@@ -520,6 +528,8 @@ def test_lexicon_validation():
         OpinionLexicon(frozenset({"two words"}))
     with pytest.raises(ValueError):
         OpinionLexicon(frozenset({""}))
+    with pytest.raises(ValueError):
+        OpinionLexicon(frozenset({"zero\u200bwidth"}))
 
 
 def test_lexicon_save_load(tmp_path):
@@ -531,7 +541,10 @@ def test_lexicon_save_load(tmp_path):
 
 @pytest.mark.parametrize(
     "text, line, message",
-    [("prima\nGoede\n", 2, "'Goede'"), ("prima\n\ngoede smaak\n", 3, "'goede smaak'")],
+    [("prima\nGoede\n", 2, "'Goede'"), ("prima\n\ngoede smaak\n", 3, "'goede smaak'"),
+     # format characters, which no token holds
+     ("prima\nzero\u200bwidth\n", 2, r"'zero\\u200bwidth'"), ("\u00adgoed\n", 1, r"'\\xadgoed'"),
+     ("prima\ngoed\ufeff\n", 2, r"'goed\\ufeff'"), ("prima\n\u2060\n", 2, r"'\\u2060'")],
 )
 def test_load_lexicon_bad_entry_names_file_and_line(tmp_path, text, line, message):
     path = tmp_path / "lex.txt"
@@ -676,14 +689,17 @@ def test_write_then_parse_roundtrip_preserves_aspects(tmp_path):
             assert parsed.span_surface(span) == orig.span_surface(span)
 
 
-def test_dataset_stats_counts_match_corpus_shape(tmp_path):
-    # files shaped like the real train/test splits report their sizes
+def test_dataset_stats_counts_match_corpus_shape(tmp_path, capsys):
+    # `cmla synth` reports the sizes of files shaped like the real train/test splits
     for n in (575, 1700):
+        out = tmp_path / f"of_{n}"
+        assert cli.main(["synth", "--out", str(out), "--sentences", str(n)]) == 0
         sents, _ = generate_synthetic(SynthConfig(n_sentences=n))
-        path = tmp_path / f"of_{n}.xml"
-        write_semeval_xml(path, sents)
-        stats = dataset_stats(parse_semeval_xml(path).sentences)
-        assert stats.n_sentences == n
-        assert stats.n_tokens == sum(len(s.tokens) for s in sents)
-    text = stats.describe()
-    assert "sentences: 1700" in text
+        assert capsys.readouterr().out.splitlines()[:4] == [
+            f"sentences: {n}",
+            f"tokens: {sum(len(s.tokens) for s in sents)}",
+            f"aspect spans: {sum(len(s.aspect_spans) for s in sents)}",
+            f"opinion spans: {sum(len(s.opinion_spans) for s in sents)}",
+        ]
+        parsed = parse_semeval_xml(out / "corpus.xml").sentences
+        assert sum(len(s.tokens) for s in parsed) == sum(len(s.tokens) for s in sents)

@@ -287,13 +287,3 @@ def test_attention_report_row_count_property(n, seed):
     assert len(rows) == n
     assert sum(float(r["aspect_score"]) for r in rows) == pytest.approx(1.0, abs=n * 5e-7)
 
-
-# --- package ----------------------------------------------------------------
-
-
-def test_package_all_names_resolve():
-    import cmla
-
-    missing = [name for name in cmla.__all__ if not hasattr(cmla, name)]
-    assert missing == []
-    assert "attention_tsv" in cmla.__all__ and "attention_report" not in cmla.__all__

@@ -1,10 +1,11 @@
-"""Fuzz the corpus and checkpoint loaders.
+"""Fuzz the corpus, lexicon and checkpoint loaders.
 
 Every input, however mangled, must either load into something the model
 can use or raise DataFormatError; any other exception is a bug.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from cmla.bio import ASPECT, spans_to_labels
 from cmla.autodiff import Tensor
-from cmla.data import DataFormatError, open_text, parse_semeval_xml
+from cmla.data import DataFormatError, _is_lexicon_word, load_lexicon, open_text, parse_semeval_xml
 from cmla.model import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
@@ -60,10 +61,16 @@ XML_PIECES = (
     b"<![CDATA[ ]]>", b"\xff\xfe", b"\xc3", b"\x00", b" \t\n", "\u00e9\u00df\u2028".encode("utf-8"),
 )
 
-mutation = st.tuples(
-    st.sampled_from(("delete", "insert", "replace", "splice", "truncate")),
-    st.integers(min_value=0), st.binary(max_size=8), st.sampled_from(XML_PIECES),
-)
+
+def mutations(pieces):
+    """One edit of a byte string: an op, a position, raw bytes, and a piece to splice in."""
+    return st.tuples(
+        st.sampled_from(("delete", "insert", "replace", "splice", "truncate")),
+        st.integers(min_value=0), st.binary(max_size=8), st.sampled_from(pieces),
+    )
+
+
+mutation = mutations(XML_PIECES)
 
 
 def mutate(data: bytes, edits) -> bytes:
@@ -108,6 +115,41 @@ def test_parse_semeval_xml_raw_bytes(fuzz_dir, data):
 @given(st.lists(mutation, min_size=1, max_size=4))
 def test_parse_semeval_xml_mutated(fuzz_dir, edits):
     parse_or_reject(fuzz_dir / "mutated.xml", mutate(VALID_XML, edits))
+
+
+# --- opinion lexicon ---------------------------------------------------------
+
+VALID_LEXICON = "goede\nprima\n\nleuke\ngeëerd\n".encode("utf-8")
+
+# fragments a mutation may splice in: case, inner and outer whitespace, line
+# ends, format characters (soft hyphen, zero-width space, BOM), broken UTF-8
+LEXICON_PIECES = (
+    b"Goede", b"twee woorden", b" \t", b"\n", b"\r", b"\r\n", b"\x00", b"\xef\xbb\xbf",
+    "\u00ad".encode("utf-8"), "\u200b".encode("utf-8"), "\u2028".encode("utf-8"),
+    "\u00a0".encode("utf-8"), "\u0130".encode("utf-8"), "\u00df".encode("utf-8"), b"\xff", b"\xc3",
+)
+
+
+def load_or_reject_lexicon(path, data: bytes):
+    path.write_bytes(data)
+    try:
+        lexicon = load_lexicon(path)
+    except DataFormatError as exc:
+        assert re.match(re.escape(f"{path}: ") + r"(line \d+: |opinion lexicon is empty$)", str(exc)), str(exc)
+        return
+    assert lexicon.words and all(_is_lexicon_word(w) for w in lexicon.words)
+
+
+@FUZZ
+@given(st.binary(max_size=200))
+def test_load_lexicon_raw_bytes(fuzz_dir, data):
+    load_or_reject_lexicon(fuzz_dir / "raw_lexicon.txt", data)
+
+
+@FUZZ
+@given(st.lists(mutations(LEXICON_PIECES), min_size=1, max_size=4))
+def test_load_lexicon_mutated(fuzz_dir, edits):
+    load_or_reject_lexicon(fuzz_dir / "mutated_lexicon.txt", mutate(VALID_LEXICON, edits))
 
 
 # --- checkpoints -------------------------------------------------------------
@@ -166,7 +208,7 @@ def test_load_checkpoint_mangled(fuzz_dir, valid_payload, data):
     assert {name: t.data.shape for name, t in params.named_tensors().items()} == \
         CmlaParams.shapes(params.dim, params.channels)
     assert params.layers >= 1
-    assert all(np.isfinite(t.data).all() for t in params.all_tensors())
+    assert all(np.isfinite(t.data).all() for t in params.named_tensors().values())
 
 
 def reference_load_checkpoint(path) -> CmlaParams:

@@ -182,7 +182,7 @@ def test_attention_single_token_score_is_one():
 
 def test_attention_zero_params_uniform_scores():
     params = CmlaParams.init(dim=4, channels=2, rng=1)
-    for t in params.all_tensors():
+    for t in params.named_tensors().values():
         t.data[:] = 0.0
     h_seq = random_rows(4, 5, seed=3)
     heads = (params.aspect, params.opinion)
@@ -383,7 +383,7 @@ def test_forward_full_gradcheck_small():
     def f():
         return loss(forward(xs, params)[0], ga, gp)
 
-    assert grad_check(f, params.all_tensors(), max_coords_per_param=4, rng=21) < 1e-4
+    assert grad_check(f, params.named_tensors().values(), max_coords_per_param=4, rng=21) < 1e-4
 
 
 # recorded from commit 9431f9c, whose forward ran each head's attention
@@ -579,7 +579,7 @@ def test_train_config_validation():
 def test_no_dead_parameters_on_fixture(tiny_corpus):
     sents, table = tiny_corpus
     params = CmlaParams.init(dim=6, channels=2, rng=30)
-    totals = {t: 0.0 for t in params.all_tensors()}
+    totals = {t: 0.0 for t in params.named_tensors().values()}
     for s in sents[:6]:
         grads = backward(sentence_loss(s, table, params))
         for t in totals:
@@ -611,7 +611,7 @@ def test_gradient_clipping_bounds_update(tiny_corpus):
     sents, table = tiny_corpus
     params = CmlaParams.init(dim=6, channels=2, rng=31)
     grads = backward(sentence_loss(sents[0], table, params))
-    dense = sum(float((np.asarray(grads[t]) ** 2).sum()) for t in params.all_tensors())
+    dense = sum(float((np.asarray(grads[t]) ** 2).sum()) for t in params.named_tensors().values())
     # as train passes it: the 33 dense gradients as one vector, the maps' FactoredGrads
     named = params.named_tensors()
     map_grads = [grads[named.pop(name)] for name in MAP_NAMES]
@@ -682,7 +682,7 @@ def test_sgd_step_matches_the_per_tensor_update(tiny_corpus, layers, clip):
     start = {name: t.data.copy() for name, t in stepped.named_tensors().items()}
     train([sents[1]], table, stepped, config)
     grads = backward(sentence_loss(sents[1], table, reference))
-    norm = per_tensor_sgd_step(grads, reference.all_tensors(), config.lr, config.clip)
+    norm = per_tensor_sgd_step(grads, reference.named_tensors().values(), config.lr, config.clip)
     assert (norm > clip) == (clip < 1)   # the small threshold clips, the large one does not
     want = reference.named_tensors()
     unused = {"aspect.proto_map", "opinion.proto_map"} if layers == 1 else set()
@@ -701,7 +701,7 @@ def test_sgd_step_matches_the_per_tensor_update(tiny_corpus, layers, clip):
 def dense_sgd_step(sentence, table, params, config):
     """One SGD step with every gradient made dense first; returns the norm."""
     grads = {t: np.asarray(g) for t, g in backward(sentence_loss(sentence, table, params)).items()}
-    return per_tensor_sgd_step(grads, params.all_tensors(), config.lr, config.clip)
+    return per_tensor_sgd_step(grads, params.named_tensors().values(), config.lr, config.clip)
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -713,7 +713,7 @@ def test_factored_update_matches_dense_update(tiny_corpus, layers, clip):
     start = copy.deepcopy(factored.named_tensors())
     grads = backward(sentence_loss(sents[1], table, factored))
     maps = [t for h in (factored.aspect, factored.opinion) for t in (h.comp, h.cross)]
-    for t in factored.all_tensors():
+    for t in factored.named_tensors().values():
         assert isinstance(grads.get(t), FactoredGrad) == (t in maps)
     train([sents[1]], table, factored, config)
     norm = dense_sgd_step(sents[1], table, dense, config)
