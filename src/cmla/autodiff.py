@@ -7,12 +7,13 @@ sentence length, and the engine has no generic primitives. `node` also
 makes every op's graph-or-array choice: an op whose first input is a
 plain array gets its plain result back and builds no graph. Tensors are
 plain row-major numpy arrays. The graph is rebuilt for every loss;
-creation order doubles as a topological order, so backward() just sweeps
-reachable tensors in reverse creation order.
+creation order doubles as a topological order, so backward() pops op
+nodes from one heap, newest first, each after all of its consumers.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -91,41 +92,34 @@ def node(data, parents, backprop):
 
 
 # ---------------------------------------------------------------------------
-# reverse sweep
+# reverse pass
 
 
 def backward(loss: Tensor) -> dict:
     """Gradients of a scalar loss, as {tensor: gradient} for every reachable
-    tensor that requires one.
+    tensor that requires one, in one pass over a heap of op nodes.
 
-    Each call starts from nothing, so there is no zero-grad step between
-    training iterations. A gradient is usually a numpy array, but may be
-    any array-like with `+` and `*` by a scalar.
+    A node is popped, newest first, once all its consumers have added their
+    gradients; leaves never enter the heap. Each call starts from nothing,
+    so there is no zero-grad step between training iterations. A gradient
+    is usually a numpy array, but may be any array-like with `+` and scalar `*`.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
 
-    seen = {loss}
-    stack = [loss]
-    while stack:
-        t = stack.pop()
-        for p in t._parents:
-            if p.requires_grad and p not in seen:
-                seen.add(p)
-                stack.append(p)
-
     grads = {loss: np.ones(())}
-    for t in sorted(seen, key=lambda n: n.node_id, reverse=True):
-        g = grads.get(t)
-        if g is None or t._backprop is None:
-            continue
-        for parent, pg in zip(t._parents, t._backprop(g)):
+    heap = [(-loss.node_id, loss)] if loss._backprop is not None else []
+    while heap:
+        t = heapq.heappop(heap)[1]
+        for parent, pg in zip(t._parents, t._backprop(grads[t])):
             if not parent.requires_grad:
                 continue
             if parent in grads:
                 grads[parent] = grads[parent] + pg
             else:
                 grads[parent] = pg
+                if parent._backprop is not None:
+                    heapq.heappush(heap, (-parent.node_id, parent))
     return grads
 
 

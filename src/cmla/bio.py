@@ -1,13 +1,15 @@
 """Span <-> BIO label conversion plus the merged five-tag view.
 
 Two independent heads each tag tokens with B/I/O; presentation merges
-them into {B-ASP, I-ASP, B-OP, I-OP, O}. Decoding is total: an orphan I
-(sequence start or right after O) is repaired to B, the conlleval
-convention, which maximizes chunk recall.
+them into {B-ASP, I-ASP, B-OP, I-OP, O}. One pattern, `_CHUNK`, finds a
+head's chunks: a B or an orphan I (sequence start or right after O), then
+every I after it. Decoding is thus total, the orphan I repaired to B (the
+conlleval convention, which maximizes chunk recall).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 ASPECT = "aspect"
@@ -21,6 +23,7 @@ LABELS = (B, I, O)
 _MERGED = {ASPECT: {B: "B-ASP", I: "I-ASP"}, OPINION: {B: "B-OP", I: "I-OP"}}
 # the begin tag of each merged inside tag
 _BEGIN_OF = {tags[I]: tags[B] for tags in _MERGED.values()}
+_CHUNK = re.compile("[BI]I*")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -54,12 +57,7 @@ class LabelSeq:
         return len(self.labels)
 
     def is_well_formed(self) -> bool:
-        prev = O
-        for label in self.labels:
-            if label == I and prev == O:
-                return False
-            prev = label
-        return True
+        return all(m[0].startswith(B) for m in _CHUNK.finditer("".join(self.labels)))
 
 
 def spans_to_labels(n_tokens: int, spans, head: str) -> LabelSeq:
@@ -83,23 +81,7 @@ def spans_to_labels(n_tokens: int, spans, head: str) -> LabelSeq:
 
 def labels_to_spans(seq: LabelSeq) -> list:
     """Decode maximal B(I)* runs; total on malformed input (orphan I -> B)."""
-    spans = []
-    start = None
-    for i, label in enumerate(seq.labels):
-        if label == B:
-            if start is not None:
-                spans.append(Span(start, i, seq.head))
-            start = i
-        elif label == I:
-            if start is None:
-                start = i  # orphan I repaired to B
-        else:
-            if start is not None:
-                spans.append(Span(start, i, seq.head))
-                start = None
-    if start is not None:
-        spans.append(Span(start, len(seq.labels), seq.head))
-    return spans
+    return [Span(m.start(), m.end(), seq.head) for m in _CHUNK.finditer("".join(seq.labels))]
 
 
 def merge_heads(la: LabelSeq, lp: LabelSeq, conf_a, conf_p) -> list:

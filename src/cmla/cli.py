@@ -225,6 +225,7 @@ def _cmd_synth(cfg) -> int:
 
 
 def _cmd_train(cfg) -> int:
+    os.makedirs(cfg["out"], exist_ok=True)
     table = load_embeddings(cfg["embeddings"], oov=OovPolicy(cfg["oov"], buckets=cfg["buckets"]))
     sentences = _load_corpus(cfg)
     params = CmlaParams.init(
@@ -235,7 +236,6 @@ def _cmd_train(cfg) -> int:
         sentences, table, params,
         TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], clip=cfg["clip"], seed=cfg["seed"]),
     )
-    os.makedirs(cfg["out"], exist_ok=True)
     save_checkpoint(os.path.join(cfg["out"], "checkpoint.json"), params)
     with open(os.path.join(cfg["out"], "loss_trace.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(repr(v) + "\n" for v in trace)

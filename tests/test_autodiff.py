@@ -349,6 +349,21 @@ def test_backward_overwrites_stale_grad():
     assert np.allclose(backward(dot(w, w))[w], 2 * w.data)
 
 
+@pytest.mark.parametrize("leaf", [Tensor(2.5, requires_grad=True), constant(2.5)])
+def test_backward_of_a_leaf_loss_is_one(leaf):
+    grads = backward(leaf)
+    assert list(grads) == [leaf]
+    assert grads[leaf].shape == () and grads[leaf] == 1.0
+
+
+def test_backward_adds_contributions_newest_consumer_first():
+    # float addition is not associative: only (1e16 + -1e16) + 1 gives 1
+    w = Tensor(1.0, requires_grad=True)
+    a, b, c = (node(k * w.data, (w,), lambda g, k=k: (g * k,)) for k in (1.0, -1e16, 1e16))
+    grads = backward(node(a.data + b.data + c.data, (a, b, c), lambda g: (g, g, g)))
+    assert grads[w] == 1.0
+
+
 def test_constant_graph_is_pruned():
     a, b = constant(np.ones(2)), constant(np.ones(2))
     out = plus(a, b)

@@ -98,11 +98,17 @@ def all_wellformed(n):
 
 
 def test_roundtrip_exhaustive_short_lengths():
-    for n in range(1, 7):
-        for labels in all_wellformed(n):
+    """Every sequence, malformed ones included: decoding turns each orphan I
+    into B, and a sequence is well formed exactly when it has none."""
+    for n in range(1, 8):
+        wellformed = {tuple(labels) for labels in all_wellformed(n)}
+        for combo in itertools.product((B, I, O), repeat=n):
+            labels = list(combo)
+            repaired = [B if (l, prev) == (I, O) else l for prev, l in zip([O] + labels, labels)]
             seq = LabelSeq(labels, ASPECT)
             again = spans_to_labels(n, labels_to_spans(seq), ASPECT)
-            assert again.labels == labels
+            assert again.labels == repaired
+            assert seq.is_well_formed() == (combo in wellformed) == (repaired == labels)
 
 
 def random_disjoint_spans(draw, n):

@@ -148,6 +148,25 @@ def test_invalid_option_value_exits_one(workspace, capsys, tmp_path, command, fl
     assert not (tmp_path / "out").exists()
 
 
+def test_train_out_naming_a_file_exits_two_before_training(workspace, capsys, monkeypatch, tmp_path):
+    data, _ = workspace
+    out = tmp_path / "afile"
+    out.write_text("", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *args: calls.append(args))
+    code, stdout, stderr = run(
+        capsys, "train",
+        "--data", str(data / "corpus.xml"),
+        "--embeddings", str(data / "embeddings.txt"),
+        "--lexicon", str(data / "lexicon.txt"),
+        "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.count("\n") == 1 and str(out) in stderr
+    assert calls == []
+
+
 def test_malformed_xml_exits_two(workspace, capsys, tmp_path):
     data, _ = workspace
     bad = tmp_path / "bad.xml"

@@ -1,20 +1,33 @@
-"""Fuzz the corpus, lexicon and checkpoint loaders.
+"""Fuzz the corpus, lexicon, embedding and checkpoint loaders, and the
+CLI's --config file.
 
 Every input, however mangled, must either load into something the model
-can use or raise DataFormatError; any other exception is a bug.
+can use or raise DataFormatError; any other exception is a bug. A config
+file must end the command with exit 0, or exit 1 or 2 and one stderr line.
 """
 
+import contextlib
+import io
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cmla import cli
 from cmla.bio import ASPECT, spans_to_labels
 from cmla.autodiff import Tensor
-from cmla.data import DataFormatError, _is_lexicon_word, load_lexicon, open_text, parse_semeval_xml
+from cmla.data import (
+    DataFormatError,
+    _is_lexicon_word,
+    load_embeddings,
+    load_lexicon,
+    open_text,
+    parse_semeval_xml,
+)
 from cmla.model import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
@@ -150,6 +163,85 @@ def test_load_lexicon_raw_bytes(fuzz_dir, data):
 @given(st.lists(mutations(LEXICON_PIECES), min_size=1, max_size=4))
 def test_load_lexicon_mutated(fuzz_dir, edits):
     load_or_reject_lexicon(fuzz_dir / "mutated_lexicon.txt", mutate(VALID_LEXICON, edits))
+
+
+# --- embedding table ---------------------------------------------------------
+
+VALID_EMBEDDINGS = "4 2\nhond 0.5 -1\nkat 1e-3 2.25\n\ngeëerd 0 .5\nHond -0 +7\n".encode("utf-8")
+
+# fragments a mutation may splice in: separators and line ends, literals the
+# C reader refuses or Python's float reads differently, broken UTF-8
+EMBEDDING_PIECES = (
+    b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x00", b"\xef\xbb\xbf", b"-", b"+",
+    b".", b"e", b"e999", b"1e-400", b"nan", b"-inf", b"1_0", b"0x1p3", b"#", b"2 2", b"0 2",
+    b"99999999999999999999", "\u0663".encode("utf-8"), "\u00a0".encode("utf-8"),
+    "\u2028".encode("utf-8"), "\u0085".encode("utf-8"), b"\xff", b"\xc3",
+)
+
+
+def load_or_reject_embeddings(path, data: bytes):
+    path.write_bytes(data)
+    try:
+        table = load_embeddings(path)
+    except DataFormatError as exc:
+        assert str(exc).startswith(f"{path}: "), str(exc)
+        return
+    for vec in table.vectors.values():
+        assert vec.shape == (table.dim,) and np.isfinite(vec).all()
+
+
+@FUZZ
+@given(st.binary(max_size=200))
+def test_load_embeddings_raw_bytes(fuzz_dir, data):
+    load_or_reject_embeddings(fuzz_dir / "raw_embeddings.txt", data)
+
+
+@FUZZ
+@given(st.lists(mutations(EMBEDDING_PIECES), min_size=1, max_size=4))
+def test_load_embeddings_mutated(fuzz_dir, edits):
+    load_or_reject_embeddings(fuzz_dir / "mutated_embeddings.txt", mutate(VALID_EMBEDDINGS, edits))
+
+
+# --- the CLI's --config file --------------------------------------------------
+
+# fragments a mutation may splice in: keys, values out of range or of the
+# wrong type, comments, line ends, broken UTF-8
+CONFIG_PIECES = (
+    b"=", b" = ", b"#", b"\n", b"\r", b"\r\n", b"\x00", b"\xef\xbb\xbf", b"\xff", b"\xc3",
+    "\u2028".encode("utf-8"), "\u00a0".encode("utf-8"), "\u0663".encode("utf-8"),
+    b"oov = zero_vector", b"oov = none", b"buckets = 0", b"buckets = -3", b"buckets = 1e3",
+    b"buckets = 99999999999999999999", b"bogus = 1", b"Buckets = 2", b"check-point = x",
+    b"top = 3", b"input = ", b"checkpoint = ",
+)
+
+
+@pytest.fixture(scope="module")
+def predict_config(fuzz_dir, valid_payload):
+    """A config file's bytes naming a dim-2 checkpoint, embeddings and input."""
+    (fuzz_dir / "config_embeddings.txt").write_text("2 2\nzeer 1 0\ngoede 0 1\n", encoding="utf-8")
+    (fuzz_dir / "config_input.txt").write_text("zeer goede ligging\n", encoding="utf-8")
+    return (
+        f"# predict options\ncheckpoint = {fuzz_dir / 'valid.json'}\n"
+        f"embeddings={fuzz_dir / 'config_embeddings.txt'}\n\ninput = {fuzz_dir / 'config_input.txt'}\n"
+        "oov = hash_bucket\nbuckets = 7\n"
+    ).encode("utf-8")
+
+
+@FUZZ
+@given(st.lists(mutations(CONFIG_PIECES), min_size=1, max_size=4))
+def test_config_file_mutated(fuzz_dir, predict_config, edits):
+    path = fuzz_dir / "mutated.cfg"
+    path.write_bytes(mutate(predict_config, edits))
+    out, err = io.StringIO(), io.StringIO()
+    # an empty `input` reads standard input; a relative path resolves in fuzz_dir
+    stdin = io.TextIOWrapper(io.BytesIO(b"goede kamer\n"), encoding="utf-8")
+    with mock.patch("sys.stdin", stdin), contextlib.chdir(fuzz_dir), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["predict", "--config", str(path)])
+    if code == 0:
+        return
+    assert code in (1, 2), code
+    assert err.getvalue().startswith("cmla: ") and err.getvalue().count("\n") == 1, err.getvalue()
 
 
 # --- checkpoints -------------------------------------------------------------
