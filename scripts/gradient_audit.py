@@ -17,7 +17,6 @@ import argparse
 import numpy as np
 
 from cmla.autodiff import constant, grad_check
-from cmla.bio import ASPECT, OPINION, LabelSeq
 from cmla.model import CLASS_ORDER, CmlaParams, forward, loss
 
 SWEEP = [
@@ -35,8 +34,8 @@ def audit_config(dim, channels, length, seed, scale, coords):
     gen = np.random.default_rng(seed)
     params = CmlaParams.init(dim=dim, channels=channels, rng=gen, init_scale=scale)
     xs = [constant(gen.uniform(-1, 1, size=dim)) for _ in range(length)]
-    gold_a = LabelSeq([CLASS_ORDER[int(gen.integers(3))] for _ in range(length)], ASPECT)
-    gold_p = LabelSeq([CLASS_ORDER[int(gen.integers(3))] for _ in range(length)], OPINION)
+    gold_a = "".join(CLASS_ORDER[int(gen.integers(3))] for _ in range(length))
+    gold_p = "".join(CLASS_ORDER[int(gen.integers(3))] for _ in range(length))
 
     def f():
         return loss(forward(xs, params)[0], gold_a, gold_p)

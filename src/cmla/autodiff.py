@@ -65,8 +65,7 @@ def init_uniform(shape, lo: float, hi: float, rng) -> Tensor:
         raise ValueError(f"invalid shape {dims}: dimensions must be positive")
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"bad interval [{lo}, {hi}]: need lo < hi and a finite width")
-    gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    return Tensor(gen.uniform(lo, hi, size=dims), requires_grad=True)
+    return Tensor(np.random.default_rng(rng).uniform(lo, hi, size=dims), requires_grad=True)
 
 
 def value(x) -> np.ndarray:
@@ -135,7 +134,7 @@ def grad_check(f, params, eps=1e-5, rng=None, max_coords_per_param=None) -> floa
     if not eps > 0:
         raise ValueError("eps must be positive")
     grads = backward(f())
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
 
     worst = 0.0
     for p in params:

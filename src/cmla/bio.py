@@ -1,9 +1,11 @@
 """Span <-> BIO label conversion plus the merged five-tag view.
 
-Two independent heads each tag tokens with B/I/O; presentation merges
-them into {B-ASP, I-ASP, B-OP, I-OP, O}. One pattern, `_CHUNK`, finds a
-head's chunks: a B or an orphan I (sequence start or right after O), then
-every I after it. Decoding is thus total, the orphan I repaired to B (the
+Two independent heads each tag tokens with B/I/O: a head's labels are a
+string over "BIO", one letter per token, and the head's name travels as an
+argument wherever a Span needs it. Presentation merges the heads into
+{B-ASP, I-ASP, B-OP, I-OP, O}. One pattern, `_CHUNK`, finds a head's
+chunks: a B or an orphan I (sequence start or right after O), then every I
+after it. Decoding is thus total, the orphan I repaired to B (the
 conlleval convention, which maximizes chunk recall).
 """
 
@@ -17,7 +19,6 @@ OPINION = "opinion"
 HEADS = (ASPECT, OPINION)
 
 B, I, O = "B", "I", "O"
-LABELS = (B, I, O)
 
 # merged five-category tags, per head
 _MERGED = {ASPECT: {B: "B-ASP", I: "I-ASP"}, OPINION: {B: "B-OP", I: "I-OP"}}
@@ -41,27 +42,9 @@ class Span:
             raise ValueError(f"unknown span kind {self.kind!r}")
 
 
-@dataclass
-class LabelSeq:
-    labels: list
-    head: str
-
-    def __post_init__(self):
-        if self.head not in HEADS:
-            raise ValueError(f"unknown head {self.head!r}")
-        bad = [l for l in self.labels if l not in LABELS]
-        if bad:
-            raise ValueError(f"unknown labels {bad}")
-
-    def __len__(self):
-        return len(self.labels)
-
-    def is_well_formed(self) -> bool:
-        return all(m[0].startswith(B) for m in _CHUNK.finditer("".join(self.labels)))
-
-
-def spans_to_labels(n_tokens: int, spans, head: str) -> LabelSeq:
-    """Encode disjoint spans as B/I/O; rejects overlap and out-of-range."""
+def spans_to_labels(n_tokens: int, spans, head: str) -> str:
+    """Encode disjoint spans of kind `head` as a string of n_tokens B/I/O
+    letters; rejects overlap, out-of-range spans and other kinds."""
     ordered = sorted(spans)
     labels = [O] * n_tokens
     prev_end = 0
@@ -76,30 +59,29 @@ def spans_to_labels(n_tokens: int, spans, head: str) -> LabelSeq:
         for i in range(span.start + 1, span.end):
             labels[i] = I
         prev_end = span.end
-    return LabelSeq(labels, head)
+    return "".join(labels)
 
 
-def labels_to_spans(seq: LabelSeq) -> list:
-    """Decode maximal B(I)* runs; total on malformed input (orphan I -> B)."""
-    return [Span(m.start(), m.end(), seq.head) for m in _CHUNK.finditer("".join(seq.labels))]
+def labels_to_spans(labels: str, head: str) -> list:
+    """Decode a B/I/O string's maximal B(I)* runs as spans of kind `head`;
+    total on malformed input (orphan I -> B)."""
+    return [Span(m.start(), m.end(), head) for m in _CHUNK.finditer(labels)]
 
 
-def merge_heads(la: LabelSeq, lp: LabelSeq, conf_a, conf_p) -> list:
-    """Merge two head taggings into the five-category view.
+def merge_heads(la: str, lp: str, conf_a, conf_p) -> list:
+    """Merge the aspect head's and the opinion head's B/I/O strings, in
+    that order, into the five-category view.
 
     Tokens claimed by both heads go to the head whose argmax class is more
     confident (ties favor the aspect head). A repair pass then turns any
     inside tag with no matching chunk open into a begin tag.
     """
-    if la.head != ASPECT or lp.head != OPINION:
-        raise ValueError("merge_heads expects (aspect seq, opinion seq)")
-    n = len(la.labels)
-    if len(lp.labels) != n or len(conf_a) != n or len(conf_p) != n:
+    n = len(la)
+    if len(lp) != n or len(conf_a) != n or len(conf_p) != n:
         raise ValueError("merge_heads arguments must have equal length")
 
     merged = []
-    for i in range(n):
-        a, p = la.labels[i], lp.labels[i]
+    for i, (a, p) in enumerate(zip(la, lp)):
         if a != O and p != O:
             pick = (ASPECT, a) if conf_a[i] >= conf_p[i] else (OPINION, p)
         elif a != O:

@@ -10,7 +10,6 @@ results to stdout or the declared output directory.
 from __future__ import annotations
 
 import argparse
-import codecs
 import contextlib
 import io
 import os
@@ -23,13 +22,13 @@ from .data import (
     DataFormatError,
     DEFAULT_OPINION_WORDS,
     OOV_KINDS,
-    EmbeddingTable,
     OovPolicy,
     OpinionLexicon,
     Sentence,
     SynthConfig,
     annotate_opinions,
     cosine_neighbors,
+    decode_text,
     generate_synthetic,
     load_embeddings,
     load_lexicon,
@@ -263,18 +262,6 @@ def _checkpoint_overflow(cfg):
         raise DataFormatError(f"{cfg['checkpoint']}: {exc}") from None
 
 
-def _read_stdin_lines() -> list:
-    """Standard input's lines, read as UTF-8 and split as open() splits them.
-    One leading byte order mark is cut off first, so error offsets count past it."""
-    raw = sys.stdin.buffer.read().removeprefix(codecs.BOM_UTF8)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise DataFormatError(f"<stdin>: line {lineno}: not UTF-8 text ({exc.reason})") from None
-    return io.StringIO(text, newline=None).readlines()
-
-
 def _cmd_eval(cfg) -> int:
     table, params = _load_model(cfg)
     sentences = _load_corpus(cfg)
@@ -293,8 +280,8 @@ def _cmd_predict(cfg) -> int:
     if cfg["input"]:
         with open_text(cfg["input"]) as fh:
             lines = fh.readlines()
-    else:
-        lines = _read_stdin_lines()
+    else:   # split as open() splits a file's lines
+        lines = io.StringIO(decode_text("<stdin>", sys.stdin.buffer.read()), newline=None).readlines()
 
     n = 0
     for raw in lines:
@@ -360,14 +347,14 @@ def main(argv=None) -> int:
             return _cmd_predict(cfg)
         return _cmd_inspect(cfg, args.words)
     except UsageError as exc:
-        print(f"cmla: {exc}", file=sys.stderr)
-        return 1
+        error, code = exc, 1
     except TrainingDiverged as exc:
-        print(f"cmla: {exc}", file=sys.stderr)
-        return 3
+        error, code = exc, 3
     except (DataFormatError, ValueError, OSError) as exc:
-        print(f"cmla: {exc}", file=sys.stderr)
-        return 2
+        error, code = exc, 2
+    # one line: every unprintable character (\n, \x00, \x1b, ...) in its escaped form
+    print("cmla: " + "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(error)), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

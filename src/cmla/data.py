@@ -6,6 +6,7 @@ accepts already-normalized text; there is no spell correction here.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import re
 import unicodedata
@@ -23,21 +24,27 @@ class DataFormatError(ValueError):
     """Malformed input file; message carries the offending line where known."""
 
 
+def decode_text(name, raw: bytes) -> str:
+    """`raw` as UTF-8 text after one leading byte order mark; undecodable bytes
+    raise a DataFormatError naming `name` and the first line that holds them."""
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{name}: line {lineno}: not UTF-8 text ({exc.reason})") from None
+
+
 @contextmanager
 def open_text(path):
-    """Open `path` for reading as UTF-8 after one leading byte order mark;
-    undecodable bytes raise a DataFormatError naming the first line that holds them."""
+    """Open `path` for reading as text by decode_text's rule."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    break
-        raise DataFormatError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})") from None
+            decode_text(path, fh.read())   # raises, naming the line
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason}); it changed while it was read") from None
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ class GruParams:
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng, scale: float = 0.2):
         """Uniform(-scale, scale) weights, zero biases, drawn in shapes() order."""
-        gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
+        gen = np.random.default_rng(rng)   # a Generator comes back unchanged
         return cls(**{name: init_tensor(name, shape, scale, gen)
                       for name, shape in cls.shapes(input_dim, hidden_dim).items()})
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bio
 from .autodiff import Tensor, backward, constant, node, value
-from .bio import ASPECT, OPINION, LabelSeq, labels_to_spans, merge_heads
+from .bio import ASPECT, OPINION, labels_to_spans, merge_heads
 from .data import DataFormatError, open_text
 from .gru import GRU_FIELDS, GruParams, gru_blocks, gru_run, init_tensor, rowwise, spans
 
@@ -88,7 +88,7 @@ class CmlaParams:
             raise ValueError(f"dim and channels must be positive, got {dim}, {channels}")
         if layers < 1:
             raise ValueError(f"need at least one layer, got {layers}")
-        gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
+        gen = np.random.default_rng(rng)   # a Generator comes back unchanged
         tensors = {}
         for name, shape in cls.shapes(dim, channels).items():
             band = PROTOTYPE_INIT if name.endswith(".prototype") else init_scale
@@ -317,9 +317,9 @@ def forward(embeddings, params: CmlaParams) -> tuple:
     return run_layers(xs, u, params)
 
 
-def loss(logits: Tensor, gold_a: LabelSeq, gold_p: LabelSeq) -> Tensor:
+def loss(logits: Tensor, gold_a: str, gold_p: str) -> Tensor:
     """Mean per-token cross-entropy of each head's (n, 3) block of the
-    (n, 6) logits, summed over the heads."""
+    (n, 6) logits against its gold B/I/O string, summed over the heads."""
     n = len(gold_a)
     if len(gold_p) != n or logits.data.shape != (n, 2 * len(CLASS_ORDER)):
         raise ValueError(f"logits of shape {logits.data.shape} for {n} and {len(gold_p)} gold labels")
@@ -328,7 +328,7 @@ def loss(logits: Tensor, gold_a: LabelSeq, gold_p: LabelSeq) -> Tensor:
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
     one_hot = np.zeros(x.shape)
     for i, gold in enumerate((gold_a, gold_p)):
-        one_hot[np.arange(n), i, [CLASS_INDEX[label] for label in gold.labels]] = 1.0
+        one_hot[np.arange(n), i, [CLASS_INDEX[label] for label in gold]] = 1.0
     # one contiguous row per head: numpy's pairwise sum then adds a head's
     # terms in the order it adds them in that head's (n, 3) block alone
     terms = (one_hot * log_probs).transpose(1, 0, 2).reshape(2, -1)
@@ -471,9 +471,8 @@ def predict(sentence, table, params: CmlaParams) -> Prediction:
             probs /= probs.sum(axis=2, keepdims=True)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc} in the forward pass of sentence {sentence.source_id}") from None
-    aspect, opinion = (LabelSeq([CLASS_ORDER[i] for i in picks], head)
-                       for picks, head in zip(probs.argmax(axis=2).T.tolist(), (ASPECT, OPINION)))
-    return Prediction(labels_to_spans(aspect), labels_to_spans(opinion),
+    aspect, opinion = ("".join([CLASS_ORDER[i] for i in picks]) for picks in probs.argmax(axis=2).T.tolist())
+    return Prediction(labels_to_spans(aspect, ASPECT), labels_to_spans(opinion, OPINION),
                       merge_heads(aspect, opinion, *probs.max(axis=2).T.tolist()),
                       logits[:, :3], logits[:, 3:], scores[:, 0], scores[:, 1])
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
-from cmla.bio import ASPECT, OPINION, LabelSeq
 from cmla.gru import sigmoid
 from cmla.model import CLASS_INDEX, CLASS_ORDER, attend, compose, loss, update_prototype
 
@@ -249,12 +248,12 @@ def test_log_softmax_consistent_and_gradcheck():
     for n in (1, 3):
         logits = Tensor(np.hstack([randt((n, 3), seed=16 + n).data, randt((n, 3), seed=26 + n).data]),
                         requires_grad=True)
-        ga = LabelSeq([CLASS_ORDER[int(c)] for c in gen.integers(3, size=n)], ASPECT)
-        gp = LabelSeq([CLASS_ORDER[int(c)] for c in gen.integers(3, size=n)], OPINION)
+        ga = "".join(CLASS_ORDER[int(c)] for c in gen.integers(3, size=n))
+        gp = "".join(CLASS_ORDER[int(c)] for c in gen.integers(3, size=n))
         expected = 0.0
         for block, gold in ((logits.data[:, :3], ga), (logits.data[:, 3:], gp)):
             probs = np.exp(block) / np.exp(block).sum(axis=1, keepdims=True)
-            picked = probs[np.arange(n), [CLASS_INDEX[label] for label in gold.labels]]
+            picked = probs[np.arange(n), [CLASS_INDEX[label] for label in gold]]
             expected -= np.log(picked).mean()
         assert abs(loss(logits, ga, gp).item() - expected) < 1e-12
         assert grad_check(lambda: loss(logits, ga, gp), [logits]) < 1e-6

@@ -10,7 +10,6 @@ from cmla.bio import (
     I,
     O,
     OPINION,
-    LabelSeq,
     Span,
     labels_to_spans,
     merge_heads,
@@ -31,21 +30,12 @@ def test_span_validation():
         Span(0, 1, "noun")
 
 
-def test_labelseq_validation():
-    with pytest.raises(ValueError):
-        LabelSeq([B, "X"], ASPECT)
-    with pytest.raises(ValueError):
-        LabelSeq([B], "other")
-
-
 def test_encode_single_span():
-    seq = spans_to_labels(6, spans((2, 3)), ASPECT)
-    assert seq.labels == [O, O, B, O, O, O]
+    assert spans_to_labels(6, spans((2, 3)), ASPECT) == "OOBOOO"
 
 
 def test_encode_two_spans():
-    seq = spans_to_labels(4, spans((0, 2), (3, 4)), ASPECT)
-    assert seq.labels == [B, I, O, B]
+    assert spans_to_labels(4, spans((0, 2), (3, 4)), ASPECT) == "BIOB"
 
 
 def test_encode_rejects_overlap_and_overflow():
@@ -59,29 +49,22 @@ def test_encode_rejects_overlap_and_overflow():
 
 def test_adjacent_spans_stay_distinct():
     seq = spans_to_labels(4, spans((0, 2), (2, 4)), ASPECT)
-    assert seq.labels == [B, I, B, I]
-    assert labels_to_spans(seq) == spans((0, 2), (2, 4))
+    assert seq == "BIBI"
+    assert labels_to_spans(seq, ASPECT) == spans((0, 2), (2, 4))
 
 
 def test_decode_empty_and_runs():
-    assert labels_to_spans(LabelSeq([O, O, O], ASPECT)) == []
-    seq = LabelSeq([B, I, I, O, B], ASPECT)
-    assert labels_to_spans(seq) == spans((0, 3), (4, 5))
+    assert labels_to_spans("OOO", ASPECT) == []
+    assert labels_to_spans("BIIOB", ASPECT) == spans((0, 3), (4, 5))
 
 
 def test_decode_orphan_inside_repairs_to_begin():
-    assert labels_to_spans(LabelSeq([O, I, I], ASPECT)) == spans((1, 3))
-    assert labels_to_spans(LabelSeq([I, O, I], OPINION)) == spans((0, 1), (2, 3), kind=OPINION)
+    assert labels_to_spans("OII", ASPECT) == spans((1, 3))
+    assert labels_to_spans("IOI", OPINION) == spans((0, 1), (2, 3), kind=OPINION)
 
 
 def test_decode_trailing_span_closed():
-    assert labels_to_spans(LabelSeq([O, B, I], ASPECT)) == spans((1, 3))
-
-
-def test_well_formedness_predicate():
-    assert LabelSeq([B, I, O], ASPECT).is_well_formed()
-    assert not LabelSeq([I, O, O], ASPECT).is_well_formed()
-    assert not LabelSeq([B, O, I], ASPECT).is_well_formed()
+    assert labels_to_spans("OBI", ASPECT) == spans((1, 3))
 
 
 def all_wellformed(n):
@@ -94,21 +77,21 @@ def all_wellformed(n):
                 break
             prev = label
         if ok:
-            yield list(combo)
+            yield "".join(combo)
 
 
 def test_roundtrip_exhaustive_short_lengths():
     """Every sequence, malformed ones included: decoding turns each orphan I
-    into B, and a sequence is well formed exactly when it has none."""
+    into B, so a sequence survives the round trip exactly when it is well
+    formed."""
     for n in range(1, 8):
-        wellformed = {tuple(labels) for labels in all_wellformed(n)}
+        wellformed = set(all_wellformed(n))
         for combo in itertools.product((B, I, O), repeat=n):
-            labels = list(combo)
-            repaired = [B if (l, prev) == (I, O) else l for prev, l in zip([O] + labels, labels)]
-            seq = LabelSeq(labels, ASPECT)
-            again = spans_to_labels(n, labels_to_spans(seq), ASPECT)
-            assert again.labels == repaired
-            assert seq.is_well_formed() == (combo in wellformed) == (repaired == labels)
+            labels = "".join(combo)
+            repaired = "".join(B if (l, prev) == (I, O) else l for prev, l in zip(O + labels, labels))
+            again = spans_to_labels(n, labels_to_spans(labels, ASPECT), ASPECT)
+            assert again == repaired
+            assert (labels in wellformed) == (repaired == labels)
 
 
 def random_disjoint_spans(draw, n):
@@ -127,44 +110,36 @@ def test_roundtrip_random_span_sets(data):
     pairs = random_disjoint_spans(data.draw, n)
     gold = spans(*pairs)
     seq = spans_to_labels(n, gold, ASPECT)
-    assert labels_to_spans(seq) == sorted(gold)
+    assert labels_to_spans(seq, ASPECT) == sorted(gold)
 
 
 def test_merge_no_conflict():
-    la = LabelSeq([O, O, B], ASPECT)
-    lp = LabelSeq([B, O, O], OPINION)
-    merged = merge_heads(la, lp, [0.5, 0.5, 0.5], [0.5, 0.5, 0.5])
+    merged = merge_heads("OOB", "BOO", [0.5, 0.5, 0.5], [0.5, 0.5, 0.5])
     assert merged == ["B-OP", O, "B-ASP"]
 
 
 def test_merge_conflict_resolved_by_confidence():
-    la = LabelSeq([B], ASPECT)
-    lp = LabelSeq([B], OPINION)
-    assert merge_heads(la, lp, [0.9], [0.6]) == ["B-ASP"]
-    assert merge_heads(la, lp, [0.4], [0.6]) == ["B-OP"]
+    assert merge_heads(B, B, [0.9], [0.6]) == ["B-ASP"]
+    assert merge_heads(B, B, [0.4], [0.6]) == ["B-OP"]
 
 
 def test_merge_tie_goes_to_aspect():
-    la = LabelSeq([B], ASPECT)
-    lp = LabelSeq([B], OPINION)
-    assert merge_heads(la, lp, [0.7], [0.7]) == ["B-ASP"]
+    assert merge_heads(B, B, [0.7], [0.7]) == ["B-ASP"]
 
 
 def test_merge_repairs_broken_inside_tags():
     # opinion wins token 1 and orphans the aspect I at token 2
-    la = LabelSeq([B, I, I], ASPECT)
-    lp = LabelSeq([O, B, O], OPINION)
-    merged = merge_heads(la, lp, [0.6, 0.3, 0.6], [0.1, 0.8, 0.1])
+    merged = merge_heads("BII", "OBO", [0.6, 0.3, 0.6], [0.1, 0.8, 0.1])
     assert merged == ["B-ASP", "B-OP", "B-ASP"]
 
 
 def test_merge_length_mismatch():
-    la = LabelSeq([B, O], ASPECT)
-    lp = LabelSeq([O], OPINION)
     with pytest.raises(ValueError):
-        merge_heads(la, lp, [0.5, 0.5], [0.5])
+        merge_heads("BO", "O", [0.5, 0.5], [0.5])
     with pytest.raises(ValueError):
-        merge_heads(lp, la, [0.5], [0.5, 0.5])
+        merge_heads("O", "BO", [0.5], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        merge_heads("BO", "OO", [0.5, 0.5], [0.5])
 
 
 def _merged_well_formed(tags):
@@ -179,8 +154,8 @@ def _merged_well_formed(tags):
 @given(st.data())
 def test_merge_always_well_formed(data):
     n = data.draw(st.integers(1, 12))
-    la = LabelSeq(data.draw(st.lists(st.sampled_from([B, I, O]), min_size=n, max_size=n)), ASPECT)
-    lp = LabelSeq(data.draw(st.lists(st.sampled_from([B, I, O]), min_size=n, max_size=n)), OPINION)
+    la = data.draw(st.text(alphabet="BIO", min_size=n, max_size=n))
+    lp = data.draw(st.text(alphabet="BIO", min_size=n, max_size=n))
     conf_a = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
     conf_p = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
     merged = merge_heads(la, lp, conf_a, conf_p)

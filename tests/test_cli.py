@@ -283,6 +283,26 @@ def test_flags_override_config(workspace, capsys, tmp_path):
     assert len((tmp_path / "run" / "loss_trace.txt").read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize(
+    "name, escaped, via_config",
+    [("no\nsuch", "no\\nsuch", False), ("café\x1b[31m", "café\\x1b[31m", False),
+     ("no-such\x00", "no-such\\x00", True)],
+    ids=["newline", "escape-sequence", "config-value-ending-in-nul"],
+)
+def test_error_is_one_printable_line(capsys, tmp_path, name, escaped, via_config):
+    # unprintable characters are escaped; printable non-ASCII text stays as it is
+    if via_config:
+        cfg = tmp_path / "nul.cfg"
+        cfg.write_text(f"embeddings = {tmp_path / name}\n", encoding="utf-8")
+        args = ("--config", str(cfg))
+    else:
+        args = ("--embeddings", str(tmp_path / name))
+    code, stdout, stderr = run(capsys, "inspect", *args)
+    assert code == 1 and stdout == ""
+    assert stderr == f"cmla: embeddings file not found: {tmp_path}/{escaped}\n"
+    assert stderr[:-1].isprintable()
+
+
 def test_config_unknown_key_exits_one(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wibble = 3\n", encoding="utf-8")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmla.bio import ASPECT, OPINION, LabelSeq, Span, labels_to_spans, merge_heads
+from cmla.bio import ASPECT, OPINION, Span, labels_to_spans, merge_heads
 from cmla.data import SynthConfig, generate_synthetic
 from cmla.evaluation import (
     ChunkMetrics,
@@ -160,12 +160,12 @@ def make_pred(att_a, att_p, la=None, lp=None):
     """A Prediction whose spans and one-hot logits follow the labels la, lp."""
     n = len(att_a)
     onehot = {"B": (5.0, 0.0, 0.0), "I": (0.0, 5.0, 0.0), "O": (0.0, 0.0, 5.0)}
-    la = la or ["O"] * n
-    lp = lp or ["O"] * n
+    la = la or "O" * n
+    lp = lp or "O" * n
     return Prediction(
-        aspect_spans=labels_to_spans(LabelSeq(la, ASPECT)),
-        opinion_spans=labels_to_spans(LabelSeq(lp, OPINION)),
-        merged=merge_heads(LabelSeq(la, ASPECT), LabelSeq(lp, OPINION), [1.0] * n, [1.0] * n),
+        aspect_spans=labels_to_spans(la, ASPECT),
+        opinion_spans=labels_to_spans(lp, OPINION),
+        merged=merge_heads(la, lp, [1.0] * n, [1.0] * n),
         aspect_logits=np.array([onehot[x] for x in la]),
         opinion_logits=np.array([onehot[x] for x in lp]),
         aspect_attention=np.array(att_a, dtype=float),
@@ -192,7 +192,7 @@ def sentence_for(text, aspects=(), opinions=()):
 
 def test_attention_single_token_row():
     s = sentence_for("terras", aspects=[(0, 1)])
-    rows = report_rows(s, make_pred([1.0], [1.0], la=["B"]))
+    rows = report_rows(s, make_pred([1.0], [1.0], la="B"))
     assert rows == [{"index": "0", "token": "terras", "aspect_score": "1.000000",
                      "opinion_score": "1.000000", "gold": "aspect", "pred": "aspect"}]
 
@@ -200,7 +200,7 @@ def test_attention_single_token_row():
 def test_attention_rows_follow_token_order():
     s = sentence_for("zeer goede ligging", aspects=[(2, 3)], opinions=[(1, 2)])
     rows = report_rows(
-        s, make_pred([0.2, 0.3, 0.5], [0.1, 0.6, 0.3], la=["O", "O", "B"], lp=["O", "B", "O"])
+        s, make_pred([0.2, 0.3, 0.5], [0.1, 0.6, 0.3], la="OOB", lp="OBO")
     )
     assert [r["index"] for r in rows] == ["0", "1", "2"]
     assert [r["token"] for r in rows] == ["zeer", "goede", "ligging"]
@@ -237,7 +237,7 @@ def test_attention_row_count_mismatch_rejected():
 
 def test_attention_inside_label_counts_as_pred():
     s = sentence_for("a b")
-    rows = report_rows(s, make_pred([0.5, 0.5], [0.5, 0.5], la=["B", "I"]))
+    rows = report_rows(s, make_pred([0.5, 0.5], [0.5, 0.5], la="BI"))
     assert [r["pred"] for r in rows] == ["aspect", "aspect"]
 
 
@@ -260,7 +260,7 @@ def test_attention_pred_column_follows_spans_not_logits():
 def test_attention_tsv_rendering():
     s = sentence_for("goede dag", aspects=[(1, 2)], opinions=[(0, 1)])
     text = attention_tsv(
-        s, make_pred([0.25, 0.75], [0.75, 0.25], la=["O", "B"], lp=["B", "O"])
+        s, make_pred([0.25, 0.75], [0.75, 0.25], la="OB", lp="BO")
     )
     lines = text.strip("\n").split("\n")
     assert lines[0] == "index\ttoken\taspect_score\topinion_score\tgold\tpred"

@@ -1,15 +1,19 @@
-"""Fuzz the corpus, lexicon, embedding and checkpoint loaders, and the
-CLI's --config file.
+"""Fuzz the corpus, lexicon, embedding and checkpoint loaders, the CLI's
+--config file and the input of `cmla predict`.
 
 Every input, however mangled, must either load into something the model
 can use or raise DataFormatError; any other exception is a bug. A config
-file must end the command with exit 0, or exit 1 or 2 and one stderr line.
+file must end the command with exit 0, or exit 1 or 2 and one printable
+stderr line; predict input with exit 0, or exit 2 and one printable line.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import re
+import unicodedata
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -242,6 +246,66 @@ def test_config_file_mutated(fuzz_dir, predict_config, edits):
         return
     assert code in (1, 2), code
     assert err.getvalue().startswith("cmla: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    assert err.getvalue()[:-1].isprintable(), err.getvalue()
+
+
+# --- cmla predict input -------------------------------------------------------
+
+VALID_PREDICT_INPUT = "de ligging was prima\nzeer goede kamer\n\nik vond de tuin echt mooie\n".encode("utf-8")
+
+# fragments a mutation may splice in: line ends, a BOM, broken UTF-8, NUL,
+# format characters (zero-width space, soft hyphen), decomposed (NFD) Dutch
+# text and one long line
+PREDICT_PIECES = (
+    b"\r", b"\r\n", b"\xef\xbb\xbf", b"\xc3", b"\xff", b"\x00",
+    "\u200b".encode("utf-8"), "\u00ad".encode("utf-8"),
+    unicodedata.normalize("NFD", "geëerd café").encode("utf-8"),
+    " ".join(itertools.islice(itertools.cycle(("de", "kamer", "was", "heel", "goede")), 60)).encode("utf-8"),
+)
+
+
+@pytest.fixture(scope="module")
+def predict_model(fuzz_dir):
+    """Arguments naming a dim-4, 2-channel checkpoint trained for one epoch, and its embeddings."""
+    data, run = fuzz_dir / "predict_data", fuzz_dir / "predict_run"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["synth", "--out", str(data), "--dim", "4"]) == 0
+        assert cli.main(["train", "--data", str(data / "corpus.xml"), "--embeddings", str(data / "embeddings.txt"),
+                         "--lexicon", str(data / "lexicon.txt"), "--out", str(run),
+                         "--channels", "2", "--epochs", "1"]) == 0
+    return ["predict", "--checkpoint", str(run / "checkpoint.json"), "--embeddings", str(data / "embeddings.txt")]
+
+
+def predict_both_ways(path, args, data: bytes):
+    """`cmla predict` on `data` as --input and as standard input: exit 0, or
+    exit 2 and one printable stderr line; both ways answer alike."""
+    path.write_bytes(data)
+    outcomes = []
+    for extra, stdin in ((["--input", str(path)], b""), ([], data)):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")), \
+                warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")   # a numpy warning fails the case
+            code = cli.main(args + extra)
+        message = err.getvalue()
+        assert code in (0, 2), (code, message)
+        if code == 2:
+            assert message.startswith("cmla: ") and message.count("\n") == 1, message
+            assert message[:-1].isprintable(), message
+        outcomes.append((code, out.getvalue(), message.replace(str(path), "<stdin>")))
+    assert outcomes[0] == outcomes[1]
+
+
+@FUZZ
+@given(st.binary(max_size=200))
+def test_predict_input_raw_bytes(fuzz_dir, predict_model, data):
+    predict_both_ways(fuzz_dir / "raw_input.txt", predict_model, data)
+
+
+@FUZZ
+@given(st.lists(mutations(PREDICT_PIECES), min_size=1, max_size=4))
+def test_predict_input_mutated(fuzz_dir, predict_model, edits):
+    predict_both_ways(fuzz_dir / "mutated_input.txt", predict_model, mutate(VALID_PREDICT_INPUT, edits))
 
 
 # --- checkpoints -------------------------------------------------------------

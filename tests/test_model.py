@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
-from cmla.bio import ASPECT, B, I, O, OPINION, LabelSeq, Span
+from cmla.bio import ASPECT, O, OPINION
 from cmla.data import (DataFormatError, EmbeddingTable, OovPolicy, Sentence, SynthConfig,
                        generate_synthetic, tokenize)
 from cmla.gru import gru_run
@@ -62,9 +62,9 @@ def random_rows(d, n, seed=0):
     return constant(np.random.default_rng(seed).uniform(-1, 1, size=(n, d)))
 
 
-def random_gold(n, head, seed=0):
+def random_gold(n, seed=0):
     gen = np.random.default_rng(seed)
-    return LabelSeq([CLASS_ORDER[int(gen.integers(3))] for _ in range(n)], head)
+    return "".join(CLASS_ORDER[int(gen.integers(3))] for _ in range(n))
 
 
 # --- parameters -------------------------------------------------------------
@@ -210,8 +210,8 @@ def test_classify_gradcheck(n):
     gen = np.random.default_rng(50 + n)
     features = init_uniform((n, 6), -1, 1, gen)
     classifiers = [init_uniform((3, 3), -1, 1, gen) for _ in range(2)]
-    gold_a = random_gold(n, ASPECT, seed=n)
-    gold_p = random_gold(n, OPINION, seed=n + 1)
+    gold_a = random_gold(n, seed=n)
+    gold_p = random_gold(n, seed=n + 1)
 
     def f():
         block = block_diagonal(*(c.data for c in classifiers))   # rebuilt: grad_check moves the data
@@ -377,8 +377,8 @@ def test_forward_full_gradcheck_small():
     gen = np.random.default_rng(18)
     params = CmlaParams.init(dim=6, channels=3, rng=gen, init_scale=1.2)
     xs = [constant(gen.uniform(-1, 1, size=6)) for _ in range(4)]
-    ga = random_gold(4, ASPECT, seed=19)
-    gp = random_gold(4, OPINION, seed=20)
+    ga = random_gold(4, seed=19)
+    gp = random_gold(4, seed=20)
 
     def f():
         return loss(forward(xs, params)[0], ga, gp)
@@ -397,7 +397,7 @@ def test_forward_and_gradients_match_golden(case):
     params = CmlaParams.init(dim=5, channels=3, rng=case["seed"], layers=case["layers"],
                              init_scale=case["init_scale"])
     logits, scores = forward(np.array(case["inputs"]), params)
-    value = loss(logits, LabelSeq(case["gold_aspect"], ASPECT), LabelSeq(case["gold_opinion"], OPINION))
+    value = loss(logits, "".join(case["gold_aspect"]), "".join(case["gold_opinion"]))
     grads = backward(value)
     close = dict(rtol=0, atol=1e-12)
     np.testing.assert_allclose(value.item(), case["loss"], **close)
@@ -417,20 +417,18 @@ def test_forward_and_gradients_match_golden(case):
 def test_loss_uniform_logits_is_two_ln_three():
     n = 5
     logits = constant(np.zeros((n, 6)))
-    ga = LabelSeq([O] * n, ASPECT)
-    gp = LabelSeq([O] * n, OPINION)
-    val = loss(logits, ga, gp)
+    val = loss(logits, O * n, O * n)
     assert abs(val.item() - 2 * np.log(3)) < 1e-12
 
 
 def test_loss_perfect_logits_tends_to_zero():
     n = 3
-    gold = [B, I, O]
+    gold = "BIO"
     rows = np.full((n, 3), -50.0)
     for t, lab in enumerate(gold):
         rows[t, CLASS_INDEX[lab]] = 50.0
     strong = constant(np.hstack([rows, rows]))
-    val = loss(strong, LabelSeq(gold, ASPECT), LabelSeq(gold, OPINION))
+    val = loss(strong, gold, gold)
     assert val.item() < 1e-12
 
 
@@ -439,16 +437,16 @@ def test_loss_matches_direct_oracle():
     n = 4
     la = gen.normal(size=(n, 3))
     lp = gen.normal(size=(n, 3))
-    ga = random_gold(n, ASPECT, seed=23)
-    gp = random_gold(n, OPINION, seed=24)
+    ga = random_gold(n, seed=23)
+    gp = random_gold(n, seed=24)
     val = loss(constant(np.hstack([la, lp])), ga, gp)
 
     def head_nll(logits, gold):
         total = 0.0
-        for vec, lab in zip(logits, gold.labels):
+        for vec, lab in zip(logits, gold):
             p = np.exp(vec) / np.exp(vec).sum()
             total -= np.log(p[CLASS_INDEX[lab]])
-        return total / len(gold.labels)
+        return total / len(gold)
 
     expected = head_nll(la, ga) + head_nll(lp, gp)
     assert abs(val.item() - expected) < 1e-12
@@ -458,12 +456,12 @@ def test_loss_matches_direct_oracle():
 def test_loss_length_mismatch():
     logits = constant(np.zeros((1, 6)))
     with pytest.raises(ValueError):
-        loss(logits, LabelSeq([O, O], ASPECT), LabelSeq([O], OPINION))
+        loss(logits, "OO", O)
     with pytest.raises(ValueError):
-        loss(logits, LabelSeq([O], ASPECT), LabelSeq([O, O], OPINION))
+        loss(logits, O, "OO")
     for bad in (np.zeros(6), np.zeros((1, 3))):   # one head's block alone
         with pytest.raises(ValueError):
-            loss(constant(bad), LabelSeq([O], ASPECT), LabelSeq([O], OPINION))
+            loss(constant(bad), O, O)
 
 
 # --- training ---------------------------------------------------------------
@@ -805,7 +803,7 @@ def test_predict_spans_roundtrip_and_merged_shape(tiny_corpus):
         assert len(pred.merged) == n
         assert len(pred.token_scores) == n
         for spans_list, head in ((pred.aspect_spans, ASPECT), (pred.opinion_spans, OPINION)):
-            again = labels_to_spans(spans_to_labels(n, spans_list, head))
+            again = labels_to_spans(spans_to_labels(n, spans_list, head), head)
             assert again == spans_list
         assert abs(sum(ts.aspect_attention for ts in pred.token_scores) - 1.0) <= 1e-9
 

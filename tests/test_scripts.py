@@ -1,6 +1,8 @@
 """The scripts under scripts/, the modules and the README's Python example
-run to completion in a fresh interpreter."""
+run to completion in a fresh interpreter, and each module uses every name
+it imports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -39,6 +41,19 @@ def test_module_imports_on_its_own(args):
     # the package root imports no module, so each must import its own dependencies
     proc = run_python("-W", "error", *args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "cmla").glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
 
 
 def test_readme_python_example_prints_its_comment():
