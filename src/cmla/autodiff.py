@@ -50,6 +50,14 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
+def adopt(data: np.ndarray, requires_grad=False) -> Tensor:
+    """A Tensor over the float64 array `data` itself, where Tensor(data)
+    would copy it: for a fresh array that nothing else holds."""
+    t = Tensor(0.0, requires_grad)
+    t.data = data
+    return t
+
+
 def zeros(shape, requires_grad=False) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
@@ -65,7 +73,7 @@ def init_uniform(shape, lo: float, hi: float, rng) -> Tensor:
         raise ValueError(f"invalid shape {dims}: dimensions must be positive")
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"bad interval [{lo}, {hi}]: need lo < hi and a finite width")
-    return Tensor(np.random.default_rng(rng).uniform(lo, hi, size=dims), requires_grad=True)
+    return adopt(np.random.default_rng(rng).uniform(lo, hi, size=dims), requires_grad=True)
 
 
 def value(x) -> np.ndarray:

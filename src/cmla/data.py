@@ -7,6 +7,7 @@ accepts already-normalized text; there is no spell correction here.
 from __future__ import annotations
 
 import codecs
+import io
 import itertools
 import re
 import unicodedata
@@ -24,23 +25,33 @@ class DataFormatError(ValueError):
     """Malformed input file; message carries the offending line where known."""
 
 
+# the line ends of text mode (universal newlines)
+_LINE_END = re.compile(rb"\r\n|\r|\n")
+
+
 def decode_text(name, raw: bytes) -> str:
     """`raw` as UTF-8 text after one leading byte order mark; undecodable bytes
-    raise a DataFormatError naming `name` and the first line that holds them."""
+    raise a DataFormatError naming `name` and the first line that holds them,
+    counting lines as text mode does."""
     raw = raw.removeprefix(codecs.BOM_UTF8)
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
+        lineno = len(_LINE_END.findall(raw, 0, exc.start)) + 1
         raise DataFormatError(f"{name}: line {lineno}: not UTF-8 text ({exc.reason})") from None
 
 
 @contextmanager
 def open_text(path):
-    """Open `path` for reading as text by decode_text's rule."""
+    """Open `path` for reading as text by decode_text's rule, without reading
+    it whole. (The utf-8-sig codec would read a file holding only part of a
+    byte order mark as empty text.)"""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            yield fh
+        with open(path, "rb") as raw:
+            if raw.peek(len(codecs.BOM_UTF8)).startswith(codecs.BOM_UTF8):
+                raw.read(len(codecs.BOM_UTF8))
+            with io.TextIOWrapper(raw, encoding="utf-8") as fh:
+                yield fh
     except UnicodeDecodeError as exc:
         with open(path, "rb") as fh:
             decode_text(path, fh.read())   # raises, naming the line

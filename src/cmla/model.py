@@ -20,6 +20,9 @@ so `predict` runs the same ops on plain arrays, with no graph.
 from __future__ import annotations
 
 import json
+import math
+import os
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -27,7 +30,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import bio
-from .autodiff import Tensor, backward, constant, node, value
+from .autodiff import Tensor, adopt, backward, constant, node, value
 from .bio import ASPECT, OPINION, labels_to_spans, merge_heads
 from .data import DataFormatError, open_text
 from .gru import GRU_FIELDS, GruParams, gru_blocks, gru_run, init_tensor, rowwise, spans
@@ -484,6 +487,26 @@ def predict(sentence, table, params: CmlaParams) -> Prediction:
 CHECKPOINT_FORMAT = "cmla-checkpoint"
 CHECKPOINT_VERSION = 1
 
+# characters of checkpoint text read at a time when a checkpoint is loaded
+LOAD_SLICE = 1 << 16
+
+# the dimensions, as positive JSON integers, in the text before the first
+# tensor; _frame checks the rest of that text
+_HEAD = re.compile(r'\{"channels": ([1-9][0-9]*), "dim": ([1-9][0-9]*), "format": "[^"]*", "layers": ([1-9][0-9]*), ')
+
+
+def _frame(dim: int, channels: int, layers: int) -> tuple:
+    """The text of a checkpoint before its first tensor entry and after its last."""
+    header = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+              "dim": dim, "channels": channels, "layers": layers, "tensors": {}}
+    head, tail = json.dumps(header, sort_keys=True).split('"tensors": {}')
+    return head + '"tensors": {', "}" + tail + "\n"
+
+
+def _entry_head(name: str, shape) -> str:
+    """The text of a tensor entry before its values."""
+    return f'{json.dumps(name)}: {{"shape": {json.dumps(list(shape))}, "values": ['
+
 
 def save_checkpoint(path, params: CmlaParams):
     """Write parameters as sorted JSON.
@@ -495,56 +518,108 @@ def save_checkpoint(path, params: CmlaParams):
     payload, encoded SAVE_SLICE values at a time so that only one slice's
     floats and text are held in memory at once.
     """
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "dim": params.dim,
-        "channels": params.channels,
-        "layers": params.layers,
-        "tensors": {},
-    }
-    head, tail = json.dumps(header, sort_keys=True).split('"tensors": {}')
+    head, tail = _frame(params.dim, params.channels, params.layers)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + '"tensors": {')
+        fh.write(head)
         for i, (name, t) in enumerate(sorted(params.named_tensors().items())):
-            shape, values = json.dumps(t.data.shape), t.data.reshape(-1)
-            fh.write(f'{", " if i else ""}{json.dumps(name)}: {{"shape": {shape}, "values": [')
+            values = t.data.reshape(-1)
+            fh.write((", " if i else "") + _entry_head(name, t.data.shape))
             for at in range(0, values.size, SAVE_SLICE):
                 fh.write((", " if at else "") + json.dumps(values[at : at + SAVE_SLICE].tolist())[1:-1])
             fh.write("]}")
-        fh.write("}" + tail + "\n")
+        fh.write(tail)
 
 
-class JsonFloats(np.ndarray):
-    """A "values" list of JSON floats, read into an array as soon as it is
-    parsed. Its repr is the list's, so a message that quotes a malformed
-    header or shape holding one reads as if the list had been kept."""
+class _Slices:
+    """The text of an open file, read LOAD_SLICE characters at a time;
+    `text[at:]` is what has been read but not yet consumed."""
 
-    def __repr__(self):
-        return repr(self.tolist())
+    def __init__(self, fh):
+        self.fh, self.text, self.at = fh, "", 0
+
+    def more(self) -> bool:
+        """Read one more slice; False at the end of the file."""
+        chunk = self.fh.read(LOAD_SLICE)
+        self.text, self.at = self.text[self.at :] + chunk, 0
+        return bool(chunk)
+
+    def peek(self, n: int) -> str:
+        """The next n unconsumed characters, or all that are left."""
+        while len(self.text) - self.at < n and self.more():
+            pass
+        return self.text[self.at : self.at + n]
+
+    def take(self, expected: str) -> bool:
+        """Consume `expected` if the text goes on with it."""
+        if self.peek(len(expected)) != expected:
+            return False
+        self.at += len(expected)
+        return True
+
+    def floats(self, out: np.ndarray) -> bool:
+        """Fill the 1-D `out` from JSON floats up to and including the next "]":
+        True if they are exactly out.size finite floats. Each piece of text is
+        cut at its last ", " and parsed by json.loads, so every float is
+        converted as a whole-document parse converts it."""
+        filled = 0
+        while True:
+            end = self.text.find("]", self.at)
+            cut = end if end >= 0 else self.text.rfind(", ", self.at)
+            if cut < 0:
+                if not self.more():
+                    return False
+                continue
+            try:
+                items = json.loads("[" + self.text[self.at : cut] + "]")
+            except (ValueError, RecursionError):
+                return False
+            if not items or set(map(type, items)) != {float} or filled + len(items) > out.size:
+                return False
+            out[filled : filled + len(items)] = items
+            filled += len(items)
+            if end >= 0:
+                self.at = end + 1
+                return filled == out.size and bool(np.isfinite(out).all())
+            self.at = cut + 2
+
+    def checkpoint(self):
+        """(layers, {name: array}) if the text is a checkpoint in exactly the
+        layout save_checkpoint writes, else None."""
+        m = _HEAD.match(self.peek(256))
+        if not m:
+            return None
+        channels, dim, layers = map(int, m.groups())
+        head, tail = _frame(dim, channels, layers)
+        shapes = sorted(CmlaParams.shapes(dim, channels).items())
+        # a JSON float takes three characters at least, so the header cannot
+        # make the arrays larger than the file could fill
+        size = os.fstat(self.fh.fileno()).st_size
+        if 3 * sum(math.prod(shape) for _, shape in shapes) > size or not self.take(head):
+            return None
+        arrays = {}
+        for i, (name, shape) in enumerate(shapes):
+            arrays[name] = out = np.empty(shape)
+            if not (self.take((", " if i else "") + _entry_head(name, shape))
+                    and self.floats(out.reshape(-1)) and self.take("}")):
+                return None
+        return (layers, arrays) if self.take(tail) and not self.peek(1) else None
 
 
-def _values_to_array(obj: dict) -> dict:
-    """json object_hook: an object's "values" list of JSON floats becomes a
-    JsonFloats array, so one tensor's Python floats exist at a time."""
-    raw = obj.get("values")
-    if type(raw) is list and set(map(type, raw)) <= {float}:
-        obj["values"] = np.array(raw, dtype=np.float64).view(JsonFloats)
-    return obj
+def _read_own_layout(fh):
+    """_Slices.checkpoint of a seekable `fh`, holding one slice of its text
+    and floats at a time; None, with `fh` back where it was, for any other text."""
+    if not fh.seekable():
+        return None
+    start = fh.tell()
+    loaded = _Slices(fh).checkpoint()
+    if loaded is None:
+        fh.seek(start)
+    return loaded
 
 
-def load_checkpoint(path) -> CmlaParams:
-    """Read a checkpoint back; every stored tensor is checked against the
-    shape its header implies before the parameters are built from them.
-    Each tensor's floats become an array while the text is parsed, so the
-    load holds the text plus one tensor's Python floats at a time."""
-    try:
-        with open_text(path) as fh:
-            payload = json.load(fh, object_hook=_values_to_array)
-    except DataFormatError:
-        raise
-    except (ValueError, RecursionError) as exc:   # ValueError: also a too-long integer
-        raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
+def _check_payload(path, payload) -> tuple:
+    """(layers, {name: array}) from a whole parsed checkpoint; every stored
+    tensor is checked against the shape its header implies."""
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     # JSON integers only: true, 2.0 or "2" are not silently converted
@@ -564,7 +639,7 @@ def load_checkpoint(path) -> CmlaParams:
     extra = sorted(set(stored) - set(shapes))
     if missing or extra:
         raise DataFormatError(f"{path}: tensor names mismatch (missing {missing}, extra {extra})")
-    tensors = {}
+    arrays = {}
     for name, shape in shapes.items():
         entry = stored[name]
         if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
@@ -574,14 +649,35 @@ def load_checkpoint(path) -> CmlaParams:
         dims, raw = entry["shape"], entry["values"]
         if not isinstance(dims, list) or any(type(d) is not int for d in dims) or dims != list(shape):
             raise DataFormatError(f"{path}: tensor {name} has shape {dims!r}, expected {list(shape)}")
-        # a list of numbers here holds ints: the hook made every list of floats an array
-        values = np.array(raw) if isinstance(raw, list) and set(map(type, raw)) <= {int, float} else raw
-        if not isinstance(values, np.ndarray) or values.dtype.kind not in "if" or not np.isfinite(values).all():
+        values = np.array(raw) if isinstance(raw, list) and set(map(type, raw)) <= {int, float} else None
+        if values is None or values.dtype.kind not in "if" or not np.isfinite(values).all():
             raise DataFormatError(f"{path}: tensor {name} values are not a list of finite numbers")
         if values.size != np.prod(shape):
             raise DataFormatError(f"{path}: tensor {name} has {values.size} values")
-        # the parsed array becomes the tensor's data: copies would sit in the heap
-        # above the freed parsed arrays and keep their space resident
-        tensors[name] = tensor = Tensor(0.0, requires_grad=True)
-        tensor.data = np.asarray(values, dtype=np.float64).reshape(shape)
-    return CmlaParams.from_named(tensors, layers)
+        arrays[name] = np.asarray(values, dtype=np.float64).reshape(shape)
+    return layers, arrays
+
+
+def load_checkpoint(path) -> CmlaParams:
+    """Read a checkpoint back.
+
+    A file in exactly the layout save_checkpoint writes is read a slice at
+    a time, straight into the tensors' arrays, so the load holds the
+    arrays plus one slice of text and of Python floats. Any other file
+    (hand-edited, or re-serialised by another JSON writer) is parsed whole,
+    holding its text and every value's Python float, and every stored
+    tensor is checked against the shape its header implies.
+    """
+    try:
+        with open_text(path) as fh:
+            loaded = _read_own_layout(fh)
+            payload = None if loaded else json.load(fh)
+    except DataFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:   # ValueError: also a too-long integer
+        raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
+    layers, arrays = loaded or _check_payload(path, payload)
+    # the arrays become the tensors' data: copies would sit in the heap above
+    # the freed arrays and keep their space resident
+    return CmlaParams.from_named({name: adopt(values, requires_grad=True) for name, values in arrays.items()},
+                                 layers)

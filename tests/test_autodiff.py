@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +38,21 @@ def test_init_uniform_range_and_determinism():
     assert np.all(a.data >= -0.2) and np.all(a.data <= 0.2)
     assert np.array_equal(a.data, b.data)
     assert a.requires_grad
+
+
+def test_init_uniform_keeps_the_drawn_array():
+    # the draw becomes the tensor's data: a copy doubled the peak, and every
+    # CmlaParams.init copied its 7 MB of dim-100, 20-channel maps
+    shape = (40, 100, 100)
+    tracemalloc.start()
+    try:
+        t = init_uniform(shape, -0.2, 0.2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * t.data.nbytes
+    assert t.data.flags.owndata and t.data.dtype == np.float64
+    assert np.array_equal(t.data, np.random.default_rng(3).uniform(-0.2, 0.2, size=shape))
 
 
 def test_init_uniform_rejects_bad_shapes_and_intervals():

@@ -22,6 +22,7 @@ from cmla.data import (
     SynthConfig,
     align_spans,
     annotate_opinions,
+    decode_text,
     generate_synthetic,
     load_embeddings,
     load_lexicon,
@@ -33,6 +34,7 @@ from cmla.data import (
     tokenize,
     write_semeval_xml,
 )
+from cmla.model import load_checkpoint
 
 REVIEW_XML = """<?xml version="1.0" encoding="utf-8"?>
 <Reviews>
@@ -585,6 +587,39 @@ def test_leading_bom_is_dropped(tmp_path):
     marked.write_bytes(codecs.BOM_UTF8 + b"prima\nw\xe9\n")
     with pytest.raises(DataFormatError, match=re.escape(f"{marked}: line 2: not UTF-8")):
         load_lexicon(marked)
+
+
+@pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"], ids=["1-of-3", "2-of-3"])
+@pytest.mark.parametrize("loader", [load_lexicon, load_embeddings, load_checkpoint])
+def test_part_of_a_bom_is_not_empty_text(tmp_path, loader, data):
+    # the utf-8-sig codec reads these files as empty text; decode_text rejects the bytes
+    path = tmp_path / "cut.txt"
+    path.write_bytes(data)
+    message = f"{path}: line 1: not UTF-8 text (unexpected end of data)"
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+        loader(path)
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message.replace(str(path), '<stdin>'))}$"):
+        decode_text("<stdin>", data)
+
+
+@pytest.mark.parametrize(
+    "raw, line",
+    [(b"goede\nprima\n\xff\n", 3), (b"goede\rprima\r\xff\n", 3), (b"goede\r\nprima\r\n\xff\r\n", 3),
+     (b"goede\r\nprima\rmooie\n\n\xff", 5)],
+    ids=["LF", "CR", "CRLF", "mixed"],
+)
+def test_undecodable_line_counts_line_ends_as_text_mode_does(tmp_path, raw, line):
+    path = tmp_path / "lex.txt"
+    path.write_bytes(raw)
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: line {line}: not UTF-8 text")):
+        load_lexicon(path)
+    with pytest.raises(DataFormatError, match=re.escape(f"<stdin>: line {line}: not UTF-8 text")):
+        decode_text("<stdin>", raw)
+    # text mode puts the bad byte on the same line
+    good = tmp_path / "good.txt"
+    good.write_bytes(raw.replace(b"\xff", b"slecht"))
+    with open_text(good) as fh:
+        assert [text.rstrip("\r\n") for text in fh][line - 1] == "slecht"
 
 
 def test_annotate_opinions_figure_sentence():

@@ -14,6 +14,7 @@ import json
 import re
 import unicodedata
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cmla import cli
+from cmla import cli, model
 from cmla.bio import ASPECT, spans_to_labels
 from cmla.autodiff import Tensor
 from cmla.data import (
@@ -278,7 +279,8 @@ def predict_model(fuzz_dir):
 
 def predict_both_ways(path, args, data: bytes):
     """`cmla predict` on `data` as --input and as standard input: exit 0, or
-    exit 2 and one printable stderr line; both ways answer alike."""
+    exit 2 and one printable stderr line; both ways answer alike, and that
+    answer is returned as (code, stdout, stderr naming the file <stdin>)."""
     path.write_bytes(data)
     outcomes = []
     for extra, stdin in ((["--input", str(path)], b""), ([], data)):
@@ -294,12 +296,20 @@ def predict_both_ways(path, args, data: bytes):
             assert message[:-1].isprintable(), message
         outcomes.append((code, out.getvalue(), message.replace(str(path), "<stdin>")))
     assert outcomes[0] == outcomes[1]
+    return outcomes[0]
 
 
 @FUZZ
 @given(st.binary(max_size=200))
 def test_predict_input_raw_bytes(fuzz_dir, predict_model, data):
     predict_both_ways(fuzz_dir / "raw_input.txt", predict_model, data)
+
+
+@pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"], ids=["1-of-3", "2-of-3"])
+def test_predict_input_part_of_a_bom_is_rejected(fuzz_dir, predict_model, data):
+    # the utf-8-sig codec read such a file as empty text: exit 0, "no sentences on input"
+    assert predict_both_ways(fuzz_dir / "cut_bom.txt", predict_model, data) == \
+        (2, "", "cmla: <stdin>: line 1: not UTF-8 text (unexpected end of data)\n")
 
 
 @FUZZ
@@ -346,7 +356,8 @@ def mangled_checkpoint(draw, payload):
             entry["values"].insert(draw(st.integers(0, len(entry["values"]))), draw(json_value))
         else:
             tensors[name] = draw(json_value)
-    text = json.dumps(payload, ensure_ascii=draw(st.booleans()))
+    # with the newline, an unmangled payload is in save_checkpoint's own layout
+    text = json.dumps(payload, ensure_ascii=draw(st.booleans())) + draw(st.sampled_from(("\n", "")))
     encoding = draw(st.sampled_from(("utf-8", "utf-8-sig", "utf-16", "latin-1")))
     data = text.encode(encoding, errors="replace")
     return mutate(data, draw(st.lists(mutation, max_size=2)))
@@ -368,8 +379,9 @@ def test_load_checkpoint_mangled(fuzz_dir, valid_payload, data):
 
 
 def reference_load_checkpoint(path) -> CmlaParams:
-    """load_checkpoint as it was before the values were read into arrays during
-    the parse: every tensor's Python floats alive until the whole text is parsed."""
+    """load_checkpoint as a whole-document parse: the text and every tensor's
+    Python floats alive until the whole text is parsed. load_checkpoint falls
+    back to it for every file that is not in save_checkpoint's own layout."""
     try:
         with open_text(path) as fh:
             payload = json.load(fh)
@@ -427,7 +439,65 @@ def load_outcome(loader, path):
 def test_load_checkpoint_matches_reference_loader(fuzz_dir, valid_payload, data):
     path = fuzz_dir / "parity.json"
     path.write_bytes(data.draw(mangled_checkpoint(valid_payload)))
-    assert load_outcome(load_checkpoint, path) == load_outcome(reference_load_checkpoint, path)
+    # short slices put slice ends inside the header, the names and the values
+    with mock.patch.object(model, "LOAD_SLICE", data.draw(st.sampled_from((model.LOAD_SLICE, 1, 7, 40)))):
+        assert load_outcome(load_checkpoint, path) == load_outcome(reference_load_checkpoint, path)
+
+
+def read_own_layout(path):
+    """What the slice reader makes of `path`, and whether it left the file where it found it."""
+    with open_text(path) as fh:
+        start = fh.tell()
+        result = model._read_own_layout(fh)
+        return result, fh.tell() == start
+
+
+CHECKPOINT_V1 = Path(__file__).parent / "checkpoint_v1.json"
+
+
+@pytest.mark.parametrize("source", ["dim-2", "dim-5", "checkpoint_v1"])
+def test_own_layout_loads_alike_at_every_slice_size(tmp_path, monkeypatch, source):
+    path = CHECKPOINT_V1
+    if source != "checkpoint_v1":
+        dim, channels, layers = (2, 1, 1) if source == "dim-2" else (5, 3, 2)
+        params = CmlaParams.init(dim=dim, channels=channels, rng=dim, layers=layers)
+        # the shortest and longest float reprs, and a negative zero
+        params.aspect.comp.data.flat[:4] = [-0.0, 5e-324, -2.2250738585072014e-308, 1e300]
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params)
+    layers, tensors = expected = load_outcome(reference_load_checkpoint, path)
+    for size in range(1, 41):
+        monkeypatch.setattr(model, "LOAD_SLICE", size)
+        (read_layers, arrays), _ = read_own_layout(path)
+        assert read_layers == layers
+        assert sorted((name, a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()) == sorted(tensors)
+        assert load_outcome(load_checkpoint, path) == expected
+
+
+@pytest.mark.parametrize(
+    "case, first",
+    [("integer", 1), ("nan", float("nan")), ("nested list", [0.5]), ("string holding ]", "0.5]"),
+     ("whitespace between entries", None), ("trailing data", None), ("missing tail", None),
+     ("bom then whitespace", None)],
+)
+def test_departures_from_own_layout_are_parsed_whole(fuzz_dir, valid_payload, case, first):
+    payload = json.loads(json.dumps(valid_payload))
+    if first is not None:
+        payload["tensors"]["aspect.prototype"]["values"][0] = first
+    text = json.dumps(payload, sort_keys=True) + "\n"   # save_checkpoint's layout
+    text = {
+        "whitespace between entries": text.replace("]}, ", "]},  ", 1),
+        "trailing data": text + "{}",
+        "missing tail": text[: text.rindex("}}")],
+        "bom then whitespace": "\ufeff" + text.replace("]}, ", "]},\n", 1),
+    }.get(case, text)
+    path = fuzz_dir / "departure.json"
+    path.write_text(text, encoding="utf-8")
+    assert read_own_layout(path) == (None, True)
+    outcome = load_outcome(load_checkpoint, path)
+    assert outcome == load_outcome(reference_load_checkpoint, path)
+    # an integer and extra whitespace are valid JSON; the fallback starts after the BOM
+    assert isinstance(outcome, tuple) == (case in ("integer", "whitespace between entries", "bom then whitespace"))
 
 
 @pytest.mark.parametrize(
@@ -436,7 +506,7 @@ def test_load_checkpoint_matches_reference_loader(fuzz_dir, valid_payload, data)
      ("layers", [{"values": [1, 0.5]}]), ("shape", {"shape": [2], "values": [2.0]})],
 )
 def test_messages_quote_values_lists_as_written(fuzz_dir, valid_payload, key, value):
-    # a "values" list of floats is an array once parsed; a message quoting it shows the list
+    # a message that quotes a header value or shape holding a "values" list shows it as written
     payload = json.loads(json.dumps(valid_payload))
     if key == "shape":
         payload["tensors"]["aspect.prototype"]["shape"] = value

@@ -1,3 +1,4 @@
+import codecs
 import copy
 import json
 import re
@@ -14,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
 from cmla.bio import ASPECT, O, OPINION
 from cmla.data import (DataFormatError, EmbeddingTable, OovPolicy, Sentence, SynthConfig,
-                       generate_synthetic, tokenize)
+                       generate_synthetic, open_text, tokenize)
 from cmla.gru import gru_run
 from cmla.model import (
     CLASS_INDEX,
@@ -25,6 +26,7 @@ from cmla.model import (
     TrainConfig,
     UPDATE_ROWS,
     TrainingDiverged,
+    _read_own_layout,
     attend,
     attention_layer,
     block_diagonal,
@@ -1003,8 +1005,10 @@ def traced_peak(fn, *args):
 
 def test_checkpoint_save_and_load_hold_little_beyond_the_text(tmp_path):
     # dim 60, 10 channels: a 3.76 MB file. Saving a slice at a time holds about
-    # 0.16x the file; loading holds the text (bytes and str) plus one tensor's
-    # floats, about 2.0x. Keeping every tensor's floats took 1.34x and 2.52x.
+    # 0.16x the file. Loading it in save_checkpoint's own layout holds the arrays
+    # plus one slice of text and floats; a whole-document parse that turned each
+    # tensor's floats into an array as it went held about 2.0x. Keeping every
+    # tensor's floats took 1.34x and 2.52x.
     params = CmlaParams.init(dim=60, channels=10, rng=48)
     path = tmp_path / "model.json"
     save_peak = traced_peak(save_checkpoint, path, params)
@@ -1012,6 +1016,30 @@ def test_checkpoint_save_and_load_hold_little_beyond_the_text(tmp_path):
     load_peak = traced_peak(load_checkpoint, path)
     assert save_peak < 0.5 * size
     assert load_peak < 2.25 * size
+
+
+def test_checkpoint_load_holds_less_than_half_the_file(tmp_path):
+    # dim 60, 20 channels: a 7.0 MB file whose arrays take 2.6 MB. Read a slice
+    # at a time, the load peaks at about 0.44x the file; a whole-document parse
+    # that turned each tensor's floats into an array as it went took about 2.0x
+    params = CmlaParams.init(dim=60, channels=20, rng=49)
+    path = tmp_path / "model.json"
+    save_checkpoint(path, params)
+    assert traced_peak(load_checkpoint, path) < 0.5 * path.stat().st_size
+
+
+def test_checkpoint_with_bom_loads_through_the_slice_reader(tmp_path):
+    params = CmlaParams.init(dim=3, channels=2, rng=50, layers=3)
+    path, marked = tmp_path / "model.json", tmp_path / "marked.json"
+    save_checkpoint(path, params)
+    marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    with open_text(marked) as fh:
+        layers, arrays = _read_own_layout(fh)
+    assert layers == 3
+    assert {name: a.tobytes() for name, a in arrays.items()} == \
+        {name: t.data.tobytes() for name, t in params.named_tensors().items()}
+    loaded = load_checkpoint(marked)
+    assert loaded.layers == 3 and loaded.flat.tobytes() == params.flat.tobytes()
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
