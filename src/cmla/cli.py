@@ -60,51 +60,51 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# dest -> (converter, default, required, help); None default + required means
-# the option must come from a flag or the config file
+# dest -> (converter, default, help); a None default means the option must
+# come from a flag or the config file
 _SCHEMAS = {
     "synth": {
-        "out": (str, None, True, "directory for corpus.xml, embeddings.txt, lexicon.txt"),
-        "sentences": (int, 20, False, "corpus size"),
-        "seed": (int, 42, False, "generator seed"),
-        "dim": (int, 12, False, "embedding dimension"),
+        "out": (str, None, "directory for corpus.xml, embeddings.txt, lexicon.txt"),
+        "sentences": (int, 20, "corpus size"),
+        "seed": (int, 42, "generator seed"),
+        "dim": (int, 12, "embedding dimension"),
     },
     "train": {
-        "data": (str, None, True, "review XML file"),
-        "embeddings": (str, None, True, "embedding text file"),
-        "lexicon": (str, None, True, "opinion word list, one per line"),
-        "out": (str, None, True, "directory for checkpoint.json and loss_trace.txt"),
-        "channels": (int, 20, False, "composition channels per head"),
-        "layers": (int, 2, False, "attention layers"),
-        "lr": (float, 0.07, False, "SGD learning rate"),
-        "epochs": (int, 100, False, "training epochs"),
-        "clip": (float, 5.0, False, "global gradient-norm clip threshold"),
-        "seed": (int, 0, False, "seed for parameter init and epoch shuffling"),
-        "init_scale": (float, 0.2, False, "uniform init half-width for weights"),
-        "exclude_source": (str, "", False, "drop sentences whose id contains this substring"),
-        "oov": (str, "zero_vector", False, "OOV policy: zero_vector or hash_bucket"),
-        "buckets": (int, 100, False, "bucket count for the hash_bucket policy"),
+        "data": (str, None, "review XML file"),
+        "embeddings": (str, None, "embedding text file"),
+        "lexicon": (str, None, "opinion word list, one per line"),
+        "out": (str, None, "directory for checkpoint.json and loss_trace.txt"),
+        "channels": (int, 20, "composition channels per head"),
+        "layers": (int, 2, "attention layers"),
+        "lr": (float, 0.07, "SGD learning rate"),
+        "epochs": (int, 100, "training epochs"),
+        "clip": (float, 5.0, "global gradient-norm clip threshold"),
+        "seed": (int, 0, "seed for parameter init and epoch shuffling"),
+        "init_scale": (float, 0.2, "uniform init half-width for weights"),
+        "exclude_source": (str, "", "drop sentences whose id contains this substring"),
+        "oov": (str, "zero_vector", "OOV policy: zero_vector or hash_bucket"),
+        "buckets": (int, 100, "bucket count for the hash_bucket policy"),
     },
     "eval": {
-        "data": (str, None, True, "review XML file with gold annotations"),
-        "embeddings": (str, None, True, "embedding text file"),
-        "lexicon": (str, None, True, "opinion word list"),
-        "checkpoint": (str, None, True, "trained checkpoint.json"),
-        "out": (str, "", False, "also write the metrics as TSV to this file"),
-        "exclude_source": (str, "", False, "drop sentences whose id contains this substring"),
-        "oov": (str, "zero_vector", False, "OOV policy: zero_vector or hash_bucket"),
-        "buckets": (int, 100, False, "bucket count for the hash_bucket policy"),
+        "data": (str, None, "review XML file with gold annotations"),
+        "embeddings": (str, None, "embedding text file"),
+        "lexicon": (str, None, "opinion word list"),
+        "checkpoint": (str, None, "trained checkpoint.json"),
+        "out": (str, "", "also write the metrics as TSV to this file"),
+        "exclude_source": (str, "", "drop sentences whose id contains this substring"),
+        "oov": (str, "zero_vector", "OOV policy: zero_vector or hash_bucket"),
+        "buckets": (int, 100, "bucket count for the hash_bucket policy"),
     },
     "predict": {
-        "checkpoint": (str, None, True, "trained checkpoint.json"),
-        "embeddings": (str, None, True, "embedding text file"),
-        "input": (str, "", False, "sentence file, one per line (default: stdin)"),
-        "oov": (str, "zero_vector", False, "OOV policy: zero_vector or hash_bucket"),
-        "buckets": (int, 100, False, "bucket count for the hash_bucket policy"),
+        "checkpoint": (str, None, "trained checkpoint.json"),
+        "embeddings": (str, None, "embedding text file"),
+        "input": (str, "", "sentence file, one per line (default: stdin)"),
+        "oov": (str, "zero_vector", "OOV policy: zero_vector or hash_bucket"),
+        "buckets": (int, 100, "bucket count for the hash_bucket policy"),
     },
     "inspect": {
-        "embeddings": (str, None, True, "embedding text file"),
-        "top": (int, 5, False, "neighbors per query word"),
+        "embeddings": (str, None, "embedding text file"),
+        "top": (int, 5, "neighbors per query word"),
     },
 }
 
@@ -129,7 +129,7 @@ def _build_parser() -> _Parser:
     for command, schema in _SCHEMAS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="flat key=value option file")
-        for dest, (conv, _default, _required, help_text) in schema.items():
+        for dest, (conv, _default, help_text) in schema.items():
             p.add_argument(
                 "--" + dest.replace("_", "-"),
                 dest=dest, type=conv, default=None, help=help_text,
@@ -168,10 +168,10 @@ def _merge_options(args, schema) -> dict:
     file_values = _read_config_file(args.config, schema) if args.config else {}
     merged = {}
     missing = []
-    for dest, (_conv, default, required, _help) in schema.items():
+    for dest, (_conv, default, _help) in schema.items():
         flag = getattr(args, dest)
         value = flag if flag is not None else file_values.get(dest, default)
-        if value is None and required:
+        if value is None:
             missing.append("--" + dest.replace("_", "-"))
         merged[dest] = value
     if missing:

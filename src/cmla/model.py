@@ -487,12 +487,12 @@ def predict(sentence, table, params: CmlaParams) -> Prediction:
 CHECKPOINT_FORMAT = "cmla-checkpoint"
 CHECKPOINT_VERSION = 1
 
-# characters of checkpoint text read at a time when a checkpoint is loaded
+# bytes of checkpoint text read at a time when a checkpoint is loaded
 LOAD_SLICE = 1 << 16
 
 # the dimensions, as positive JSON integers, in the text before the first
 # tensor; _frame checks the rest of that text
-_HEAD = re.compile(r'\{"channels": ([1-9][0-9]*), "dim": ([1-9][0-9]*), "format": "[^"]*", "layers": ([1-9][0-9]*), ')
+_HEAD = re.compile(rb'\{"channels": ([1-9][0-9]*), "dim": ([1-9][0-9]*), "format": "[^"]*", "layers": ([1-9][0-9]*), ')
 
 
 def _frame(dim: int, channels: int, layers: int) -> tuple:
@@ -530,62 +530,48 @@ def save_checkpoint(path, params: CmlaParams):
         fh.write(tail)
 
 
-class _Slices:
-    """The text of an open file, read LOAD_SLICE characters at a time;
-    `text[at:]` is what has been read but not yet consumed."""
+def _read_own_layout(fh):
+    """(layers, {name: array}) if the rest of a seekable `fh` that has decoded
+    no text is a checkpoint in exactly save_checkpoint's layout, else None,
+    with `fh` back where it was. The layout is ASCII: the bytes under `fh` are
+    read LOAD_SLICE at a time, and the file's position is the only cursor."""
+    if not fh.seekable():
+        return None
+    start, raw = fh.tell(), fh.buffer
 
-    def __init__(self, fh):
-        self.fh, self.text, self.at = fh, "", 0
+    def take(expected: str) -> bool:
+        return raw.read(len(expected)) == expected.encode()
 
-    def more(self) -> bool:
-        """Read one more slice; False at the end of the file."""
-        chunk = self.fh.read(LOAD_SLICE)
-        self.text, self.at = self.text[self.at :] + chunk, 0
-        return bool(chunk)
-
-    def peek(self, n: int) -> str:
-        """The next n unconsumed characters, or all that are left."""
-        while len(self.text) - self.at < n and self.more():
-            pass
-        return self.text[self.at : self.at + n]
-
-    def take(self, expected: str) -> bool:
-        """Consume `expected` if the text goes on with it."""
-        if self.peek(len(expected)) != expected:
-            return False
-        self.at += len(expected)
-        return True
-
-    def floats(self, out: np.ndarray) -> bool:
+    def floats(out: np.ndarray) -> bool:
         """Fill the 1-D `out` from JSON floats up to and including the next "]":
-        True if they are exactly out.size finite floats. Each piece of text is
+        True if they are exactly out.size finite floats. Each piece of bytes is
         cut at its last ", " and parsed by json.loads, so every float is
         converted as a whole-document parse converts it."""
         filled = 0
         while True:
-            end = self.text.find("]", self.at)
-            cut = end if end >= 0 else self.text.rfind(", ", self.at)
-            if cut < 0:
-                if not self.more():
+            piece = raw.read(LOAD_SLICE)
+            while b"]" not in piece and b", " not in piece:
+                more = raw.read(LOAD_SLICE)
+                if not more:
                     return False
-                continue
+                piece += more
+            end = piece.find(b"]")
+            cut = end if end >= 0 else piece.rfind(b", ")
             try:
-                items = json.loads("[" + self.text[self.at : cut] + "]")
-            except (ValueError, RecursionError):
+                items = json.loads("[" + piece[:cut].decode() + "]")
+            except (ValueError, RecursionError):   # ValueError: also undecodable bytes
                 return False
             if not items or set(map(type, items)) != {float} or filled + len(items) > out.size:
                 return False
             out[filled : filled + len(items)] = items
             filled += len(items)
+            raw.seek(cut + (1 if end >= 0 else 2) - len(piece), 1)
             if end >= 0:
-                self.at = end + 1
                 return filled == out.size and bool(np.isfinite(out).all())
-            self.at = cut + 2
 
-    def checkpoint(self):
-        """(layers, {name: array}) if the text is a checkpoint in exactly the
-        layout save_checkpoint writes, else None."""
-        m = _HEAD.match(self.peek(256))
+    def checkpoint():
+        m = _HEAD.match(raw.read(256))
+        raw.seek(start)
         if not m:
             return None
         channels, dim, layers = map(int, m.groups())
@@ -593,25 +579,18 @@ class _Slices:
         shapes = sorted(CmlaParams.shapes(dim, channels).items())
         # a JSON float takes three characters at least, so the header cannot
         # make the arrays larger than the file could fill
-        size = os.fstat(self.fh.fileno()).st_size
-        if 3 * sum(math.prod(shape) for _, shape in shapes) > size or not self.take(head):
+        size = os.fstat(fh.fileno()).st_size
+        if 3 * sum(math.prod(shape) for _, shape in shapes) > size or not take(head):
             return None
         arrays = {}
         for i, (name, shape) in enumerate(shapes):
             arrays[name] = out = np.empty(shape)
-            if not (self.take((", " if i else "") + _entry_head(name, shape))
-                    and self.floats(out.reshape(-1)) and self.take("}")):
+            if not (take((", " if i else "") + _entry_head(name, shape))
+                    and floats(out.reshape(-1)) and take("}")):
                 return None
-        return (layers, arrays) if self.take(tail) and not self.peek(1) else None
+        return (layers, arrays) if take(tail) and not raw.read(1) else None
 
-
-def _read_own_layout(fh):
-    """_Slices.checkpoint of a seekable `fh`, holding one slice of its text
-    and floats at a time; None, with `fh` back where it was, for any other text."""
-    if not fh.seekable():
-        return None
-    start = fh.tell()
-    loaded = _Slices(fh).checkpoint()
+    loaded = checkpoint()
     if loaded is None:
         fh.seek(start)
     return loaded
@@ -661,12 +640,12 @@ def _check_payload(path, payload) -> tuple:
 def load_checkpoint(path) -> CmlaParams:
     """Read a checkpoint back.
 
-    A file in exactly the layout save_checkpoint writes is read a slice at
-    a time, straight into the tensors' arrays, so the load holds the
-    arrays plus one slice of text and of Python floats. Any other file
-    (hand-edited, or re-serialised by another JSON writer) is parsed whole,
-    holding its text and every value's Python float, and every stored
-    tensor is checked against the shape its header implies.
+    A file in exactly the layout save_checkpoint writes is read from its
+    bytes, 64 KiB at a time, straight into the tensors' arrays, so the
+    load holds the arrays plus one slice of bytes and of Python floats.
+    Any other file (hand-edited, or re-serialised by another JSON writer)
+    is parsed whole, holding its text and every value's Python float, and
+    every stored tensor is checked against the shape its header implies.
     """
     try:
         with open_text(path) as fh:

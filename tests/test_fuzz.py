@@ -474,30 +474,70 @@ def test_own_layout_loads_alike_at_every_slice_size(tmp_path, monkeypatch, sourc
         assert load_outcome(load_checkpoint, path) == expected
 
 
+# drawn finite floats: subnormals, a negative zero and 17-digit reprs among them
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (-0.0, 5e-324, -2.225073858507201e-308, 0.30000000000000004, -1.7976931348623157e308))
+# textual edits to one value: other spellings of a JSON number, non-finite
+# numbers and leading whitespace, none of them a float's repr
+VALUE_EDITS = ("1", "1.50", "1E5", "-0", "NaN", " 0.5", "1e400")
+
+
+@FUZZ
+@given(st.data())
+def test_own_layout_checkpoint_matches_reference_loader(fuzz_dir, data):
+    params = CmlaParams.init(dim=data.draw(st.integers(2, 5)), channels=data.draw(st.integers(1, 3)),
+                             rng=0, layers=data.draw(st.integers(1, 3)))
+    pool = data.draw(st.lists(FINITE, min_size=1, max_size=12))
+    for t in params.named_tensors().values():
+        t.data[...] = np.resize(pool, t.data.shape)
+    path = fuzz_dir / "own.json"
+    save_checkpoint(path, params)
+    edit = data.draw(st.none() | st.sampled_from(VALUE_EDITS))
+    if edit is not None:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        values = payload["tensors"][data.draw(st.sampled_from(sorted(payload["tensors"])))]["values"]
+        values[data.draw(st.integers(0, len(values) - 1))] = "EDIT"
+        path.write_text(json.dumps(payload, sort_keys=True).replace('"EDIT"', edit) + "\n", encoding="utf-8")
+    with mock.patch.object(model, "LOAD_SLICE", data.draw(st.sampled_from((model.LOAD_SLICE, 1, 7, 40)))):
+        assert load_outcome(load_checkpoint, path) == load_outcome(reference_load_checkpoint, path)
+        if edit is None:
+            (layers, arrays), _ = read_own_layout(path)
+            assert layers == params.layers
+            assert {name: a.tobytes() for name, a in arrays.items()} == \
+                {name: t.data.tobytes() for name, t in params.named_tensors().items()}
+
+
 @pytest.mark.parametrize(
     "case, first",
     [("integer", 1), ("nan", float("nan")), ("nested list", [0.5]), ("string holding ]", "0.5]"),
      ("whitespace between entries", None), ("trailing data", None), ("missing tail", None),
-     ("bom then whitespace", None)],
+     ("bom then whitespace", None), ("crlf tail", None), ("non-utf-8 byte in values", None)],
 )
 def test_departures_from_own_layout_are_parsed_whole(fuzz_dir, valid_payload, case, first):
     payload = json.loads(json.dumps(valid_payload))
     if first is not None:
         payload["tensors"]["aspect.prototype"]["values"][0] = first
     text = json.dumps(payload, sort_keys=True) + "\n"   # save_checkpoint's layout
-    text = {
+    data = {
         "whitespace between entries": text.replace("]}, ", "]},  ", 1),
         "trailing data": text + "{}",
         "missing tail": text[: text.rindex("}}")],
         "bom then whitespace": "\ufeff" + text.replace("]}, ", "]},\n", 1),
-    }.get(case, text)
+        "crlf tail": text[:-1] + "\r\n",
+    }.get(case, text).encode("utf-8")
+    if case == "non-utf-8 byte in values":
+        data = data.replace(b'"values": [', b'"values": [\xff', 1)
     path = fuzz_dir / "departure.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     assert read_own_layout(path) == (None, True)
     outcome = load_outcome(load_checkpoint, path)
     assert outcome == load_outcome(reference_load_checkpoint, path)
-    # an integer and extra whitespace are valid JSON; the fallback starts after the BOM
-    assert isinstance(outcome, tuple) == (case in ("integer", "whitespace between entries", "bom then whitespace"))
+    # an integer, extra whitespace and a \r\n tail are valid JSON; the fallback
+    # starts after the BOM, and names the line of an undecodable byte
+    assert isinstance(outcome, tuple) == (
+        case in ("integer", "whitespace between entries", "bom then whitespace", "crlf tail"))
+    if case == "non-utf-8 byte in values":
+        assert outcome.startswith(f"{path}: line 1: not UTF-8 text")
 
 
 @pytest.mark.parametrize(
