@@ -19,6 +19,8 @@ so `predict` runs the same ops on plain arrays, with no graph.
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import json
 import math
 import os
@@ -32,7 +34,7 @@ import numpy as np
 from . import bio
 from .autodiff import Tensor, adopt, backward, constant, node, value
 from .bio import ASPECT, OPINION, labels_to_spans, merge_heads
-from .data import DataFormatError, open_text
+from .data import DataFormatError
 from .gru import GRU_FIELDS, GruParams, gru_blocks, gru_run, init_tensor, rowwise, spans
 
 # class order shared by logits, gold indices and checkpointed classifiers
@@ -490,9 +492,10 @@ CHECKPOINT_VERSION = 1
 # bytes of checkpoint text read at a time when a checkpoint is loaded
 LOAD_SLICE = 1 << 16
 
-# the dimensions, as positive JSON integers, in the text before the first
-# tensor; _frame checks the rest of that text
-_HEAD = re.compile(rb'\{"channels": ([1-9][0-9]*), "dim": ([1-9][0-9]*), "format": "[^"]*", "layers": ([1-9][0-9]*), ')
+# the longest text of one value a checkpoint may hold: no float64 repr is longer
+FLOAT_TEXT_MAX = 24
+# the whole values that start a values list's bytes, each followed by ", " or by its "]"
+_VALUES = re.compile(rb"(?:[-+.0-9eE]{1,%d}(?:, |(?=\])))*" % FLOAT_TEXT_MAX)
 
 
 def _frame(dim: int, channels: int, layers: int) -> tuple:
@@ -503,9 +506,13 @@ def _frame(dim: int, channels: int, layers: int) -> tuple:
     return head + '"tensors": {', "}" + tail + "\n"
 
 
+# the text before the first tensor entry, cut at its dimensions: channels, dim, layers
+_HEAD = _frame(1, 1, 1)[0].split("1")
+
+
 def _entry_head(name: str, shape) -> str:
-    """The text of a tensor entry before its values."""
-    return f'{json.dumps(name)}: {{"shape": {json.dumps(list(shape))}, "values": ['
+    """The text of a tensor entry before its values; a name needs no JSON escapes."""
+    return f'"{name}": {{"shape": {list(shape)}, "values": ['
 
 
 def save_checkpoint(path, params: CmlaParams):
@@ -513,149 +520,111 @@ def save_checkpoint(path, params: CmlaParams):
 
     Floats are serialized with repr, which round-trips every finite
     float64 bit for bit, and JSON carries no timestamps, so identical
-    parameters always produce identical bytes (unlike zip containers).
-    The bytes are json.dumps(payload, sort_keys=True) of the whole
-    payload, encoded SAVE_SLICE values at a time so that only one slice's
-    floats and text are held in memory at once.
+    parameters always produce identical bytes: json.dumps(payload,
+    sort_keys=True) of the whole payload, encoded SAVE_SLICE values at a
+    time. They go to a sibling file that replaces `path` once it is whole,
+    so a save that fails midway leaves an earlier file at `path` as it was.
     """
     head, tail = _frame(params.dim, params.channels, params.layers)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        for i, (name, t) in enumerate(sorted(params.named_tensors().items())):
-            values = t.data.reshape(-1)
-            fh.write((", " if i else "") + _entry_head(name, t.data.shape))
-            for at in range(0, values.size, SAVE_SLICE):
-                fh.write((", " if at else "") + json.dumps(values[at : at + SAVE_SLICE].tolist())[1:-1])
-            fh.write("]}")
-        fh.write(tail)
-
-
-def _read_own_layout(fh):
-    """(layers, {name: array}) if the rest of a seekable `fh` that has decoded
-    no text is a checkpoint in exactly save_checkpoint's layout, else None,
-    with `fh` back where it was. The layout is ASCII: the bytes under `fh` are
-    read LOAD_SLICE at a time, and the file's position is the only cursor."""
-    if not fh.seekable():
-        return None
-    start, raw = fh.tell(), fh.buffer
-
-    def take(expected: str) -> bool:
-        return raw.read(len(expected)) == expected.encode()
-
-    def floats(out: np.ndarray) -> bool:
-        """Fill the 1-D `out` from JSON floats up to and including the next "]":
-        True if they are exactly out.size finite floats. Each piece of bytes is
-        cut at its last ", " and parsed by json.loads, so every float is
-        converted as a whole-document parse converts it."""
-        filled = 0
-        while True:
-            piece = raw.read(LOAD_SLICE)
-            while b"]" not in piece and b", " not in piece:
-                more = raw.read(LOAD_SLICE)
-                if not more:
-                    return False
-                piece += more
-            end = piece.find(b"]")
-            cut = end if end >= 0 else piece.rfind(b", ")
-            try:
-                items = json.loads("[" + piece[:cut].decode() + "]")
-            except (ValueError, RecursionError):   # ValueError: also undecodable bytes
-                return False
-            if not items or set(map(type, items)) != {float} or filled + len(items) > out.size:
-                return False
-            out[filled : filled + len(items)] = items
-            filled += len(items)
-            raw.seek(cut + (1 if end >= 0 else 2) - len(piece), 1)
-            if end >= 0:
-                return filled == out.size and bool(np.isfinite(out).all())
-
-    def checkpoint():
-        m = _HEAD.match(raw.read(256))
-        raw.seek(start)
-        if not m:
-            return None
-        channels, dim, layers = map(int, m.groups())
-        head, tail = _frame(dim, channels, layers)
-        shapes = sorted(CmlaParams.shapes(dim, channels).items())
-        # a JSON float takes three characters at least, so the header cannot
-        # make the arrays larger than the file could fill
-        size = os.fstat(fh.fileno()).st_size
-        if 3 * sum(math.prod(shape) for _, shape in shapes) > size or not take(head):
-            return None
-        arrays = {}
-        for i, (name, shape) in enumerate(shapes):
-            arrays[name] = out = np.empty(shape)
-            if not (take((", " if i else "") + _entry_head(name, shape))
-                    and floats(out.reshape(-1)) and take("}")):
-                return None
-        return (layers, arrays) if take(tail) and not raw.read(1) else None
-
-    loaded = checkpoint()
-    if loaded is None:
-        fh.seek(start)
-    return loaded
-
-
-def _check_payload(path, payload) -> tuple:
-    """(layers, {name: array}) from a whole parsed checkpoint; every stored
-    tensor is checked against the shape its header implies."""
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise DataFormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    # JSON integers only: true, 2.0 or "2" are not silently converted
-    version = payload.get("version")
-    if type(version) is not int or version != CHECKPOINT_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version!r}")
-    header = [payload.get(key) for key in ("dim", "channels", "layers")]
-    if not all(type(v) is int and v >= 1 for v in header):
-        raise DataFormatError(f"{path}: malformed checkpoint: dim, channels and layers "
-                              f"must be positive integers, got {header}")
-    dim, channels, layers = header
-    stored = payload.get("tensors")
-    if not isinstance(stored, dict):
-        raise DataFormatError(f"{path}: malformed checkpoint: tensors is not an object")
-    shapes = CmlaParams.shapes(dim, channels)
-    missing = sorted(set(shapes) - set(stored))
-    extra = sorted(set(stored) - set(shapes))
-    if missing or extra:
-        raise DataFormatError(f"{path}: tensor names mismatch (missing {missing}, extra {extra})")
-    arrays = {}
-    for name, shape in shapes.items():
-        entry = stored[name]
-        if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
-            raise DataFormatError(f"{path}: tensor {name} is not an object with shape and values")
-        # JSON integers and numbers only, as in the header: [true] == [1] and
-        # numpy reads [true, 0.5] as [1.0, 0.5]
-        dims, raw = entry["shape"], entry["values"]
-        if not isinstance(dims, list) or any(type(d) is not int for d in dims) or dims != list(shape):
-            raise DataFormatError(f"{path}: tensor {name} has shape {dims!r}, expected {list(shape)}")
-        values = np.array(raw) if isinstance(raw, list) and set(map(type, raw)) <= {int, float} else None
-        if values is None or values.dtype.kind not in "if" or not np.isfinite(values).all():
-            raise DataFormatError(f"{path}: tensor {name} values are not a list of finite numbers")
-        if values.size != np.prod(shape):
-            raise DataFormatError(f"{path}: tensor {name} has {values.size} values")
-        arrays[name] = np.asarray(values, dtype=np.float64).reshape(shape)
-    return layers, arrays
+    part = f"{os.fspath(path)}.part"
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.write(head)
+            for i, (name, t) in enumerate(sorted(params.named_tensors().items())):
+                values = t.data.reshape(-1)
+                fh.write(("]}, " if i else "") + _entry_head(name, t.data.shape))
+                for at in range(0, values.size, SAVE_SLICE):
+                    fh.write((", " if at else "") + json.dumps(values[at : at + SAVE_SLICE].tolist())[1:-1])
+            fh.write("]}" + tail)
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
 
 
 def load_checkpoint(path) -> CmlaParams:
     """Read a checkpoint back.
 
-    A file in exactly the layout save_checkpoint writes is read from its
-    bytes, 64 KiB at a time, straight into the tensors' arrays, so the
-    load holds the arrays plus one slice of bytes and of Python floats.
-    Any other file (hand-edited, or re-serialised by another JSON writer)
-    is parsed whole, holding its text and every value's Python float, and
-    every stored tensor is checked against the shape its header implies.
+    The format is the bytes save_checkpoint writes, after one optional
+    byte order mark: its header, 37 tensor entries in name order and its
+    tail byte for byte, each values list holding as many finite JSON
+    floats (FLOAT_TEXT_MAX bytes at most) as its shape. The file's
+    position is the only cursor, and values are read LOAD_SLICE bytes at
+    a time straight into the tensors' arrays. Anything else raises
+    DataFormatError naming the file, the offset of the first byte (or
+    value) that departs, and what was expected there.
     """
-    try:
-        with open_text(path) as fh:
-            loaded = _read_own_layout(fh)
-            payload = None if loaded else json.load(fh)
-    except DataFormatError:
-        raise
-    except (ValueError, RecursionError) as exc:   # ValueError: also a too-long integer
-        raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
-    layers, arrays = loaded or _check_payload(path, payload)
+    with open(path, "rb") as raw:
+        if not raw.seekable():
+            raise DataFormatError(f"{path}: not a regular file; a checkpoint is read by seeking in it")
+        raw.seek(3 if raw.read(3) == codecs.BOM_UTF8 else 0)
+
+        def fail(at: int, expected: str):
+            raise DataFormatError(f"{path}: byte {at}: expected {expected}")
+
+        def take(text: str, expected: str):
+            at, want = raw.tell(), text.encode()
+            got = raw.read(len(want))
+            if got != want:
+                fail(at + next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), len(got)), expected)
+
+        def dimension(before: str) -> int:
+            take(before, "a header field")
+            at = raw.tell()
+            digits = re.match(rb"[1-9][0-9]{0,17}", raw.read(18))
+            if not digits:
+                fail(at, "a header field")
+            raw.seek(at + digits.end())
+            return int(digits[0])
+
+        def finite(text: bytes):
+            """The values in `text` as an array, or None unless it holds one at least
+            and each is a finite JSON float."""
+            try:
+                items = json.loads("[" + text.decode() + "]")
+            except ValueError:
+                return None
+            array = np.array(items if set(map(type, items)) <= {float} else [], dtype=float)
+            return array if array.size and np.isfinite(array).all() else None
+
+        def floats(values: np.ndarray):
+            """Fill the 1-D `values` from the values list at the file's position and
+            leave the file after its last value; each piece's values take one json.loads."""
+            filled = 0
+            while filled < values.size:
+                at = raw.tell()
+                piece = raw.read(max(LOAD_SLICE, FLOAT_TEXT_MAX + 2))   # one whole value at least
+                end = _VALUES.match(piece).end()
+                text = piece[:end].removesuffix(b", ")
+                items = finite(text)
+                if items is None or filled + len(items) > values.size:
+                    # value by value, up to the last one the list may hold
+                    text = b", ".join(text.split(b", ")[: values.size - filled])
+                    offset = at
+                    for value in text.split(b", "):
+                        if finite(value) is None:
+                            fail(offset, "a finite float")
+                        offset += len(value) + 2
+                    items = finite(text)
+                values[filled : filled + len(items)] = items
+                filled += len(items)
+                raw.seek(at + (len(text) if filled == values.size else end))
+
+        channels, dim, layers = map(dimension, _HEAD[:-1])
+        take(_HEAD[-1], "a header field")
+        shapes = sorted(CmlaParams.shapes(dim, channels).items())
+        # a JSON float takes three bytes at least: the arrays cannot outgrow the file
+        if 3 * sum(math.prod(shape) for _, shape in shapes) > os.fstat(raw.fileno()).st_size:
+            fail(0, "a header field")
+        arrays = {}
+        for i, (name, shape) in enumerate(shapes):
+            take(("]}, " if i else "") + _entry_head(name, shape), "a tensor name")
+            arrays[name] = np.empty(shape)
+            floats(arrays[name].reshape(-1))
+        take("]}" + _frame(dim, channels, layers)[1], "the tail")
+        if raw.read(1):
+            fail(raw.tell() - 1, "the tail")
     # the arrays become the tensors' data: copies would sit in the heap above
     # the freed arrays and keep their space resident
     return CmlaParams.from_named({name: adopt(values, requires_grad=True) for name, values in arrays.items()},

@@ -1,12 +1,12 @@
 import codecs
 import io
-import json
 import re
 import sys
 
 import pytest
 
 from cmla import cli
+from cmla.model import CmlaParams, load_checkpoint, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -604,14 +604,40 @@ def test_predict_undecodable_stdin_after_bom_names_line(workspace, capsys, monke
 def overflowing_checkpoint(run_dir, tmp_path, layers):
     """The shared checkpoint at `layers` layers, with both classifiers set to
     the finite values +-1.7e308, whose products overflow in the forward pass."""
-    payload = json.loads((run_dir / "checkpoint.json").read_text(encoding="utf-8"))
-    payload["layers"] = layers
-    for head in ("aspect", "opinion"):
-        entry = payload["tensors"][f"{head}.classifier"]
-        entry["values"] = [1.7e308 * (-1) ** i for i in range(len(entry["values"]))]
+    params = load_checkpoint(run_dir / "checkpoint.json")
+    for head in (params.aspect, params.opinion):
+        values = head.classifier.data.reshape(-1)
+        values[:] = [1.7e308 * (-1) ** i for i in range(values.size)]
     path = tmp_path / f"overflow{layers}.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    save_checkpoint(path, CmlaParams.from_named(params.named_tensors(), layers))
     return path
+
+
+def departed(text: bytes, change: str) -> tuple:
+    """Checkpoint bytes `text` with one departure from the format, the offset
+    load_checkpoint names for it and what it expects there."""
+    if change == "version":
+        at = text.index(b'"version": 1') + len(b'"version": ')
+        return text[:at] + b"2" + text[at + 1 :], at, "the tail"
+    if change == "integer value":   # the first value of the first list becomes 1
+        at = text.index(b'"values": [') + len(b'"values": [')
+        return text[:at] + b"1" + re.sub(rb"^[^,\]]*", b"", text[at:]), at, "a finite float"
+    return text + b"\n", len(text), "the tail"
+
+
+@pytest.mark.parametrize("change", ["version", "integer value", "trailing data"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_departure_exits_two_naming_its_byte(workspace, capsys, monkeypatch, tmp_path,
+                                                        command, change):
+    data, run_dir = workspace
+    checkpoint = tmp_path / "checkpoint.json"
+    text, at, expected = departed((run_dir / "checkpoint.json").read_bytes(), change)
+    checkpoint.write_bytes(text)
+    corpus = ["--data", str(data / "corpus.xml"), "--lexicon", str(data / "lexicon.txt")]
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(b"zeer goede ligging\n"))
+    code, stdout, stderr = run(capsys, command, "--checkpoint", str(checkpoint),
+                               "--embeddings", str(data / "embeddings.txt"), *(corpus if command == "eval" else []))
+    assert (code, stdout, stderr) == (2, "", f"cmla: {checkpoint}: byte {at}: expected {expected}\n")
 
 
 @pytest.mark.parametrize("layers", [1, 2])

@@ -7,10 +7,12 @@ file must end the command with exit 0, or exit 1 or 2 and one printable
 stderr line; predict input with exit 0, or exit 2 and one printable line.
 """
 
+import codecs
 import contextlib
 import io
 import itertools
 import json
+import math
 import re
 import unicodedata
 import warnings
@@ -30,12 +32,12 @@ from cmla.data import (
     _is_lexicon_word,
     load_embeddings,
     load_lexicon,
-    open_text,
     parse_semeval_xml,
 )
 from cmla.model import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
+    FLOAT_TEXT_MAX,
     CmlaParams,
     load_checkpoint,
     save_checkpoint,
@@ -370,7 +372,11 @@ def test_load_checkpoint_mangled(fuzz_dir, valid_payload, data):
     path.write_bytes(data.draw(mangled_checkpoint(valid_payload)))
     try:
         params = load_checkpoint(path)
-    except DataFormatError:
+    except DataFormatError as exc:
+        # one line: the file, a byte inside it and what belongs there
+        found = re.fullmatch(rf"{re.escape(str(path))}: byte ([0-9]+): expected "
+                             "(?:a header field|a tensor name|a finite float|the tail)", str(exc))
+        assert found and int(found[1]) <= path.stat().st_size, str(exc)
         return
     assert {name: t.data.shape for name, t in params.named_tensors().items()} == \
         CmlaParams.shapes(params.dim, params.channels)
@@ -378,60 +384,68 @@ def test_load_checkpoint_mangled(fuzz_dir, valid_payload, data):
     assert all(np.isfinite(t.data).all() for t in params.named_tensors().values())
 
 
+# a finite float's text as a checkpoint may hold it: a JSON number with a
+# fraction or an exponent
+JSON_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
+
+
 def reference_load_checkpoint(path) -> CmlaParams:
-    """load_checkpoint as a whole-document parse: the text and every tensor's
-    Python floats alive until the whole text is parsed. load_checkpoint falls
-    back to it for every file that is not in save_checkpoint's own layout."""
-    try:
-        with open_text(path) as fh:
-            payload = json.load(fh)
-    except DataFormatError:
-        raise
-    except (ValueError, RecursionError) as exc:
-        raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise DataFormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    version = payload.get("version")
-    if type(version) is not int or version != CHECKPOINT_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version!r}")
-    header = [payload.get(key) for key in ("dim", "channels", "layers")]
-    if not all(type(v) is int and v >= 1 for v in header):
-        raise DataFormatError(f"{path}: malformed checkpoint: dim, channels and layers "
-                              f"must be positive integers, got {header}")
-    dim, channels, layers = header
-    stored = payload.get("tensors")
-    if not isinstance(stored, dict):
-        raise DataFormatError(f"{path}: malformed checkpoint: tensors is not an object")
+    """load_checkpoint's rule applied to the whole text at once: after one
+    optional byte order mark, the text must be what save_checkpoint writes for
+    the header it starts with, except that each values list holds as many
+    finite JSON floats of at most FLOAT_TEXT_MAX bytes as its shape."""
+    text = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    header = re.match(rb'\{"channels": ([1-9][0-9]{0,17}), "dim": ([1-9][0-9]{0,17}), "format": "[^"]*", '
+                      rb'"layers": ([1-9][0-9]{0,17}), ', text)
+    if not header:
+        raise DataFormatError(f"{path}: no checkpoint header")
+    channels, dim, layers = map(int, header.groups())
     shapes = CmlaParams.shapes(dim, channels)
-    missing = sorted(set(shapes) - set(stored))
-    extra = sorted(set(stored) - set(shapes))
-    if missing or extra:
-        raise DataFormatError(f"{path}: tensor names mismatch (missing {missing}, extra {extra})")
+    skeleton = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION, "dim": dim, "channels": channels,
+                "layers": layers, "tensors": {name: {"shape": list(shape), "values": "VALUES"}
+                                              for name, shape in shapes.items()}}
+    pattern = re.escape(json.dumps(skeleton, sort_keys=True) + "\n").replace('"VALUES"', r"\[([^\]]*)\]")
+    found = re.fullmatch(pattern.encode(), text)
+    if not found:
+        raise DataFormatError(f"{path}: not save_checkpoint's text for its header")
     tensors = {}
-    for name, shape in shapes.items():
-        entry = stored[name]
-        if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
-            raise DataFormatError(f"{path}: tensor {name} is not an object with shape and values")
-        dims, raw = entry["shape"], entry["values"]
-        if not isinstance(dims, list) or any(type(d) is not int for d in dims) or dims != list(shape):
-            raise DataFormatError(f"{path}: tensor {name} has shape {dims!r}, expected {list(shape)}")
-        values = np.array(raw) if isinstance(raw, list) and set(map(type, raw)) <= {int, float} else None
-        if values is None or values.dtype.kind not in "if" or not np.isfinite(values).all():
-            raise DataFormatError(f"{path}: tensor {name} values are not a list of finite numbers")
-        if values.size != np.prod(shape):
-            raise DataFormatError(f"{path}: tensor {name} has {values.size} values")
-        tensors[name] = Tensor(values.reshape(shape), requires_grad=True)
+    for (name, shape), values in zip(sorted(shapes.items()), found.groups()):
+        items = values.split(b", ")
+        if len(items) != math.prod(shape) or not all(
+                JSON_FLOAT.fullmatch(v) and len(v) <= FLOAT_TEXT_MAX and math.isfinite(float(v)) for v in items):
+            raise DataFormatError(f"{path}: tensor {name} does not hold {math.prod(shape)} finite floats")
+        tensors[name] = Tensor(np.array([float(v) for v in items]).reshape(shape), requires_grad=True)
     return CmlaParams.from_named(tensors, layers)
 
 
+def tensor_bytes(params: CmlaParams):
+    """The layers and every tensor's name, dtype, shape and bytes."""
+    return params.layers, [(name, t.data.dtype, t.data.shape, t.data.tobytes())
+                           for name, t in params.named_tensors().items()]
+
+
 def load_outcome(loader, path):
-    """The DataFormatError message, or the layers and every tensor's bytes."""
+    """The DataFormatError message, or tensor_bytes of what `loader` loads."""
     try:
         params = loader(path)
     except DataFormatError as exc:
         return str(exc)
-    return params.layers, [(name, t.data.dtype, t.data.shape, t.data.tobytes())
-                           for name, t in params.named_tensors().items()]
+    return tensor_bytes(params)
+
+
+def assert_loads_as_reference(path, slice_size):
+    """load_checkpoint at LOAD_SLICE `slice_size` gives what it gives at its
+    own slice size, and loads what the reference loads, bit for bit."""
+    with mock.patch.object(model, "LOAD_SLICE", slice_size):
+        outcome = load_outcome(load_checkpoint, path)
+    assert outcome == load_outcome(load_checkpoint, path)
+    expected = load_outcome(reference_load_checkpoint, path)
+    assert outcome == expected or isinstance(outcome, str) and isinstance(expected, str)
+    return outcome
+
+
+def first_difference(a: bytes, b: bytes) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
 @FUZZ
@@ -439,24 +453,15 @@ def load_outcome(loader, path):
 def test_load_checkpoint_matches_reference_loader(fuzz_dir, valid_payload, data):
     path = fuzz_dir / "parity.json"
     path.write_bytes(data.draw(mangled_checkpoint(valid_payload)))
-    # short slices put slice ends inside the header, the names and the values
-    with mock.patch.object(model, "LOAD_SLICE", data.draw(st.sampled_from((model.LOAD_SLICE, 1, 7, 40)))):
-        assert load_outcome(load_checkpoint, path) == load_outcome(reference_load_checkpoint, path)
-
-
-def read_own_layout(path):
-    """What the slice reader makes of `path`, and whether it left the file where it found it."""
-    with open_text(path) as fh:
-        start = fh.tell()
-        result = model._read_own_layout(fh)
-        return result, fh.tell() == start
+    # short slices put slice ends inside the values
+    assert_loads_as_reference(path, data.draw(st.sampled_from((model.LOAD_SLICE, 1, 7, 40))))
 
 
 CHECKPOINT_V1 = Path(__file__).parent / "checkpoint_v1.json"
 
 
 @pytest.mark.parametrize("source", ["dim-2", "dim-5", "checkpoint_v1"])
-def test_own_layout_loads_alike_at_every_slice_size(tmp_path, monkeypatch, source):
+def test_own_layout_loads_alike_at_every_slice_size(tmp_path, source):
     path = CHECKPOINT_V1
     if source != "checkpoint_v1":
         dim, channels, layers = (2, 1, 1) if source == "dim-2" else (5, 3, 2)
@@ -465,13 +470,9 @@ def test_own_layout_loads_alike_at_every_slice_size(tmp_path, monkeypatch, sourc
         params.aspect.comp.data.flat[:4] = [-0.0, 5e-324, -2.2250738585072014e-308, 1e300]
         path = tmp_path / "model.json"
         save_checkpoint(path, params)
-    layers, tensors = expected = load_outcome(reference_load_checkpoint, path)
+        assert load_outcome(reference_load_checkpoint, path) == tensor_bytes(params)
     for size in range(1, 41):
-        monkeypatch.setattr(model, "LOAD_SLICE", size)
-        (read_layers, arrays), _ = read_own_layout(path)
-        assert read_layers == layers
-        assert sorted((name, a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()) == sorted(tensors)
-        assert load_outcome(load_checkpoint, path) == expected
+        assert isinstance(assert_loads_as_reference(path, size), tuple)
 
 
 # drawn finite floats: subnormals, a negative zero and 17-digit reprs among them
@@ -498,13 +499,11 @@ def test_own_layout_checkpoint_matches_reference_loader(fuzz_dir, data):
         values = payload["tensors"][data.draw(st.sampled_from(sorted(payload["tensors"])))]["values"]
         values[data.draw(st.integers(0, len(values) - 1))] = "EDIT"
         path.write_text(json.dumps(payload, sort_keys=True).replace('"EDIT"', edit) + "\n", encoding="utf-8")
-    with mock.patch.object(model, "LOAD_SLICE", data.draw(st.sampled_from((model.LOAD_SLICE, 1, 7, 40)))):
-        assert load_outcome(load_checkpoint, path) == load_outcome(reference_load_checkpoint, path)
-        if edit is None:
-            (layers, arrays), _ = read_own_layout(path)
-            assert layers == params.layers
-            assert {name: a.tobytes() for name, a in arrays.items()} == \
-                {name: t.data.tobytes() for name, t in params.named_tensors().items()}
+    outcome = assert_loads_as_reference(path, data.draw(st.sampled_from((model.LOAD_SLICE, 1, 7, 40))))
+    # respelled finite floats load; integers, whitespace and non-finite numbers do not
+    assert isinstance(outcome, tuple) == (edit in (None, "1.50", "1E5"))
+    if edit is None:
+        assert outcome == tensor_bytes(params)
 
 
 @pytest.mark.parametrize(
@@ -514,6 +513,8 @@ def test_own_layout_checkpoint_matches_reference_loader(fuzz_dir, data):
      ("bom then whitespace", None), ("crlf tail", None), ("non-utf-8 byte in values", None)],
 )
 def test_departures_from_own_layout_are_parsed_whole(fuzz_dir, valid_payload, case, first):
+    # no departure is parsed whole any more: each is named at the first byte
+    # (or value) that departs, with the byte order mark counted
     payload = json.loads(json.dumps(valid_payload))
     if first is not None:
         payload["tensors"]["aspect.prototype"]["values"][0] = first
@@ -529,15 +530,12 @@ def test_departures_from_own_layout_are_parsed_whole(fuzz_dir, valid_payload, ca
         data = data.replace(b'"values": [', b'"values": [\xff', 1)
     path = fuzz_dir / "departure.json"
     path.write_bytes(data)
-    assert read_own_layout(path) == (None, True)
-    outcome = load_outcome(load_checkpoint, path)
-    assert outcome == load_outcome(reference_load_checkpoint, path)
-    # an integer, extra whitespace and a \r\n tail are valid JSON; the fallback
-    # starts after the BOM, and names the line of an undecodable byte
-    assert isinstance(outcome, tuple) == (
-        case in ("integer", "whitespace between entries", "bom then whitespace", "crlf tail"))
-    if case == "non-utf-8 byte in values":
-        assert outcome.startswith(f"{path}: line 1: not UTF-8 text")
+    saved = (json.dumps(valid_payload, sort_keys=True) + "\n").encode()
+    at = first_difference(data, (codecs.BOM_UTF8 if case == "bom then whitespace" else b"") + saved)
+    expected = "the tail" if "tail" in case or case == "trailing data" else \
+        "a tensor name" if "whitespace" in case else "a finite float"
+    assert load_outcome(load_checkpoint, path) == f"{path}: byte {at}: expected {expected}"
+    assert isinstance(load_outcome(reference_load_checkpoint, path), str)
 
 
 @pytest.mark.parametrize(
@@ -546,7 +544,8 @@ def test_departures_from_own_layout_are_parsed_whole(fuzz_dir, valid_payload, ca
      ("layers", [{"values": [1, 0.5]}]), ("shape", {"shape": [2], "values": [2.0]})],
 )
 def test_messages_quote_values_lists_as_written(fuzz_dir, valid_payload, key, value):
-    # a message that quotes a header value or shape holding a "values" list shows it as written
+    # a header value or a shape that holds a "values" list is no longer quoted:
+    # the message names the byte where it starts and what belongs there
     payload = json.loads(json.dumps(valid_payload))
     if key == "shape":
         payload["tensors"]["aspect.prototype"]["shape"] = value
@@ -554,6 +553,6 @@ def test_messages_quote_values_lists_as_written(fuzz_dir, valid_payload, key, va
         payload[key] = value
     path = fuzz_dir / "quoted.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    message = load_outcome(load_checkpoint, path)
-    assert repr(value) in message
-    assert message == load_outcome(reference_load_checkpoint, path)
+    at = first_difference(path.read_bytes(), json.dumps(valid_payload).encode())
+    expected = {"version": "the tail", "shape": "a tensor name"}.get(key, "a header field")
+    assert load_outcome(load_checkpoint, path) == f"{path}: byte {at}: expected {expected}"

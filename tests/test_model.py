@@ -1,7 +1,9 @@
 import codecs
 import copy
 import json
+import os
 import re
+import stat
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
 from cmla.bio import ASPECT, O, OPINION
 from cmla.data import (DataFormatError, EmbeddingTable, OovPolicy, Sentence, SynthConfig,
-                       generate_synthetic, open_text, tokenize)
+                       generate_synthetic, tokenize)
 from cmla.gru import gru_run
 from cmla.model import (
     CLASS_INDEX,
@@ -26,7 +28,6 @@ from cmla.model import (
     TrainConfig,
     UPDATE_ROWS,
     TrainingDiverged,
-    _read_own_layout,
     attend,
     attention_layer,
     block_diagonal,
@@ -1005,10 +1006,10 @@ def traced_peak(fn, *args):
 
 def test_checkpoint_save_and_load_hold_little_beyond_the_text(tmp_path):
     # dim 60, 10 channels: a 3.76 MB file. Saving a slice at a time holds about
-    # 0.16x the file. Loading it in save_checkpoint's own layout holds the arrays
-    # plus one slice of text and floats; a whole-document parse that turned each
-    # tensor's floats into an array as it went held about 2.0x. Keeping every
-    # tensor's floats took 1.34x and 2.52x.
+    # 0.16x the file. Loading it holds the arrays plus one slice of bytes and
+    # floats; a whole-document parse that turned each tensor's floats into an
+    # array as it went held about 2.0x. Keeping every tensor's floats took
+    # 1.34x and 2.52x.
     params = CmlaParams.init(dim=60, channels=10, rng=48)
     path = tmp_path / "model.json"
     save_peak = traced_peak(save_checkpoint, path, params)
@@ -1028,32 +1029,51 @@ def test_checkpoint_load_holds_less_than_half_the_file(tmp_path):
     assert traced_peak(load_checkpoint, path) < 0.5 * path.stat().st_size
 
 
+def rejection(path) -> tuple:
+    """The byte offset and the expected item that load_checkpoint's one-line message names."""
+    with pytest.raises(DataFormatError) as info:
+        load_checkpoint(path)
+    found = re.fullmatch(rf"{re.escape(str(path))}: byte ([0-9]+): expected "
+                         "(a header field|a tensor name|a finite float|the tail)", str(info.value))
+    assert found, str(info.value)
+    return int(found[1]), found[2]
+
+
+def first_difference(a: bytes, b: bytes) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def values_at(text: bytes, name: str) -> int:
+    """The offset of the first value of tensor `name` in a checkpoint's bytes."""
+    start = text.index(json.dumps(name).encode() + b": ")
+    return text.index(b'"values": [', start) + len(b'"values": [')
+
+
 def test_checkpoint_with_bom_loads_through_the_slice_reader(tmp_path):
     params = CmlaParams.init(dim=3, channels=2, rng=50, layers=3)
     path, marked = tmp_path / "model.json", tmp_path / "marked.json"
     save_checkpoint(path, params)
-    marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
-    with open_text(marked) as fh:
-        layers, arrays = _read_own_layout(fh)
-    assert layers == 3
-    assert {name: a.tobytes() for name, a in arrays.items()} == \
-        {name: t.data.tobytes() for name, t in params.named_tensors().items()}
+    text = path.read_bytes()
+    marked.write_bytes(codecs.BOM_UTF8 + text)
     loaded = load_checkpoint(marked)
-    assert loaded.layers == 3 and loaded.flat.tobytes() == params.flat.tobytes()
+    assert loaded.layers == 3
+    assert {name: t.data.tobytes() for name, t in loaded.named_tensors().items()} == \
+        {name: t.data.tobytes() for name, t in params.named_tensors().items()}
+    # offsets count the file's bytes, the byte order mark's three among them
+    marked.write_bytes(codecs.BOM_UTF8 + text.replace(b'"layers": 3', b'"layers": x'))
+    assert rejection(marked) == (3 + text.index(b'"layers": 3') + len(b'"layers": '), "a header field")
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json at all", encoding="utf-8")
-    with pytest.raises(DataFormatError):
-        load_checkpoint(path)
+    assert rejection(path) == (0, "a header field")
 
 
 def test_checkpoint_rejects_wrong_format_and_version(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"format": "something-else", "version": 1}), encoding="utf-8")
-    with pytest.raises(DataFormatError, match="not a"):
-        load_checkpoint(path)
+    assert rejection(path) == (2, "a header field")   # '{"format"' where '{"channels"' belongs
     params = CmlaParams.init(dim=2, channels=2, rng=36)
     good = tmp_path / "good.json"
     save_checkpoint(good, params)
@@ -1061,8 +1081,7 @@ def test_checkpoint_rejects_wrong_format_and_version(tmp_path):
     payload["version"] = 99
     bad = tmp_path / "version.json"
     bad.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(DataFormatError, match="version"):
-        load_checkpoint(bad)
+    assert rejection(bad) == (first_difference(bad.read_bytes(), good.read_bytes()), "the tail")
 
 
 def test_checkpoint_rejects_missing_tensor_and_bad_shape(tmp_path):
@@ -1075,15 +1094,14 @@ def test_checkpoint_rejects_missing_tensor_and_bad_shape(tmp_path):
                                      if k != "aspect.comp"})
     p1 = tmp_path / "missing.json"
     p1.write_text(json.dumps(dropped), encoding="utf-8")
-    with pytest.raises(DataFormatError, match="aspect.comp"):
-        load_checkpoint(p1)
+    # aspect.prototype's entry where aspect.comp's belongs
+    assert rejection(p1) == (first_difference(p1.read_bytes(), good.read_bytes()), "a tensor name")
 
     mangled = json.loads(good.read_text(encoding="utf-8"))
     mangled["tensors"]["aspect.prototype"]["shape"] = [3]
     p2 = tmp_path / "shape.json"
     p2.write_text(json.dumps(mangled), encoding="utf-8")
-    with pytest.raises(DataFormatError, match="shape"):
-        load_checkpoint(p2)
+    assert rejection(p2) == (first_difference(p2.read_bytes(), good.read_bytes()), "a tensor name")
 
 
 def test_checkpoint_header_cannot_force_a_large_allocation(tmp_path):
@@ -1097,8 +1115,7 @@ def test_checkpoint_header_cannot_force_a_large_allocation(tmp_path):
     path.write_text(json.dumps(payload), encoding="utf-8")
     tracemalloc.start()
     try:
-        with pytest.raises(DataFormatError, match="expected"):
-            load_checkpoint(path)
+        assert rejection(path) == (0, "a header field")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1106,7 +1123,7 @@ def test_checkpoint_header_cannot_force_a_large_allocation(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, entry, message",
+    "name, entry, fault",
     [
         ("aspect.comp", [1.0, 2.0], "aspect.comp is not an object"),
         ("ctx_gru.b_z", {"shape": [2]}, "ctx_gru.b_z is not an object"),
@@ -1125,7 +1142,9 @@ def test_checkpoint_header_cannot_force_a_large_allocation(tmp_path):
         ("opinion.prototype", {"shape": [2], "values": [1, False]}, "opinion.prototype values"),
     ],
 )
-def test_checkpoint_rejects_bad_tensor_entries(tmp_path, name, entry, message):
+def test_checkpoint_rejects_bad_tensor_entries(tmp_path, name, entry, fault):
+    # `fault` names what is wrong with the entry; the message names the byte
+    # inside the entry where the file stops being a checkpoint
     params = CmlaParams.init(dim=2, channels=1, rng=38)
     good = tmp_path / "good.json"
     save_checkpoint(good, params)
@@ -1133,22 +1152,23 @@ def test_checkpoint_rejects_bad_tensor_entries(tmp_path, name, entry, message):
     payload["tensors"][name] = entry
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(DataFormatError, match=message):
-        load_checkpoint(bad)
+    text, written = bad.read_bytes(), f"{json.dumps(name)}: {json.dumps(entry)}".encode()
+    at, expected = rejection(bad)
+    assert text.index(written) <= at <= text.index(written) + len(written)
+    opened = text.find(b'"values": [', text.index(written), text.index(written) + len(written))
+    assert expected == ("a finite float" if 0 <= opened < at else "a tensor name")
 
 
 def test_checkpoint_rejects_non_object_payloads(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]", encoding="utf-8")
-    with pytest.raises(DataFormatError, match="not a"):
-        load_checkpoint(path)
+    assert rejection(path) == (0, "a header field")
     params = CmlaParams.init(dim=2, channels=2, rng=39)
     save_checkpoint(path, params)
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["tensors"] = list(payload["tensors"])
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(DataFormatError, match="tensors"):
-        load_checkpoint(path)
+    assert rejection(path) == (path.read_bytes().index(b'"tensors": [') + len(b'"tensors": '), "a header field")
 
 
 @pytest.mark.parametrize(
@@ -1163,34 +1183,118 @@ def test_checkpoint_header_values_must_be_json_integers(tmp_path, key, literal):
     text, count = re.subn(f'"{key}": [0-9]+', f'"{key}": {literal}', path.read_text(encoding="utf-8"))
     assert count == 1
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(DataFormatError, match=re.escape(str(path))):
-        load_checkpoint(path)
+    at, expected = rejection(path)
+    # at the literal, or after the digits that start it (18 at most are read)
+    start = text.index(f'"{key}": ') + len(f'"{key}": ')
+    assert start <= at <= start + min(len(literal), 18)
+    assert expected == ("the tail" if key == "version" else "a header field")
 
 
 def test_checkpoint_deep_nesting_is_a_format_error(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000, encoding="utf-8")
-    with pytest.raises(DataFormatError, match=re.escape(str(path))):
-        load_checkpoint(path)
+    assert rejection(path) == (0, "a header field")
 
 
-def test_checkpoint_non_utf8_names_file_and_line(tmp_path):
+def test_checkpoint_non_utf8_names_file_and_byte(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"format": "cmla-checkpoint",\n "version": "\xe9t\xe9"}\n')
-    with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 2: not UTF-8")):
-        load_checkpoint(path)
+    assert rejection(path) == (2, "a header field")
+    save_checkpoint(path, CmlaParams.init(dim=2, channels=1, rng=52))
+    text = path.read_bytes()
+    for at, expected in ((text.index(b"aspect.comp"), "a tensor name"), (values_at(text, "aspect.comp"), "a finite float")):
+        path.write_bytes(text[:at] + b"\xe9" + text[at + 1 :])
+        assert rejection(path) == (at, expected)
 
 
-def test_checkpoint_loads_integer_values_as_floats(tmp_path):
+def test_checkpoint_rejects_integer_values(tmp_path):
     params = CmlaParams.init(dim=2, channels=2, rng=40)
     path = tmp_path / "ints.json"
     save_checkpoint(path, params)
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["tensors"]["aspect.prototype"]["values"] = [1, -2]
     path.write_text(json.dumps(payload), encoding="utf-8")
-    loaded = load_checkpoint(path)
-    assert loaded.aspect.prototype.data.dtype == np.float64
-    assert loaded.aspect.prototype.data.tolist() == [1.0, -2.0]
+    assert rejection(path) == (values_at(path.read_bytes(), "aspect.prototype"), "a finite float")
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory) -> bytes:
+    """A dim-2, one-channel checkpoint: 3,644 bytes."""
+    path = tmp_path_factory.mktemp("small") / "model.json"
+    save_checkpoint(path, CmlaParams.init(dim=2, channels=1, rng=0, layers=1))
+    return path.read_bytes()
+
+
+def test_checkpoint_rejects_every_proper_prefix(tmp_path, small_checkpoint):
+    path = tmp_path / "model.json"
+    for end in range(len(small_checkpoint)):
+        path.write_bytes(small_checkpoint[:end])
+        assert rejection(path)[0] <= end
+
+
+def test_checkpoint_names_a_change_to_its_framing_at_its_byte(tmp_path, small_checkpoint):
+    # the framing is everything outside the values lists: the header, the
+    # entry prefixes, the "}, " joins and the tail, all compared byte for byte
+    path, text = tmp_path / "model.json", small_checkpoint
+    head, tail = text.index(b'"tensors": {') + len(b'"tensors": {'), text.rindex(b"]")
+    lists = {i for m in re.finditer(rb'(?<="values": \[)[^\]]*\]', text) for i in range(m.start(), m.end())}
+    for at in sorted(set(range(len(text))) - lists):
+        path.write_bytes(text[:at] + bytes([text[at] ^ 0x20]) + text[at + 1 :])   # never digit to digit
+        assert rejection(path) == (at, "a header field" if at < head else "the tail" if at > tail else "a tensor name")
+
+
+def test_checkpoint_reader_is_linear_in_a_long_value(tmp_path):
+    # a run of digits with no separator: read whole, its time grew with its
+    # square and its memory with its length (48 MiB and 3 s for this one)
+    path = tmp_path / "run.json"
+    save_checkpoint(path, CmlaParams.init(dim=2, channels=1, rng=53))
+    text = path.read_bytes()
+    at = values_at(text, "aspect.att_gru.U_h")
+    path.write_bytes(text[:at] + b"1" * (16 << 20) + text[at:])
+    tracemalloc.start()
+    try:
+        assert rejection(path) == (at, "a finite float")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_interrupted_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_checkpoint(path, CmlaParams.init(dim=3, channels=2, rng=54))
+    before = path.read_bytes()
+    dumps, calls = json.dumps, []
+
+    def interrupted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 6:   # the values of the fifth tensor entry
+            raise KeyboardInterrupt
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(path, CmlaParams.init(dim=3, channels=2, rng=55))
+    monkeypatch.undo()
+    assert path.read_bytes() == before and list(tmp_path.iterdir()) == [path]
+    # a whole save replaces the file, whose mode is a plain open's
+    save_checkpoint(path, CmlaParams.init(dim=3, channels=2, rng=55))
+    assert path.read_bytes() != before and list(tmp_path.iterdir()) == [path]
+    plain = tmp_path / "plain"
+    plain.open("w").close()
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_checkpoint_from_a_pipe_is_rejected_naming_it():
+    read, write = os.pipe()
+    os.write(write, b'{"channels": 1')
+    os.close(write)
+    try:
+        with pytest.raises(DataFormatError, match=f"^/dev/fd/{read}: not a regular file"):
+            load_checkpoint(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
 
 
 def test_forward_accepts_vectors_or_tensors_alike():
