@@ -4,9 +4,10 @@ Two independent heads each tag tokens with B/I/O: a head's labels are a
 string over "BIO", one letter per token, and the head's name travels as an
 argument wherever a Span needs it. Presentation merges the heads into
 {B-ASP, I-ASP, B-OP, I-OP, O}. One pattern, `_CHUNK`, finds a head's
-chunks: a B or an orphan I (sequence start or right after O), then every I
-after it. Decoding is thus total, the orphan I repaired to B (the
-conlleval convention, which maximizes chunk recall).
+chunks, when decoding and in the merged view: a B or an orphan I (sequence
+start or right after O or, in the merged view, the other head's token),
+then every I after it. Decoding is thus total, the orphan I repaired to B
+(the conlleval convention, which maximizes chunk recall).
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ HEADS = (ASPECT, OPINION)
 
 B, I, O = "B", "I", "O"
 
-# merged five-category tags, per head
-_MERGED = {ASPECT: {B: "B-ASP", I: "I-ASP"}, OPINION: {B: "B-OP", I: "I-OP"}}
-# the begin tag of each merged inside tag
-_BEGIN_OF = {tags[I]: tags[B] for tags in _MERGED.values()}
+# merged five-category tags; the opinion head's letters are in lower case
+_MERGED = {O: O, B: "B-ASP", I: "I-ASP", "b": "B-OP", "i": "I-OP"}
 _CHUNK = re.compile("[BI]I*")
 
 
@@ -73,30 +72,18 @@ def merge_heads(la: str, lp: str, conf_a, conf_p) -> list:
     that order, into the five-category view.
 
     Tokens claimed by both heads go to the head whose argmax class is more
-    confident (ties favor the aspect head). A repair pass then turns any
-    inside tag with no matching chunk open into a begin tag.
+    confident (ties favor the aspect head). `_CHUNK` then finds each head's
+    chunks among the tokens it kept, each tagged B-x, then I-x.
     """
-    n = len(la)
-    if len(lp) != n or len(conf_a) != n or len(conf_p) != n:
+    if not len(la) == len(lp) == len(conf_a) == len(conf_p):
         raise ValueError("merge_heads arguments must have equal length")
 
-    merged = []
-    for i, (a, p) in enumerate(zip(la, lp)):
-        if a != O and p != O:
-            pick = (ASPECT, a) if conf_a[i] >= conf_p[i] else (OPINION, p)
-        elif a != O:
-            pick = (ASPECT, a)
-        elif p != O:
-            pick = (OPINION, p)
-        else:
-            merged.append(O)
-            continue
-        merged.append(_MERGED[pick[0]][pick[1]])
-
-    prev = O
-    for i, tag in enumerate(merged):
-        begin = _BEGIN_OF.get(tag)
-        if begin and prev != tag and prev != begin:
-            merged[i] = begin
-        prev = merged[i]
+    # each token's kept letter, the opinion head's in lower case: _CHUNK
+    # finds the aspect chunks in `kept` and the opinion ones in its swapcase
+    kept = "".join([a if p == O or (a != O and ca >= cp) else p.lower()
+                    for a, p, ca, cp in zip(la, lp, conf_a, conf_p)])
+    merged = [_MERGED[c] for c in kept]
+    for letters, begin in ((kept, _MERGED[B]), (kept.swapcase(), _MERGED["b"])):
+        for chunk in _CHUNK.finditer(letters):
+            merged[chunk.start()] = begin
     return merged

@@ -277,11 +277,9 @@ def _cmd_eval(cfg) -> int:
 
 def _cmd_predict(cfg) -> int:
     table, params = _load_model(cfg)
-    if cfg["input"]:
-        with open_text(cfg["input"]) as fh:
-            lines = fh.readlines()
-    else:   # split as open() splits a file's lines
-        lines = io.StringIO(decode_text("<stdin>", sys.stdin.buffer.read()), newline=None).readlines()
+    source = open(cfg["input"], "rb") if cfg["input"] else contextlib.nullcontext(sys.stdin.buffer)
+    with source as fh:   # split as open() splits a file's lines
+        lines = io.StringIO(decode_text(cfg["input"] or "<stdin>", fh.read()), newline=None).readlines()
 
     n = 0
     for raw in lines:

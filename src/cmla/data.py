@@ -143,22 +143,24 @@ def parse_semeval_xml(path) -> ParseResult:
         raise DataFormatError(f"{path}: XML encoding error: {exc}") from None
 
     result = ParseResult(sentences=[])
+
+    def skip(sid, reason):
+        result.diagnostics.append(f"sentence {sid!r}: {reason}, skipped")
+        result.skipped += 1
+
     for elem in tree.getroot().iter("sentence"):
         sid = elem.get("id", "")
         text_elem = elem.find("text")
         if text_elem is None or text_elem.text is None:
-            result.diagnostics.append(f"sentence {sid!r}: missing text, skipped")
-            result.skipped += 1
+            skip(sid, "missing text")
             continue
         text = text_elem.text
         tokens = tokenize(text)
         if not tokens:
-            result.diagnostics.append(f"sentence {sid!r}: no tokens, skipped")
-            result.skipped += 1
+            skip(sid, "no tokens")
             continue
 
         char_spans = []
-        bad_offset = False
         for op in elem.iter("Opinion"):
             target = op.get("target")
             if target is None or target == "NULL":
@@ -166,14 +168,10 @@ def parse_semeval_xml(path) -> ParseResult:
             try:
                 lo, hi = int(op.get("from")), int(op.get("to"))
             except (TypeError, ValueError):
-                result.diagnostics.append(f"sentence {sid!r}: non-numeric from/to, skipped")
-                bad_offset = True
+                skip(sid, "non-numeric from/to")
                 break
             if not (0 <= lo < hi <= len(text)):
-                result.diagnostics.append(
-                    f"sentence {sid!r}: offsets [{lo}, {hi}) outside text of length {len(text)}, skipped"
-                )
-                bad_offset = True
+                skip(sid, f"offsets [{lo}, {hi}) outside text of length {len(text)}")
                 break
             if text[lo:hi] != target:
                 result.diagnostics.append(
@@ -181,16 +179,13 @@ def parse_semeval_xml(path) -> ParseResult:
                 )
                 continue
             char_spans.append((lo, hi))
-        if bad_offset:
-            result.skipped += 1
-            continue
-
-        spans, problems = align_spans(sorted(set(char_spans)), tokens, ASPECT)
-        result.diagnostics.extend(f"sentence {sid!r}: {p}" for p in problems)
-        result.sentences.append(
-            Sentence(raw_text=text, tokens=tokens, aspect_spans=spans,
-                     opinion_spans=[], source_id=sid)
-        )
+        else:   # no offset was bad
+            spans, problems = align_spans(sorted(set(char_spans)), tokens, ASPECT)
+            result.diagnostics.extend(f"sentence {sid!r}: {p}" for p in problems)
+            result.sentences.append(
+                Sentence(raw_text=text, tokens=tokens, aspect_spans=spans,
+                         opinion_spans=[], source_id=sid)
+            )
     return result
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -142,6 +143,44 @@ def test_merge_length_mismatch():
         merge_heads("BO", "OO", [0.5, 0.5], [0.5])
 
 
+def reference_merge_heads(la, lp, conf_a, conf_p):
+    """merge_heads as two hand-written loops: resolve conflicts per token,
+    then turn each inside tag with no chunk of its kind open into a begin
+    tag."""
+    tags = {ASPECT: {B: "B-ASP", I: "I-ASP"}, OPINION: {B: "B-OP", I: "I-OP"}}
+    begin_of = {t[I]: t[B] for t in tags.values()}
+    merged = []
+    for i, (a, p) in enumerate(zip(la, lp)):
+        if a != O and p != O:
+            pick = (ASPECT, a) if conf_a[i] >= conf_p[i] else (OPINION, p)
+        elif a != O:
+            pick = (ASPECT, a)
+        elif p != O:
+            pick = (OPINION, p)
+        else:
+            merged.append(O)
+            continue
+        merged.append(tags[pick[0]][pick[1]])
+    prev = O
+    for i, tag in enumerate(merged):
+        begin = begin_of.get(tag)
+        if begin and prev != tag and prev != begin:
+            merged[i] = begin
+        prev = merged[i]
+    return merged
+
+
+def test_merge_matches_reference_exhaustive_short_lengths():
+    """Every pair of B/I/O strings up to length 4, each with three draws of
+    confidences from a set small enough to tie often."""
+    rng = random.Random(4)
+    for n in range(5):
+        for la, lp in itertools.product(map("".join, itertools.product((B, I, O), repeat=n)), repeat=2):
+            for _ in range(3):
+                conf_a, conf_p = rng.choices((0.3, 0.5, 0.7), k=n), rng.choices((0.3, 0.5, 0.7), k=n)
+                assert merge_heads(la, lp, conf_a, conf_p) == reference_merge_heads(la, lp, conf_a, conf_p)
+
+
 def _merged_well_formed(tags):
     prev = O
     for tag in tags:
@@ -159,6 +198,7 @@ def test_merge_always_well_formed(data):
     conf_a = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
     conf_p = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
     merged = merge_heads(la, lp, conf_a, conf_p)
+    assert merged == reference_merge_heads(la, lp, conf_a, conf_p)
     assert len(merged) == n
     assert _merged_well_formed(merged)
     assert all(t in ("B-ASP", "I-ASP", "B-OP", "I-OP", O) for t in merged)

@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
 from cmla import cli, model
@@ -329,21 +329,45 @@ json_value = st.recursive(
     max_leaves=8,
 )
 HEADER_KEYS = ("format", "version", "dim", "channels", "layers", "tensors")
+# textual edits to one value: other spellings of a JSON number, non-finite
+# numbers and leading whitespace, none of them a float's repr; the checkpoint
+# still loads after `1.50` and `1E5`
+VALUE_EDITS = ("1", "1.50", "1E5", "-0", "NaN", " 0.5", "1e400")
+# fragments a mutation may splice in: values, separators and the tail
+CHECKPOINT_PIECES = tuple(e.encode() for e in VALUE_EDITS) + (
+    b"]}, ", b'"values": [', b", ", b"}}\n", b"\r\n", b"\xef\xbb\xbf", b"\xff")
 
 
 @pytest.fixture(scope="module")
-def valid_payload(fuzz_dir):
+def valid_checkpoint(fuzz_dir):
+    """save_checkpoint's bytes for a dim-2, one-channel model."""
     path = fuzz_dir / "valid.json"
     save_checkpoint(path, CmlaParams.init(dim=2, channels=1, rng=0, layers=1))
-    return json.loads(path.read_text(encoding="utf-8"))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def valid_payload(valid_checkpoint):
+    return json.loads(valid_checkpoint)
 
 
 @st.composite
-def mangled_checkpoint(draw, payload):
-    payload = json.loads(json.dumps(payload))
+def mangled_checkpoint(draw, saved: bytes):
+    """`saved` with up to three values respelled. A damaged file may also get
+    any of VALUE_EDITS there, up to three edits of its JSON, another encoding
+    and up to two byte edits; any other file holds only the respellings that
+    still load, `1.50` and `1E5`, so the accepting path is fuzzed as well as
+    the rejecting one."""
+    payload = json.loads(saved)
     tensors = payload["tensors"]
-    for _ in range(draw(st.integers(1, 3))):
-        target = draw(st.sampled_from(("header", "drop", "shape", "values", "value", "entry")))
+    damaged = draw(st.booleans())
+    respelled = draw(st.lists(st.sampled_from(VALUE_EDITS if damaged else ("1.50", "1E5")), max_size=3))
+    for i in range(len(respelled)):   # written into the text below
+        values = tensors[draw(st.sampled_from(sorted(tensors)))]["values"]
+        values[draw(st.integers(0, len(values) - 1))] = f"EDIT{i}"
+    edits = draw(st.lists(st.sampled_from(("header", "drop", "shape", "values", "value", "entry")),
+                          max_size=3)) if damaged else []
+    for target in edits:
         name = draw(st.sampled_from(sorted(tensors)))
         entry = tensors[name]
         if target == "header":
@@ -358,18 +382,21 @@ def mangled_checkpoint(draw, payload):
             entry["values"].insert(draw(st.integers(0, len(entry["values"]))), draw(json_value))
         else:
             tensors[name] = draw(json_value)
-    # with the newline, an unmangled payload is in save_checkpoint's own layout
-    text = json.dumps(payload, ensure_ascii=draw(st.booleans())) + draw(st.sampled_from(("\n", "")))
-    encoding = draw(st.sampled_from(("utf-8", "utf-8-sig", "utf-16", "latin-1")))
-    data = text.encode(encoding, errors="replace")
-    return mutate(data, draw(st.lists(mutation, max_size=2)))
+    # sorted keys give save_checkpoint's text back for what was not edited
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=draw(st.booleans())) + "\n"
+    for i, edit in enumerate(respelled):
+        text = text.replace(f'"EDIT{i}"', edit)
+    if not damaged:
+        return text.encode("utf-8")
+    data = text.encode(draw(st.sampled_from(("utf-8", "utf-8-sig", "utf-16", "latin-1"))), errors="replace")
+    return mutate(data, draw(st.lists(mutations(CHECKPOINT_PIECES), max_size=2)))
 
 
 @FUZZ
 @given(st.data())
-def test_load_checkpoint_mangled(fuzz_dir, valid_payload, data):
+def test_load_checkpoint_mangled(fuzz_dir, valid_checkpoint, data):
     path = fuzz_dir / "mangled.json"
-    path.write_bytes(data.draw(mangled_checkpoint(valid_payload)))
+    path.write_bytes(data.draw(mangled_checkpoint(valid_checkpoint)))
     try:
         params = load_checkpoint(path)
     except DataFormatError as exc:
@@ -450,11 +477,29 @@ def first_difference(a: bytes, b: bytes) -> int:
 
 @FUZZ
 @given(st.data())
-def test_load_checkpoint_matches_reference_loader(fuzz_dir, valid_payload, data):
+def test_load_checkpoint_matches_reference_loader(fuzz_dir, valid_checkpoint, data):
     path = fuzz_dir / "parity.json"
-    path.write_bytes(data.draw(mangled_checkpoint(valid_payload)))
+    path.write_bytes(data.draw(mangled_checkpoint(valid_checkpoint)))
     # short slices put slice ends inside the values
     assert_loads_as_reference(path, data.draw(st.sampled_from((model.LOAD_SLICE, 1, 7, 40))))
+
+
+def test_mangled_checkpoints_reach_the_accepting_path(fuzz_dir, valid_checkpoint):
+    """The strategy draws files that load although their text is not what
+    save_checkpoint writes, so the fuzz tests above check the accepting path
+    on more than the saved bytes."""
+    path, resaved = fuzz_dir / "reached.json", fuzz_dir / "resaved.json"
+
+    def loads_respelled(data):
+        path.write_bytes(data)
+        try:
+            save_checkpoint(resaved, load_checkpoint(path))
+        except DataFormatError:
+            return False
+        return resaved.read_bytes() != data.removeprefix(codecs.BOM_UTF8)
+
+    find(mangled_checkpoint(valid_checkpoint), loads_respelled,
+         settings=settings(max_examples=500, database=None, deadline=None))
 
 
 CHECKPOINT_V1 = Path(__file__).parent / "checkpoint_v1.json"
@@ -478,9 +523,6 @@ def test_own_layout_loads_alike_at_every_slice_size(tmp_path, source):
 # drawn finite floats: subnormals, a negative zero and 17-digit reprs among them
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     (-0.0, 5e-324, -2.225073858507201e-308, 0.30000000000000004, -1.7976931348623157e308))
-# textual edits to one value: other spellings of a JSON number, non-finite
-# numbers and leading whitespace, none of them a float's repr
-VALUE_EDITS = ("1", "1.50", "1E5", "-0", "NaN", " 0.5", "1e400")
 
 
 @FUZZ
