@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .bio import ASPECT, OPINION
+from .bio import HEADS
 from .data import (
     DataFormatError,
     DEFAULT_OPINION_WORDS,
@@ -295,9 +295,9 @@ def _cmd_predict(cfg) -> int:
         with _checkpoint_overflow(cfg):
             pred = predict(sentence, table, params)
         print(f"sentence {n}: {text}")
-        for head, spans in ((ASPECT, pred.aspect_spans), (OPINION, pred.opinion_spans)):
+        for head in HEADS:
             shown = "; ".join(
-                f"[{s.start},{s.end}) {sentence.span_surface(s)!r}" for s in spans
+                f"[{s.start},{s.end}) {sentence.span_surface(s)!r}" for s in getattr(pred, f"{head}_spans")
             )
             print(f"  {head} spans: {shown if shown else '(none)'}")
         print(f"  merged tags: {' '.join(pred.merged)}")

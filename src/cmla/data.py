@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bio import ASPECT, OPINION, Span
+from .bio import ASPECT, HEADS, OPINION, Span
 
 
 class DataFormatError(ValueError):
@@ -439,21 +439,15 @@ class SynthConfig:
 
 def showcase_sentences() -> list:
     """Two hand-annotated demo sentences used in reports and fixtures."""
-    out = []
-    for sid, text, aspects, opinions in (
-        ("showcase-1", "zeer goede ligging en prima terras", [(2, 3), (5, 6)], [(1, 2), (4, 5)]),
-        ("showcase-2", "het was een leuke dag en ik heb veel gedaan", [(4, 5)], [(3, 4)]),
-    ):
-        out.append(
-            Sentence(
-                raw_text=text,
-                tokens=tokenize(text),
-                aspect_spans=[Span(a, b, ASPECT) for a, b in aspects],
-                opinion_spans=[Span(a, b, OPINION) for a, b in opinions],
-                source_id=sid,
-            )
+    return [
+        Sentence(raw_text=text, tokens=tokenize(text),
+                 aspect_spans=[Span(a, b, ASPECT) for a, b in aspects],
+                 opinion_spans=[Span(a, b, OPINION) for a, b in opinions], source_id=sid)
+        for sid, text, aspects, opinions in (
+            ("showcase-1", "zeer goede ligging en prima terras", [(2, 3), (5, 6)], [(1, 2), (4, 5)]),
+            ("showcase-2", "het was een leuke dag en ik heb veel gedaan", [(4, 5)], [(3, 4)]),
         )
-    return out
+    ]
 
 
 def generate_synthetic(cfg: SynthConfig):
@@ -462,33 +456,21 @@ def generate_synthetic(cfg: SynthConfig):
     Every distinct surface form gets its own uniform random vector, so the
     corpus is trivially separable and suitable for overfit tests.
     """
+    fillers = {"ASPECT": (ASPECT, DEFAULT_ASPECT_WORDS), "OPINION": (OPINION, DEFAULT_OPINION_WORDS)}
     gen = np.random.default_rng(cfg.seed)
     sentences = showcase_sentences()
     while len(sentences) < cfg.n_sentences:
         template = DEFAULT_TEMPLATES[int(gen.integers(len(DEFAULT_TEMPLATES)))]
-        words = []
-        aspect_spans = []
-        opinion_spans = []
+        words, spans = [], {head: [] for head in HEADS}
         for slot in template.split():
-            idx = len(words)
-            if slot == "ASPECT":
-                words.append(DEFAULT_ASPECT_WORDS[int(gen.integers(len(DEFAULT_ASPECT_WORDS)))])
-                aspect_spans.append(Span(idx, idx + 1, ASPECT))
-            elif slot == "OPINION":
-                words.append(DEFAULT_OPINION_WORDS[int(gen.integers(len(DEFAULT_OPINION_WORDS)))])
-                opinion_spans.append(Span(idx, idx + 1, OPINION))
-            else:
-                words.append(slot)
+            if slot in fillers:
+                head, choices = fillers[slot]
+                spans[head].append(Span(len(words), len(words) + 1, head))
+                slot = choices[int(gen.integers(len(choices)))]
+            words.append(slot)
         text = " ".join(words)
-        sentences.append(
-            Sentence(
-                raw_text=text,
-                tokens=tokenize(text),
-                aspect_spans=sorted(set(aspect_spans)),
-                opinion_spans=sorted(set(opinion_spans)),
-                source_id=f"synth-{len(sentences)}",
-            )
-        )
+        sentences.append(Sentence(raw_text=text, tokens=tokenize(text), aspect_spans=spans[ASPECT],
+                                  opinion_spans=spans[OPINION], source_id=f"synth-{len(sentences)}"))
     sentences = sentences[: cfg.n_sentences]
 
     vocab = sorted({tok.surface for s in sentences for tok in s.tokens})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bio import ASPECT, OPINION
+from .bio import ASPECT, HEADS, OPINION
 from .model import predict
 
 
@@ -66,15 +66,9 @@ def score_corpus(params, table, sentences) -> CorpusReport:
     """Predict every sentence and score each head against its gold spans."""
     sentences = list(sentences)
     preds = [predict(s, table, params) for s in sentences]
-    return CorpusReport(
-        aspect=score_chunks(
-            [s.aspect_spans for s in sentences], [p.aspect_spans for p in preds]
-        ),
-        opinion=score_chunks(
-            [s.opinion_spans for s in sentences], [p.opinion_spans for p in preds]
-        ),
-        n_sentences=len(sentences),
-    )
+    return CorpusReport(**{head: score_chunks([getattr(s, f"{head}_spans") for s in sentences],
+                                              [getattr(p, f"{head}_spans") for p in preds])
+                           for head in HEADS}, n_sentences=len(sentences))
 
 
 _METRIC_COLUMNS = ("head", "tp", "fp", "fn", "precision", "recall", "f1")
@@ -130,6 +124,6 @@ def attention_tsv(sentence, pred) -> str:
 
 def _covering_heads(spans_of, n) -> list:
     """Per token, the '+'-joined heads whose spans cover it, or '-'."""
-    covered = [(head, {i for s in spans for i in range(s.start, s.end)})
-               for head, spans in ((ASPECT, spans_of.aspect_spans), (OPINION, spans_of.opinion_spans))]
+    covered = [(head, {i for s in getattr(spans_of, f"{head}_spans") for i in range(s.start, s.end)})
+               for head in HEADS]
     return ["+".join(head for head, on in covered if i in on) or "-" for i in range(n)]

@@ -117,7 +117,7 @@ class CmlaParams:
     def shapes(dim: int, channels: int) -> dict:
         """Shape of every named tensor of a dim x channels model."""
         out = {f"ctx_gru.{k}": s for k, s in GruParams.shapes(dim, dim).items()}
-        for head in (ASPECT, OPINION):
+        for head in bio.HEADS:
             out.update({f"{head}.prototype": (dim,), f"{head}.comp": (channels, dim, dim),
                         f"{head}.cross": (channels, dim, dim)})
             out.update({f"{head}.att_gru.{k}": s
@@ -346,10 +346,9 @@ def embed_sentence(sentence, table) -> list:
 
 
 def sentence_loss(sentence, table, params: CmlaParams) -> Tensor:
-    gold_a = bio.spans_to_labels(len(sentence.tokens), sentence.aspect_spans, ASPECT)
-    gold_p = bio.spans_to_labels(len(sentence.tokens), sentence.opinion_spans, OPINION)
+    gold = [bio.spans_to_labels(len(sentence.tokens), getattr(sentence, f"{h}_spans"), h) for h in bio.HEADS]
     logits, _ = forward(embed_sentence(sentence, table), params)
-    return loss(logits, gold_a, gold_p)
+    return loss(logits, *gold)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +397,7 @@ def train(sentences, table, params: CmlaParams, config: TrainConfig) -> list:
     if not sentences:
         raise ValueError("training needs at least one sentence")
     named, flat = params.named_tensors(), params.flat
-    maps = [named.pop(f"{head}.{m}") for head in (ASPECT, OPINION) for m in ("comp", "cross")]
+    maps = [named.pop(f"{head}.{m}") for head in bio.HEADS for m in ("comp", "cross")]
     for name, t in named.items():
         if t.data.base is not flat:
             raise ValueError(f"{name} is no longer a view of the parameter vector")

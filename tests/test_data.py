@@ -19,6 +19,7 @@ from cmla.data import (
     EmbeddingTable,
     OovPolicy,
     OpinionLexicon,
+    Sentence,
     SynthConfig,
     align_spans,
     annotate_opinions,
@@ -701,6 +702,82 @@ def test_generate_synthetic_single_template():
         for slot, tok in zip(slots, s.tokens):
             assert tok.surface in fillers.get(slot, (slot,))
             assert tok.surface in table
+
+
+def reference_showcase_sentences() -> list:
+    """showcase_sentences as it was when each head had its own code, kept as the oracle."""
+    out = []
+    for sid, text, aspects, opinions in (
+        ("showcase-1", "zeer goede ligging en prima terras", [(2, 3), (5, 6)], [(1, 2), (4, 5)]),
+        ("showcase-2", "het was een leuke dag en ik heb veel gedaan", [(4, 5)], [(3, 4)]),
+    ):
+        out.append(
+            Sentence(
+                raw_text=text,
+                tokens=tokenize(text),
+                aspect_spans=[Span(a, b, ASPECT) for a, b in aspects],
+                opinion_spans=[Span(a, b, OPINION) for a, b in opinions],
+                source_id=sid,
+            )
+        )
+    return out
+
+
+def reference_generate_synthetic(cfg: SynthConfig):
+    """generate_synthetic as it was when each head had its own branch, kept as the oracle."""
+    gen = np.random.default_rng(cfg.seed)
+    sentences = reference_showcase_sentences()
+    while len(sentences) < cfg.n_sentences:
+        template = DEFAULT_TEMPLATES[int(gen.integers(len(DEFAULT_TEMPLATES)))]
+        words = []
+        aspect_spans = []
+        opinion_spans = []
+        for slot in template.split():
+            idx = len(words)
+            if slot == "ASPECT":
+                words.append(DEFAULT_ASPECT_WORDS[int(gen.integers(len(DEFAULT_ASPECT_WORDS)))])
+                aspect_spans.append(Span(idx, idx + 1, ASPECT))
+            elif slot == "OPINION":
+                words.append(DEFAULT_OPINION_WORDS[int(gen.integers(len(DEFAULT_OPINION_WORDS)))])
+                opinion_spans.append(Span(idx, idx + 1, OPINION))
+            else:
+                words.append(slot)
+        text = " ".join(words)
+        sentences.append(
+            Sentence(
+                raw_text=text,
+                tokens=tokenize(text),
+                aspect_spans=sorted(set(aspect_spans)),
+                opinion_spans=sorted(set(opinion_spans)),
+                source_id=f"synth-{len(sentences)}",
+            )
+        )
+    sentences = sentences[: cfg.n_sentences]
+
+    vocab = sorted({tok.surface for s in sentences for tok in s.tokens})
+    vectors = {word: gen.uniform(-1.0, 1.0, size=cfg.dim) for word in vocab}
+    return sentences, EmbeddingTable(dim=cfg.dim, vectors=vectors)
+
+
+def fixture_outcome(sentences, table=None):
+    """Per sentence its id, text, token offsets and span tuples, then the table's
+    (word, vector bytes) in vocabulary order."""
+    rows = [(s.source_id, s.raw_text, [(t.surface, t.start, t.end) for t in s.tokens],
+             [[(sp.start, sp.end, sp.kind) for sp in spans] for spans in (s.aspect_spans, s.opinion_spans)])
+            for s in sentences]
+    return rows, table and (table.dim, [(word, vec.tobytes()) for word, vec in table.vectors.items()])
+
+
+def test_showcase_sentences_match_the_reference():
+    assert fixture_outcome(showcase_sentences()) == fixture_outcome(reference_showcase_sentences())
+
+
+@pytest.mark.parametrize("n_sentences", [1, 2, 3, 20, 57])
+def test_generate_synthetic_matches_the_reference_bitwise(n_sentences):
+    for seed in range(300):
+        cfg = SynthConfig(n_sentences=n_sentences, seed=seed)
+        got, want = generate_synthetic(cfg), reference_generate_synthetic(cfg)
+        assert fixture_outcome(*got) == fixture_outcome(*want), f"seed {seed}"
 
 
 def test_generated_embeddings_distinct_per_word():

@@ -1,6 +1,6 @@
 """The scripts under scripts/, the modules and the README's Python example
 run to completion in a fresh interpreter, and each module uses every name
-it imports."""
+it imports and imports only the standard library, numpy and cmla itself."""
 
 import ast
 import os
@@ -54,6 +54,18 @@ def test_module_uses_every_name_it_imports(path):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "cmla").glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library_numpy_and_cmla(path):
+    # numpy is the only backend: an import of any other package passes on a
+    # host that happens to have it installed and fails everywhere else
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    names += ["." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    outside = [name for name in names if not (name.startswith(".") and not name.startswith(".."))
+               and name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert outside == []
 
 
 def test_readme_python_example_prints_its_comment():
