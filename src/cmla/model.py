@@ -493,8 +493,8 @@ LOAD_SLICE = 1 << 16
 
 # the longest text of one value a checkpoint may hold: no float64 repr is longer
 FLOAT_TEXT_MAX = 24
-# the whole values that start a values list's bytes, each followed by ", " or by its "]"
-_VALUES = re.compile(rb"(?:[-+.0-9eE]{1,%d}(?:, |(?=\])))*" % FLOAT_TEXT_MAX)
+# the bytes of a value, and the comma of the ", " that joins two
+_NUMBER_BYTES = b"-+.0123456789eE,"
 
 
 def _frame(dim: int, channels: int, layers: int) -> tuple:
@@ -577,37 +577,46 @@ def load_checkpoint(path) -> CmlaParams:
             raw.seek(at + digits.end())
             return int(digits[0])
 
-        def finite(text: bytes):
-            """The values in `text` as an array, or None unless it holds one at least
-            and each is a finite JSON float."""
+        def integer(text: str):
+            raise ValueError(f"{text} is an integer; checkpoint values are floats")
+
+        def parse(text: bytes, out: np.ndarray) -> int:
+            """How many values `text` holds, parsed into the start of `out`: 0 unless they are
+            finite JSON floats of 1 to FLOAT_TEXT_MAX bytes, joined by ", ", that fit in `out`."""
+            buf = np.frombuffer(b", " + text + b",", np.uint8)   # each value follows ", " and ends at ","
+            commas = np.flatnonzero(buf == ord(","))
+            lengths = np.diff(commas) - 2
+            if not (len(lengths) <= out.size and 1 <= lengths.min() and lengths.max() <= FLOAT_TEXT_MAX
+                    and text.translate(None, _NUMBER_BYTES) == b" " * (len(lengths) - 1)   # as many spaces
+                    and (buf[commas[:-1] + 1] == ord(" ")).all()):   # as joins, each after its comma
+                return 0
+            head = out[: len(lengths)]
             try:
-                items = json.loads("[" + text.decode() + "]")
+                head[:] = json.loads(b"[" + text + b"]", parse_int=integer)
             except ValueError:
-                return None
-            array = np.array(items if set(map(type, items)) <= {float} else [], dtype=float)
-            return array if array.size and np.isfinite(array).all() else None
+                return 0
+            return head.size if np.isfinite(head).all() else 0
 
         def floats(values: np.ndarray):
             """Fill the 1-D `values` from the values list at the file's position and
             leave the file after its last value; each piece's values take one json.loads."""
             filled = 0
             while filled < values.size:
-                at = raw.tell()
+                at, rest = raw.tell(), values[filled:]
                 piece = raw.read(max(LOAD_SLICE, FLOAT_TEXT_MAX + 2))   # one whole value at least
-                end = _VALUES.match(piece).end()
-                text = piece[:end].removesuffix(b", ")
-                items = finite(text)
-                if items is None or filled + len(items) > values.size:
+                close = piece.find(b"]")   # its values end at its first "]", or else at its last ", "
+                text = piece[:close] if close >= 0 else piece.rpartition(b", ")[0]
+                end = close if close >= 0 else len(text) + 2
+                count = parse(text, rest)
+                if not count:
                     # value by value, up to the last one the list may hold
-                    text = b", ".join(text.split(b", ")[: values.size - filled])
-                    offset = at
-                    for value in text.split(b", "):
-                        if finite(value) is None:
-                            fail(offset, "a finite float")
-                        offset += len(value) + 2
-                    items = finite(text)
-                values[filled : filled + len(items)] = items
-                filled += len(items)
+                    items = text.split(b", ")[: rest.size]
+                    for i, value in enumerate(items):
+                        if not parse(value, rest):
+                            fail(at + sum(map(len, items[:i])) + 2 * i, "a finite float")
+                    text = b", ".join(items)
+                    count = parse(text, rest)
+                filled += count
                 raw.seek(at + (len(text) if filled == values.size else end))
 
         channels, dim, layers = map(dimension, _HEAD[:-1])
@@ -618,10 +627,11 @@ def load_checkpoint(path) -> CmlaParams:
             fail(0, "a header field")
         arrays = {}
         for i, (name, shape) in enumerate(shapes):
-            take(("]}, " if i else "") + _entry_head(name, shape), "a tensor name")
+            take(("}, " if i else "") + _entry_head(name, shape), "a tensor name")
             arrays[name] = np.empty(shape)
             floats(arrays[name].reshape(-1))
-        take("]}" + _frame(dim, channels, layers)[1], "the tail")
+            take("]", "the end of the values list")
+        take("}" + _frame(dim, channels, layers)[1], "the tail")
         if raw.read(1):
             fail(raw.tell() - 1, "the tail")
     # the arrays become the tensors' data: copies would sit in the heap above

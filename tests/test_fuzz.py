@@ -402,7 +402,8 @@ def test_load_checkpoint_mangled(fuzz_dir, valid_checkpoint, data):
     except DataFormatError as exc:
         # one line: the file, a byte inside it and what belongs there
         found = re.fullmatch(rf"{re.escape(str(path))}: byte ([0-9]+): expected "
-                             "(?:a header field|a tensor name|a finite float|the tail)", str(exc))
+                             "(?:a header field|a tensor name|a finite float|the end of the values list|the tail)",
+                             str(exc))
         assert found and int(found[1]) <= path.stat().st_size, str(exc)
         return
     assert {name: t.data.shape for name, t in params.named_tensors().items()} == \
@@ -518,6 +519,94 @@ def test_own_layout_loads_alike_at_every_slice_size(tmp_path, source):
         assert load_outcome(reference_load_checkpoint, path) == tensor_bytes(params)
     for size in range(1, 41):
         assert isinstance(assert_loads_as_reference(path, size), tuple)
+
+
+# spellings of a values list's first value and where load_checkpoint names
+# the departure, as an offset from the value's first byte, or None where the
+# file loads
+SPELLINGS = {
+    # spacing and separators
+    " 0.5": 0, "0.5 ": 0, "1.0,2.0": 0, "1.0 ,2.0": 0, "1.0 , 2.0": 0, "1.0,  2.0": 5, "\t1.0": 0,
+    # integers, and number forms JSON does not have
+    "1": 0, "-0": 0, "01.5": 0, "+1.0": 0, ".5": 0, "5.": 0,
+    # floats that load
+    "1e5": None, "1E+05": None, "-0.0": None, "5e-324": None,
+    # FLOAT_TEXT_MAX bytes, and one more
+    "1." + "1" * (FLOAT_TEXT_MAX - 2): None, "1." + "1" * (FLOAT_TEXT_MAX - 1): 0,
+    # non-finite numbers, and values that are not numbers
+    "1e400": 0, "NaN": 0, '"1.0"': 0, "[1.0]": 0, "true": 0,
+}
+# a middle tensor, and the last one, whose list the tail follows
+SPELLED_IN = ("aspect.prototype", "opinion.prototype")
+
+
+def values_list(text: bytes, name: str) -> tuple:
+    """The offsets of the first value of tensor `name` and of its list's "]"."""
+    start = text.index(b'"values": [', text.index(json.dumps(name).encode())) + len(b'"values": [')
+    return start, text.index(b"]", start)
+
+
+def assert_loads_alike_at_every_slice_size(path):
+    """load_checkpoint's outcome, the same at LOAD_SLICE 1 to 40 as at the
+    default and, where the file loads, what the reference loads."""
+    outcome = assert_loads_as_reference(path, model.LOAD_SLICE)
+    for size in range(1, 41):
+        with mock.patch.object(model, "LOAD_SLICE", size):
+            assert load_outcome(load_checkpoint, path) == outcome, size
+    return outcome
+
+
+@pytest.mark.parametrize("name", SPELLED_IN)
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+def test_value_spellings_load_as_the_reference_loads(tmp_path, valid_checkpoint, spelling, name):
+    start, close = values_list(valid_checkpoint, name)
+    first = valid_checkpoint[start:close].split(b", ")[0]
+    path = tmp_path / "spelled.json"
+    path.write_bytes(valid_checkpoint[:start] + spelling.encode() + valid_checkpoint[start + len(first) :])
+    outcome = assert_loads_alike_at_every_slice_size(path)
+    if SPELLINGS[spelling] is None:
+        assert isinstance(outcome, tuple)
+    else:
+        assert outcome == f"{path}: byte {start + SPELLINGS[spelling]}: expected a finite float"
+
+
+@pytest.mark.parametrize("name", SPELLED_IN)
+@pytest.mark.parametrize("change", ["extra value", "trailing separator", "missing value"])
+def test_values_list_length_is_named_at_its_end(tmp_path, valid_checkpoint, change, name):
+    start, close = values_list(valid_checkpoint, name)
+    values = valid_checkpoint[start:close]
+    edited = {"extra value": values + b", 0.5", "trailing separator": values + b", ",
+              "missing value": values.rsplit(b", ", 1)[0]}[change]
+    path = tmp_path / "length.json"
+    path.write_bytes(valid_checkpoint[:start] + edited + valid_checkpoint[close:])
+    # the ", " where the list's "]" belongs, or the "]" where a value belongs
+    expected = f"{start + len(edited)}: expected a finite float" if change == "missing value" else \
+        f"{close}: expected the end of the values list"
+    assert assert_loads_alike_at_every_slice_size(path) == f"{path}: byte {expected}"
+
+
+def test_saved_checkpoints_parse_each_value_once(tmp_path, monkeypatch):
+    # the value-by-value path loads the same arrays, but parses a piece's
+    # values again one by one: a byte check that refused some float repr
+    # would stay correct and silently slow every load
+    params = CmlaParams.init(dim=5, channels=3, rng=5, layers=2)
+    reprs = [-0.0, 5e-324, 1e300, -2.2250738585072014e-308, 0.30000000000000004, -1.7976931348623157e308, 1e16]
+    params.aspect.comp.data.flat[: len(reprs)] = reprs
+    path = tmp_path / "model.json"
+    save_checkpoint(path, params)
+    loads, parsed = json.loads, []
+
+    def counted(*args, **kwargs):
+        values = loads(*args, **kwargs)
+        parsed.append(len(values))
+        return values
+
+    monkeypatch.setattr(json, "loads", counted)
+    for size in (model.LOAD_SLICE, *range(1, 41)):
+        parsed.clear()
+        with mock.patch.object(model, "LOAD_SLICE", size):
+            assert tensor_bytes(load_checkpoint(path)) == tensor_bytes(params)
+        assert sum(parsed) == sum(t.data.size for t in params.named_tensors().values()), size
 
 
 # drawn finite floats: subnormals, a negative zero and 17-digit reprs among them

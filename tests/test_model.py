@@ -1034,7 +1034,8 @@ def rejection(path) -> tuple:
     with pytest.raises(DataFormatError) as info:
         load_checkpoint(path)
     found = re.fullmatch(rf"{re.escape(str(path))}: byte ([0-9]+): expected "
-                         "(a header field|a tensor name|a finite float|the tail)", str(info.value))
+                         "(a header field|a tensor name|a finite float|the end of the values list|the tail)",
+                         str(info.value))
     assert found, str(info.value)
     return int(found[1]), found[2]
 
