@@ -61,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # dest -> (converter, default, help); a None default means the option must
-# come from a flag or the config file
+# come from a flag or the config file, with a value that is not empty
 _SCHEMAS = {
     "synth": {
         "out": (str, None, "directory for corpus.xml, embeddings.txt, lexicon.txt"),
@@ -165,13 +165,13 @@ def _read_config_file(path, schema) -> dict:
 
 
 def _merge_options(args, schema) -> dict:
-    file_values = _read_config_file(args.config, schema) if args.config else {}
+    file_values = _read_config_file(args.config, schema) if args.config is not None else {}
     merged = {}
     missing = []
     for dest, (_conv, default, _help) in schema.items():
         flag = getattr(args, dest)
         value = flag if flag is not None else file_values.get(dest, default)
-        if value is None:
+        if default is None and value in (None, ""):
             missing.append("--" + dest.replace("_", "-"))
         merged[dest] = value
     if missing:

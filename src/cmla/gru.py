@@ -12,8 +12,9 @@ A run over a Tensor is one graph node whose backward is hand-written
 backpropagation through time; a run over a plain array returns its
 states, with no graph. `autodiff.node` makes that choice from the input;
 `gru_run` only decides whether to keep the gate values BPTT reads.
-A cell's tensors and its stacked gates w = [W_z; W_r; W_h], u and b are
-views of one vector (in a model, a stretch of its parameter vector). Only
+A cell exists only inside a model: CmlaParams.from_named builds it over
+its stretch of the model's parameter vector, and its tensors and its
+stacked gates w = [W_z; W_r; W_h], u and b are views of that stretch. Only
 state-dependent work stays in the step loops: W x + b is formed up front,
 one stacked matrix-vector product per row (a GEMM sums differently with
 the row count, breaking bit-for-bit prefixes); the z/r terms are halved
@@ -32,14 +33,9 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, init_uniform, node, value, zeros
+from .autodiff import Tensor, node, value
 
 GRU_FIELDS = ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h")
-
-
-def sigmoid(x):
-    """Logistic function in its tanh form, which cannot overflow."""
-    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def rowwise(m, x):
@@ -47,19 +43,11 @@ def rowwise(m, x):
     return np.matmul(m, x.reshape(len(x), -1, 1)).reshape(len(x), -1)
 
 
-def init_tensor(name: str, shape, scale: float, gen) -> Tensor:
-    """A fresh parameter: zeros for a bias (last name part `b_*`), else
-    entries drawn from U(-scale, scale) with `gen`."""
-    if name.rpartition(".")[2].startswith("b_"):
-        return zeros(shape, requires_grad=True)
-    return init_uniform(shape, -scale, scale, gen)
-
-
 @dataclass(frozen=True)
 class GruParams:
     """Nine learnable tensors of one cell, W_* (hidden, input), U_* (hidden,
-    hidden), b_* (hidden,), and its gates w = [W_z; W_r; W_h], u, b view one
-    vector in GRU_FIELDS order: `flat`, which holds their values, or a copy."""
+    hidden), b_* (hidden,), and its gates w = [W_z; W_r; W_h], u, b: views of
+    `flat`, the cell's stretch of a model's parameter vector, in GRU_FIELDS order."""
 
     W_z: Tensor
     W_r: Tensor
@@ -70,28 +58,16 @@ class GruParams:
     b_z: Tensor
     b_r: Tensor
     b_h: Tensor
-    flat: InitVar[np.ndarray | None] = None
+    flat: InitVar[np.ndarray]
 
     def __post_init__(self, flat):
-        gates, h = [[getattr(self, f) for f in GRU_FIELDS[i : i + 3]] for i in (0, 3, 6)], self.hidden_dim
-        flat = np.concatenate([t.data for gate in gates for t in gate], axis=None) if flat is None else flat
+        h = self.hidden_dim
         w, u, b = (flat[at] for at in spans((3 * h * self.input_dim, 3 * h * h, 3 * h)))
-        self.__dict__.update(zip("wub", blocks := (w.reshape(3 * h, -1), u.reshape(3 * h, h), b)))   # frozen
-        for (z, r, c), block in zip(gates, blocks):
-            z.data, r.data, c.data = block[:h], block[h : 2 * h], block[2 * h :]
+        self.__dict__.update(w=w.reshape(3 * h, -1), u=u.reshape(3 * h, h), b=b)   # frozen
 
     def __deepcopy__(self, memo):
-        """A cell of copies of the nine tensors, whose gates view the copy's own
-        vector (a plain deep copy gives every view an array of its own)."""
-        return GruParams(**{name: Tensor(t.data, requires_grad=t.requires_grad)
-                            for name, t in self.tensors().items()})
-
-    @classmethod
-    def init(cls, input_dim: int, hidden_dim: int, rng, scale: float = 0.2):
-        """Uniform(-scale, scale) weights, zero biases, drawn in shapes() order."""
-        gen = np.random.default_rng(rng)   # a Generator comes back unchanged
-        return cls(**{name: init_tensor(name, shape, scale, gen)
-                      for name, shape in cls.shapes(input_dim, hidden_dim).items()})
+        # a plain deep copy would give every view an array of its own, unlinked from w, u and b
+        raise TypeError("a cell views its model's parameter vector: deep-copy the CmlaParams instead")
 
     @property
     def input_dim(self) -> int:

@@ -32,10 +32,10 @@ from operator import attrgetter
 import numpy as np
 
 from . import bio
-from .autodiff import Tensor, adopt, backward, constant, node, value
+from .autodiff import Tensor, adopt, backward, constant, init_uniform, node, value, zeros
 from .bio import ASPECT, OPINION, labels_to_spans, merge_heads
 from .data import DataFormatError
-from .gru import GRU_FIELDS, GruParams, gru_blocks, gru_run, init_tensor, rowwise, spans
+from .gru import GRU_FIELDS, GruParams, gru_blocks, gru_run, rowwise, spans
 
 # class order shared by logits, gold indices and checkpointed classifiers
 CLASS_ORDER = (bio.B, bio.I, bio.O)
@@ -95,9 +95,10 @@ class CmlaParams:
             raise ValueError(f"need at least one layer, got {layers}")
         gen = np.random.default_rng(rng)   # a Generator comes back unchanged
         tensors = {}
-        for name, shape in cls.shapes(dim, channels).items():
+        for name, shape in cls.shapes(dim, channels).items():   # zero biases draw nothing
             band = PROTOTYPE_INIT if name.endswith(".prototype") else init_scale
-            tensors[name] = init_tensor(name, shape, band, gen)
+            bias = name.rpartition(".")[2].startswith("b_")
+            tensors[name] = zeros(shape, requires_grad=True) if bias else init_uniform(shape, -band, band, gen)
         return cls.from_named(tensors, layers)
 
     def named_tensors(self) -> dict:
@@ -130,10 +131,11 @@ class CmlaParams:
     @classmethod
     def from_named(cls, tensors: dict, layers: int):
         """Parameters made of `tensors`, keyed as named_tensors() keys them.
-        Each tensor but the maps is copied into `flat` and made a view of it."""
+        Each tensor but the maps is copied into `flat` and made a view of it;
+        each cell is built over its stretch of `flat`, here only."""
         flat = np.concatenate([tensors[name].data for name in cls.FLAT_NAMES], axis=None)
         at = dict(zip(cls.FLAT_NAMES, spans([tensors[name].data.size for name in cls.FLAT_NAMES])))
-        for name in [name for name in cls.FLAT_NAMES if "_gru." not in name]:   # a cell places its own
+        for name in cls.FLAT_NAMES:
             tensors[name].data = flat[at[name]].reshape(tensors[name].data.shape)
 
         def gru(prefix):

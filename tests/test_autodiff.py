@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
-from cmla.gru import sigmoid
-from cmla.model import CLASS_INDEX, CLASS_ORDER, attend, compose, loss, update_prototype
+from cmla.gru import gru_run
+from cmla.model import CLASS_INDEX, CLASS_ORDER, CmlaParams, attend, compose, loss, update_prototype
 
 
 def randt(shape, seed=0, lo=-1.0, hi=1.0):
@@ -149,29 +149,46 @@ def heads_of(*maps):
     return [SimpleNamespace(comp=comp, cross=cross) for comp, cross in zip(maps[::2], maps[1::2])]
 
 
+def update_gates(pre, width=400):
+    """The update gates gru_run forms for the pre-activations `pre`: one step
+    from the zero state of a model's context cell (`width` units at most) whose
+    weights are zero and whose tanh(b_h) is 1 lands on the gate itself."""
+    width = min(width, len(pre))
+    cell = CmlaParams.init(dim=width, channels=1, rng=0).ctx_gru
+    for t in cell.tensors().values():
+        t.data[:] = 0.0
+    cell.b_h.data[:] = 40.0   # np.tanh(40.0) == 1.0
+    out = np.empty(len(pre))
+    for at in range(0, len(pre), width):
+        part = pre[at : at + width]
+        cell.b_z.data[: len(part)] = part
+        out[at : at + len(part)] = gru_run(np.zeros((1, width)), cell)[0, : len(part)]
+    return out
+
+
 def test_tanh_and_sigmoid_at_zero():
     heads = heads_of(*(randt((3, 2, 2), seed=9 + i) for i in range(4)))
     u = randt((2, 2), seed=13)
     assert np.array_equal(compose(zeros((4, 2)), u, heads).data, np.zeros((4, 12)))
-    assert np.array_equal(sigmoid(np.zeros(4)), np.full(4, 0.5))
+    assert np.array_equal(update_gates(np.zeros(4)), np.full(4, 0.5))
 
 
 def test_sigmoid_stable_at_extremes():
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        out = sigmoid(np.array([-1000.0, 1000.0]))
+        out = update_gates(np.array([-1000.0, 1000.0]))
     assert np.all(np.isfinite(out))
     assert out[0] == 0.0 and out[1] == 1.0
 
 
 def two_branch_sigmoid(x):
-    """The exp form, each branch exp'ing only -|x|: the oracle for sigmoid."""
+    """The exp form, each branch exp'ing only -|x|: the oracle for the gates."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def test_sigmoid_matches_two_branch_form():
     x = np.linspace(-40.0, 40.0, 160_001)
-    s = sigmoid(x)
+    s = update_gates(x)
     # within one ulp of 1.0; below 0.5 the tanh form loses relative accuracy
     # (it gives exactly 0 far out) but never absolute accuracy
     assert np.max(np.abs(s - two_branch_sigmoid(x))) <= np.finfo(float).eps
@@ -425,8 +442,13 @@ def test_tanh_sigmoid_ranges(values):
     out = compose(constant([[v] for v in values]), one, heads_of(*[unit] * 4)).data
     assert np.array_equal(out, np.tile(np.tanh(values)[:, None], 4))
     assert np.all(np.abs(out) <= 1.0)
-    s = sigmoid(np.array(values))
-    assert np.all((s >= 0.0) & (s <= 1.0))
+    # a context cell's states over inputs around +-1000 stay finite and in [-1, 1]
+    cell = CmlaParams.init(dim=1, channels=1, rng=len(values), init_scale=1.0).ctx_gru
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        states = gru_run(np.array([[33.0 * v] for v in values]), cell)
+        gates = update_gates(33.0 * np.array(values))
+    assert np.all(np.isfinite(states)) and np.all(np.abs(states) <= 1.0)
+    assert np.all((gates >= 0.0) & (gates <= 1.0))
 
 
 def test_grad_check_perturbs_a_strided_view_parameter():

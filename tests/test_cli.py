@@ -87,6 +87,59 @@ def test_train_missing_required_flag_exits_one(capsys, tmp_path):
     assert "cmla:" in stderr
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("command, option", [
+    ("synth", "out"), ("train", "data"), ("train", "embeddings"), ("train", "lexicon"), ("train", "out"),
+    ("eval", "data"), ("eval", "checkpoint"), ("predict", "checkpoint"), ("predict", "embeddings"),
+    ("inspect", "embeddings"),
+])
+def test_empty_required_option_counts_as_missing(workspace, capsys, tmp_path, command, option, where):
+    # an empty value would fail late, naming no option, after train made --out
+    data, run_dir = workspace
+    given = {"data": data / "corpus.xml", "embeddings": data / "embeddings.txt",
+             "lexicon": data / "lexicon.txt", "checkpoint": run_dir / "checkpoint.json", "out": tmp_path / "out"}
+    argv = [command]
+    for key, (_conv, default, _help) in cli._SCHEMAS[command].items():
+        if default is None and key != option:
+            argv += [f"--{key}", str(given[key])]
+    if where == "flag":
+        argv += [f"--{option}", ""]
+    else:
+        (tmp_path / "options.cfg").write_text(f"{option} =\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "options.cfg")]
+    assert run(capsys, *argv) == (1, "", f"cmla: missing required options: --{option}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_config_name_exits_one(capsys, tmp_path):
+    code, _, stderr = run(capsys, "synth", "--config", "", "--out", str(tmp_path / "out"))
+    assert code == 1 and "config file not found" in stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_optional_values_keep_their_meaning(workspace, capsys, monkeypatch, tmp_path):
+    # eval --out "" writes no TSV; predict --input "" reads stdin
+    data, run_dir = workspace
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run(
+        capsys, "eval",
+        "--data", str(data / "corpus.xml"),
+        "--embeddings", str(data / "embeddings.txt"),
+        "--lexicon", str(data / "lexicon.txt"),
+        "--checkpoint", str(run_dir / "checkpoint.json"),
+        "--out", "",
+    )
+    assert code == 0 and "combined" in stdout and not any(tmp_path.iterdir())
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(b"zeer goede ligging\n"))
+    code, stdout, _ = run(
+        capsys, "predict",
+        "--checkpoint", str(run_dir / "checkpoint.json"),
+        "--embeddings", str(data / "embeddings.txt"),
+        "--input", "",
+    )
+    assert code == 0 and "sentence 1: zeer goede ligging" in stdout
+
+
 def test_missing_input_file_exits_one(workspace, capsys, tmp_path):
     data, _ = workspace
     code, _, stderr = run(

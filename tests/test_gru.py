@@ -4,9 +4,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cmla.autodiff import Tensor, backward, constant, grad_check, init_uniform, node, zeros
+from cmla.autodiff import backward, constant, grad_check, init_uniform, node, zeros
 from cmla.data import SynthConfig, generate_synthetic
-from cmla.gru import GRU_FIELDS, GruParams, gru_run, sigmoid
+from cmla.gru import GRU_FIELDS, GruParams, gru_run
 from cmla.model import CmlaParams, TrainConfig, train
 
 
@@ -15,11 +15,29 @@ def dot(a, b):
     return node(np.vdot(a.data, b.data), (a, b), lambda g: (g * b.data, g * a.data))
 
 
-def zero_params(input_dim, hidden_dim):
-    p = GruParams.init(input_dim, hidden_dim, rng=0)
-    for name in GRU_FIELDS:
-        getattr(p, name).data[:] = 0.0
-    return p
+def model_cells(dim, channels, rng, scale=0.2, biases=0.0):
+    """The cells of a fresh dim x channels model, the only place a cell is
+    built: the context cell (dim -> dim) and the aspect and opinion attention
+    cells (2 channels -> channels), all views of the model's parameter vector.
+    A nonzero `biases` then draws every bias from U(-biases, biases)."""
+    gen = np.random.default_rng(rng)   # a Generator comes back unchanged
+    params = CmlaParams.init(dim=dim, channels=channels, rng=gen, init_scale=scale)
+    cells = (params.ctx_gru, params.aspect.att_gru, params.opinion.att_gru)
+    for cell in cells if biases else ():
+        for name in GRU_FIELDS[6:]:
+            getattr(cell, name).data[:] = gen.uniform(-biases, biases, size=cell.hidden_dim)
+    return cells
+
+
+def zeroed(cell):
+    for t in cell.tensors().values():
+        t.data[:] = 0.0
+    return cell
+
+
+def sigmoid(v):
+    """The logistic function in the tanh form gru_run's gates take."""
+    return 0.5 + 0.5 * np.tanh(0.5 * v)
 
 
 def rows(gen, n, d, lo=-1.0, hi=1.0):
@@ -27,33 +45,33 @@ def rows(gen, n, d, lo=-1.0, hi=1.0):
 
 
 def test_init_shapes_and_zero_biases():
-    p = GruParams.init(3, 5, rng=1)
-    assert {name: t.data.shape for name, t in p.tensors().items()} == GruParams.shapes(3, 5)
-    assert p.input_dim == 3 and p.hidden_dim == 5
-    assert np.array_equal(p.b_z.data, np.zeros(5))
-    assert all(t.requires_grad for t in p.tensors().values())
+    for p, (d, h) in zip(model_cells(3, 5, rng=1), ((3, 3), (10, 5), (10, 5))):
+        assert {name: t.data.shape for name, t in p.tensors().items()} == GruParams.shapes(d, h)
+        assert p.input_dim == d and p.hidden_dim == h
+        assert all(np.array_equal(getattr(p, name).data, np.zeros(h)) for name in GRU_FIELDS[6:])
+        assert all(t.requires_grad for t in p.tensors().values())
 
 
 def test_zero_params_halve_hidden_state():
     # all gates sit at 1/2, so one step from the zero state lands halfway
     # to the candidate tanh(b_h)
-    p = zero_params(2, 3)
+    p = zeroed(model_cells(1, 3, rng=0)[1])
     p.b_h.data[:] = [0.4, -1.0, 2.0]
-    h1 = gru_run(constant(np.ones((1, 2))), p)
+    h1 = gru_run(constant(np.ones((1, 6))), p)
     assert np.allclose(h1.data[0], np.tanh(p.b_h.data) / 2, atol=1e-15)
 
 
 def test_zero_params_zero_state_stays_zero():
-    p = zero_params(2, 3)
-    out = gru_run(constant(np.ones((4, 2))), p)
+    p = zeroed(model_cells(3, 1, rng=0)[0])
+    out = gru_run(constant(np.ones((4, 3))), p)
     assert np.array_equal(out.data, np.zeros((4, 3)))
 
 
 def test_zero_params_run_halving_law():
     # h_t = (h_{t-1} + tanh(b_h)) / 2 from h_0 = 0 gives (1 - 2^-t) tanh(b_h)
-    p = zero_params(1, 3)
+    p = zeroed(model_cells(1, 3, rng=0)[1])
     p.b_h.data[:] = [1.0, -2.0, 0.5]
-    out = gru_run(constant(np.zeros((3, 1))), p)
+    out = gru_run(constant(np.zeros((3, 6))), p)
     for t in range(3):
         expected = (1.0 - 2.0 ** -(t + 1)) * np.tanh(p.b_h.data)
         assert np.allclose(out.data[t], expected, atol=1e-15)
@@ -61,7 +79,7 @@ def test_zero_params_run_halving_law():
 
 def test_scalar_case_matches_hand_formula():
     gen = np.random.default_rng(2)
-    p = GruParams.init(1, 1, rng=gen)
+    p = model_cells(1, 1, rng=gen)[0]
     for name in ("b_z", "b_r", "b_h"):
         getattr(p, name).data[:] = gen.uniform(-0.2, 0.2, size=1)
     xs = [0.7, -0.4]
@@ -82,15 +100,15 @@ def test_scalar_case_matches_hand_formula():
 
 def test_step_dimension_validation():
     # every row is one step's input and must have the input dimension
-    p = GruParams.init(2, 3, rng=3)
+    p = model_cells(1, 3, rng=3)[1]
     with pytest.raises(ValueError):
         gru_run(constant(np.ones((2, 3))), p)
     with pytest.raises(ValueError):
-        gru_run(constant(np.ones(2)), p)
+        gru_run(constant(np.ones(6)), p)
 
 
 def test_run_rejects_empty_and_preserves_length():
-    p = GruParams.init(2, 2, rng=4)
+    p = model_cells(2, 1, rng=4)[0]
     with pytest.raises(ValueError, match="nonempty"):
         gru_run(constant(np.zeros((0, 2))), p)
     assert gru_run(constant(np.ones((5, 2))), p).data.shape == (5, 2)
@@ -98,10 +116,10 @@ def test_run_rejects_empty_and_preserves_length():
 
 def test_run_single_element_equals_single_step():
     # from h = 0 the reset gate drops out: h_1 = z * tanh(W_h x + b_h)
-    p = GruParams.init(2, 3, rng=5)
+    p = model_cells(1, 3, rng=5)[1]
     p.b_z.data[:] = [0.1, -0.2, 0.3]
     p.b_h.data[:] = [-0.1, 0.2, 0.05]
-    x = np.array([0.1, -0.6])
+    x = np.array([0.1, -0.6, 0.4, 0.3, -0.2, 0.5])
     out = gru_run(constant([x]), p)
     z = sigmoid(p.W_z.data @ x + p.b_z.data)
     expected = z * np.tanh(p.W_h.data @ x + p.b_h.data)
@@ -109,9 +127,9 @@ def test_run_single_element_equals_single_step():
 
 
 def test_causality_prefix_unchanged():
-    p = GruParams.init(2, 3, rng=6)
+    p = model_cells(1, 3, rng=6)[1]
     gen = np.random.default_rng(7)
-    xs = gen.uniform(-1, 1, size=(4, 2))
+    xs = gen.uniform(-1, 1, size=(4, 6))
     base = gru_run(constant(xs), p).data
     perturbed = xs.copy()
     perturbed[3] += 10.0
@@ -125,8 +143,8 @@ def test_causality_prefix_unchanged():
 
 def test_five_step_run_gradcheck():
     gen = np.random.default_rng(8)
-    p = GruParams.init(2, 3, rng=gen)
-    xs = rows(gen, 5, 2)
+    p = model_cells(1, 3, rng=gen)[1]
+    xs = rows(gen, 5, 6)
 
     def f():
         return dot(gru_run(xs, p), constant(np.ones((5, 3))))
@@ -139,10 +157,8 @@ def test_run_gradcheck_params_and_inputs(n):
     # random output weights so every step's gradient reaches the earlier ones
     # with a different mix; biases moved off zero so no term vanishes
     gen = np.random.default_rng(9 + n)
-    p = GruParams.init(3, 2, rng=gen, scale=1.0)
-    for name in ("b_z", "b_r", "b_h"):
-        getattr(p, name).data[:] = gen.uniform(-0.5, 0.5, size=2)
-    xs = init_uniform((n, 3), -1.0, 1.0, gen)
+    p = model_cells(1, 2, rng=gen, scale=1.0, biases=0.5)[1]
+    xs = init_uniform((n, 4), -1.0, 1.0, gen)
     w = constant(gen.uniform(-1, 1, size=(n, 2)))
 
     def f():
@@ -151,22 +167,15 @@ def test_run_gradcheck_params_and_inputs(n):
     assert grad_check(f, [xs] + list(p.tensors().values())) < 1e-6
 
 
-def random_cell(input_dim, hidden_dim, gen):
-    p = GruParams.init(input_dim, hidden_dim, rng=gen, scale=1.0)
-    for name in ("b_z", "b_r", "b_h"):
-        getattr(p, name).data[:] = gen.uniform(-0.5, 0.5, size=hidden_dim)
-    return p
-
-
 @pytest.mark.parametrize("n", [1, 6])
 def test_cells_side_by_side_match_separate_runs(n):
-    # two cells of different sizes run as one block-diagonal cell: states
-    # and every gradient equal the separate runs', so no off-diagonal
-    # block leaks into a state or a gradient
+    # the context cell (3 -> 3) beside an attention cell (4 -> 2) runs as one
+    # block-diagonal cell: states and every gradient equal the separate runs',
+    # so no off-diagonal block leaks into a state or a gradient
     gen = np.random.default_rng(20 + n)
-    pa, pb = random_cell(3, 2, gen), random_cell(4, 3, gen)
+    pa, pb, _ = model_cells(3, 2, rng=gen, scale=1.0, biases=0.5)
     xa, xb = init_uniform((n, 3), -1, 1, gen), init_uniform((n, 4), -1, 1, gen)
-    wa, wb = constant(gen.uniform(-1, 1, size=(n, 2))), constant(gen.uniform(-1, 1, size=(n, 3)))
+    wa, wb = constant(gen.uniform(-1, 1, size=(n, 3))), constant(gen.uniform(-1, 1, size=(n, 2)))
     x = init_uniform((n, 7), -1, 1, gen)
     x.data[:] = np.hstack([xa.data, xb.data])
     both = gru_run(x, pa, pb)
@@ -183,10 +192,11 @@ def test_cells_side_by_side_match_separate_runs(n):
 
 
 def test_cells_side_by_side_gradcheck():
-    # twelve steps of two cells: inputs and every tensor of both cells
+    # twelve steps of the context cell (2 -> 2) beside an attention cell
+    # (6 -> 3): inputs and every tensor of both cells
     gen = np.random.default_rng(40)
-    pa, pb = random_cell(2, 3, gen), random_cell(3, 2, gen)
-    xs = init_uniform((12, 5), -1.0, 1.0, gen)
+    pa, pb, _ = model_cells(2, 3, rng=gen, scale=1.0, biases=0.5)
+    xs = init_uniform((12, 8), -1.0, 1.0, gen)
     w = constant(gen.uniform(-1, 1, size=(12, 5)))
 
     def f():
@@ -199,8 +209,8 @@ def test_backprop_twice_gives_identical_gradients():
     # the backward forms its factors from the forward's saved states and
     # gates; a write into those would change a second call's result
     gen = np.random.default_rng(41)
-    pa, pb = random_cell(3, 2, gen), random_cell(3, 2, gen)
-    out = gru_run(init_uniform((9, 6), -1, 1, gen), pa, pb)
+    _, pa, pb = model_cells(1, 2, rng=gen, scale=1.0, biases=0.5)
+    out = gru_run(init_uniform((9, 8), -1, 1, gen), pa, pb)
     g = gen.uniform(-1, 1, size=(9, 4))
     first = [d.copy() for d in out._backprop(g)]
     second = out._backprop(g)
@@ -211,29 +221,29 @@ def test_backprop_twice_gives_identical_gradients():
 
 def test_cells_side_by_side_rows_unchanged_by_appended_row():
     gen = np.random.default_rng(30)
-    pa, pb = random_cell(2, 3, gen), random_cell(2, 3, gen)
-    xs = gen.uniform(-1, 1, size=(5, 4))
+    _, pa, pb = model_cells(1, 3, rng=gen, scale=1.0, biases=0.5)
+    xs = gen.uniform(-1, 1, size=(5, 12))
     full = gru_run(constant(xs), pa, pb).data
     for n in range(1, 5):
         assert np.array_equal(gru_run(constant(xs[:n]), pa, pb).data, full[:n])
 
 
 def test_cells_side_by_side_validation():
-    pa, pb = GruParams.init(2, 3, rng=1), GruParams.init(4, 3, rng=2)
+    pa, pb, _ = model_cells(3, 3, rng=1)
     with pytest.raises(ValueError):
-        gru_run(constant(np.zeros((0, 6))), pa, pb)
+        gru_run(constant(np.zeros((0, 9))), pa, pb)
     with pytest.raises(ValueError):   # the width of one cell's input only
-        gru_run(constant(np.ones((3, 4))), pa, pb)
+        gru_run(constant(np.ones((3, 6))), pa, pb)
     with pytest.raises(ValueError):
-        gru_run(constant(np.ones(6)), pa, pb)
+        gru_run(constant(np.ones(9)), pa, pb)
 
 
 def test_output_stays_in_convex_hull_of_tanh_band_and_h0():
     # each coordinate of h_t is an interpolation between h_{t-1} and a
     # tanh value, so a run started at zero can never leave (-1, 1)
     gen = np.random.default_rng(9)
-    p = GruParams.init(3, 4, rng=gen, scale=2.0)
-    out = gru_run(rows(gen, 20, 3, -5, 5), p)
+    p = model_cells(1, 4, rng=gen, scale=2.0)[1]
+    out = gru_run(rows(gen, 20, 8, -5, 5), p)
     assert np.all(np.abs(out.data) < 1.0)
 
 
@@ -253,43 +263,44 @@ def test_params_are_frozen_and_train_rejects_a_detached_tensor():
 
 
 def test_cell_tensors_are_row_views_of_its_gate_blocks():
-    p = GruParams.init(3, 2, rng=50)
-    for block, names in ((p.w, GRU_FIELDS[:3]), (p.u, GRU_FIELDS[3:6]), (p.b, GRU_FIELDS[6:])):
-        assert block.shape[0] == 6 and block.flags.c_contiguous
-        for gate, name in enumerate(names):
-            t = getattr(p, name)
-            assert np.shares_memory(t.data, block), name
-            assert np.array_equal(block[2 * gate : 2 * gate + 2], t.data), name
+    for p in model_cells(3, 2, rng=50):
+        h = p.hidden_dim
+        for block, names in ((p.w, GRU_FIELDS[:3]), (p.u, GRU_FIELDS[3:6]), (p.b, GRU_FIELDS[6:])):
+            assert block.shape[0] == 3 * h and block.flags.c_contiguous
+            for gate, name in enumerate(names):
+                t = getattr(p, name)
+                assert np.shares_memory(t.data, block), name
+                assert np.array_equal(block[gate * h : (gate + 1) * h], t.data), name
+
+
+def test_a_cell_is_built_only_over_its_stretch_of_a_parameter_vector():
+    ctx = model_cells(2, 1, rng=0)[0]
+    with pytest.raises(TypeError, match="flat"):
+        GruParams(**ctx.tensors())
 
 
 @pytest.mark.parametrize("source", ["cell", "head"])
-def test_deep_copy_of_a_cell_views_its_own_gate_blocks(source):
+def test_deep_copy_of_a_cell_or_a_head_raises(source):
+    # a plain deep copy would unlink a cell's tensors from its gate blocks;
+    # a copy of the whole model binds its own vector and stays possible
     params = CmlaParams.init(dim=3, channels=2, rng=52)
-    original = params.ctx_gru if source == "cell" else params.aspect.att_gru
-    twin = copy.deepcopy(original) if source == "cell" else copy.deepcopy(params.aspect).att_gru
-    twin_blocks = (twin.w, twin.u, twin.b)
-    for name, t in twin.tensors().items():
-        assert any(np.shares_memory(t.data, block) for block in twin_blocks), name
-        assert np.array_equal(t.data, getattr(original, name).data), name
-        assert not np.shares_memory(t.data, params.flat), name
-    assert not any(np.shares_memory(block, params.flat) for block in twin_blocks)
-    xs = rows(np.random.default_rng(53), 4, original.input_dim)
-    before = gru_run(xs, original).data
-    assert np.array_equal(gru_run(xs, twin).data, before)
-    twin.W_z.data[0, 0] += 0.5
-    assert not np.array_equal(gru_run(xs, twin).data, before)
-    assert np.array_equal(gru_run(xs, original).data, before)
+    with pytest.raises(TypeError, match="deep-copy the CmlaParams"):
+        copy.deepcopy(params.ctx_gru if source == "cell" else params.aspect)
+    twin = copy.deepcopy(params)
+    assert not np.shares_memory(twin.aspect.att_gru.w, params.flat)
 
 
 def test_in_place_change_reaches_the_next_run():
     # a run reads the blocks, so an SGD-style write into one tensor must
-    # show in the next run of the cell alone and of the cell beside another
+    # show in the next run of the cell alone and of the cell beside another;
+    # the cell of a deep copy of the model, built afresh, agrees
     gen = np.random.default_rng(51)
-    pa, pb = random_cell(3, 2, gen), random_cell(3, 2, gen)
-    xs, both = rows(gen, 4, 3), rows(gen, 4, 6)
+    params = CmlaParams.init(dim=1, channels=2, rng=gen, init_scale=1.0)
+    pa, pb = params.aspect.att_gru, params.opinion.att_gru
+    xs, both = rows(gen, 4, 4), rows(gen, 4, 8)
     before, before_both = gru_run(xs, pa).data, gru_run(both, pa, pb).data
     pa.W_r.data[1, 2] += 0.5
-    fresh = GruParams(**{name: Tensor(t.data.copy(), requires_grad=True) for name, t in pa.tensors().items()})
+    fresh = copy.deepcopy(params).aspect.att_gru
     after, after_both = gru_run(xs, pa).data, gru_run(both, pa, pb).data
     assert not np.array_equal(before, after) and not np.array_equal(before_both, after_both)
     assert np.array_equal(after, gru_run(xs, fresh).data)
@@ -300,8 +311,7 @@ def test_rows_prefix_stable_at_blas_blocking_sizes():
     # the context GRU's and the two attention cells' shapes at dim 100 and
     # 20 channels: every prefix of up to 40 rows reproduces the full run
     gen = np.random.default_rng(52)
-    ctx = GruParams.init(100, 100, rng=gen)
-    pa, pb = GruParams.init(40, 20, rng=gen), GruParams.init(40, 20, rng=gen)
+    ctx, pa, pb = model_cells(100, 20, rng=gen)
     x, feats = gen.uniform(-1, 1, size=(40, 100)), gen.uniform(-1, 1, size=(40, 80))
     full_ctx, full_att = gru_run(constant(x), ctx).data, gru_run(constant(feats), pa, pb).data
     for n in range(1, 41):
@@ -340,10 +350,13 @@ def gate_by_gate_run(x, p, g):
     return states[1:], [pre @ w] + [dw[at] for at in gates] + [du[at] for at in gates] + [db[at] for at in gates]
 
 
-@pytest.mark.parametrize("input_dim, hidden_dim, n", [(3, 5, 1), (12, 12, 7), (40, 20, 40), (100, 100, 23)])
+@pytest.mark.parametrize("input_dim, hidden_dim, n", [(10, 5, 1), (12, 12, 7), (40, 20, 40), (100, 100, 23)])
 def test_single_cell_run_matches_gate_by_gate_oracle_bitwise(input_dim, hidden_dim, n):
+    # the context cell when the input is as wide as the state, else an attention cell
     gen = np.random.default_rng(53 + n)
-    p = random_cell(input_dim, hidden_dim, gen)
+    context = input_dim == hidden_dim
+    dim, channels = (hidden_dim, 1) if context else (1, hidden_dim)
+    p = model_cells(dim, channels, gen, scale=1.0, biases=0.5)[0 if context else 1]
     xs = init_uniform((n, input_dim), -1, 1, gen)
     g = gen.uniform(-1, 1, size=(n, hidden_dim))
     out = gru_run(xs, p)

@@ -966,6 +966,10 @@ def test_every_tensor_but_the_maps_is_a_view_of_the_parameter_vector(tmp_path, s
         assert np.shares_memory(t.data, params.flat) == (name not in MAP_NAMES), name
     cells = (params.ctx_gru, params.aspect.att_gru, params.opinion.att_gru)
     assert all(block.base is params.flat for cell in cells for block in (cell.w, cell.u, cell.b))
+    # each gate block starts in the vector where its first gate does
+    for cell in cells:
+        for block, first in ((cell.w, cell.W_z), (cell.u, cell.U_z), (cell.b, cell.b_z)):
+            assert block.ctypes.data == first.data.ctypes.data
     # distinct values in the vector show each tensor's place in it, biases too
     params.flat[:] = np.arange(params.flat.size)
     assert np.array_equal(np.concatenate(dense, axis=None), np.arange(params.flat.size))
